@@ -29,7 +29,6 @@ from .collapse import (
 from .linalg import (
     DEFAULT_EPS,
     basis_ket,
-    complete_to_unitary,
     dag,
     ket,
     partial_trace,
@@ -93,7 +92,6 @@ __all__ = [
     "check_calibration",
     "check_dynamical",
     "check_prc",
-    "complete_to_unitary",
     "dag",
     "decompose_final",
     "decompose_initial",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, as_complex, frozen, tensor, validate_tolerance
+from .linalg import DEFAULT_EPS, as_complex, frozen, validate_tolerance
 from .measurement import CheckReport, MeasurementModel, premeasure
 from .spectral import SpectralForm
 
@@ -46,10 +46,10 @@ class BranchDecomposition:
         return out
 
 
-def _decompose(state: np.ndarray, projectors, eps: float) -> BranchDecomposition:
+def _decompose(pieces, eps: float) -> BranchDecomposition:
+    """Decomposition from the unnormalized per-outcome pieces P_k state."""
     outcomes, amplitudes, branches, dropped = [], [], [], []
-    for k, p in enumerate(projectors):
-        piece = p @ state
+    for k, piece in enumerate(pieces):
         a = float(np.linalg.norm(piece))
         if a < eps:
             dropped.append(k)
@@ -75,7 +75,7 @@ def decompose_initial(phi, observable: SpectralForm, eps: float = DEFAULT_EPS) -
     phi = as_complex(phi)
     if phi.shape != (observable.dim,):
         raise ValueError(f"state has shape {phi.shape}, expected ({observable.dim},)")
-    return _decompose(phi, observable.projectors, eps)
+    return _decompose([p @ phi for p in observable.projectors], eps)
 
 
 def check_prc(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> CheckReport:
@@ -91,7 +91,7 @@ def check_prc(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> Check
     residuals = np.zeros(model.outcomes)
     witness = None
     for k in range(model.outcomes):
-        pointer_prob = float(np.vdot(final, model.lifted_pointer(k) @ final).real)
+        pointer_prob = float(np.vdot(final, model.apply_pointer(k, final)).real)
         object_prob = float(np.vdot(phi_a, model.observable.projectors[k] @ phi_a).real)
         residuals[k] = abs(pointer_prob - object_prob)
         if residuals[k] > eps and witness is None:
@@ -112,8 +112,7 @@ def decompose_final(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) ->
     validate_tolerance(eps)
     phi_a = as_complex(phi_a)
     final = premeasure(model, phi_a)
-    lifted = [model.lifted_pointer(k) for k in range(model.outcomes)]
-    return _decompose(final, lifted, eps)
+    return _decompose([model.apply_pointer(k, final) for k in range(model.outcomes)], eps)
 
 
 def evolve_branch(model: MeasurementModel, phi_a, k: int) -> np.ndarray:
@@ -128,5 +127,4 @@ def evolve_branch(model: MeasurementModel, phi_a, k: int) -> np.ndarray:
         raise ValueError(f"state has shape {phi_a.shape}, expected ({model.dim_a},)")
     if not 0 <= k < model.outcomes:
         raise ValueError(f"outcome index {k} out of range")
-    branch = model.observable.projectors[k] @ phi_a
-    return model.unitary @ tensor(branch, model.instrument_state)
+    return model.isometry @ (model.observable.projectors[k] @ phi_a)

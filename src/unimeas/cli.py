@@ -158,7 +158,7 @@ def _cmd_collapse(args) -> int:
         raise ModelFormatError(
             f"phi: dimension {phi.size} does not match dim_a {model.dim_a}"
         )
-    dist = weights(phi, model.observable)
+    dist = weights(phi, model.observable, tol)
     rho = butcher(model, phi, tol)
     trace_residual = abs(float(np.trace(rho).real) - 1.0)
     report = sample(dist, args.n, args.seed)

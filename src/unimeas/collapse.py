@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, as_complex, frozen, validate_tolerance
+from .linalg import DEFAULT_EPS, as_complex, frozen, validate_ket, validate_tolerance
 from .measurement import MeasurementModel, premeasure
 from .spectral import SpectralForm
 
@@ -23,7 +23,7 @@ GENERATOR = "pcg64"
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Nonnegative outcome weights summing to one."""
+    """Finite nonnegative outcome weights; sample() renormalizes them over its support."""
 
     outcomes: np.ndarray
     weights: np.ndarray
@@ -33,6 +33,10 @@ class OutcomeDistribution:
         object.__setattr__(self, "weights", frozen(np.asarray(self.weights, dtype=np.float64)))
         if self.outcomes.size != self.weights.size:
             raise ValueError("outcomes and weights must be coindexed")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("weights must be finite")
+        if np.any(self.weights < 0.0):
+            raise ValueError("weights must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -50,11 +54,16 @@ class SampleReport:
             raise ValueError("counts do not sum to total")
 
 
-def weights(phi_a, observable: SpectralForm) -> OutcomeDistribution:
-    """Statistical weights w_k = <phi|E_k|phi> of the collapse mixture."""
+def weights(phi_a, observable: SpectralForm, eps: float = DEFAULT_EPS) -> OutcomeDistribution:
+    """Statistical weights w_k = <phi|E_k|phi> of the collapse mixture.
+
+    Raises:
+        ValueError: phi_a has the wrong shape or is not a finite unit vector within eps.
+    """
     phi_a = as_complex(phi_a)
     if phi_a.shape != (observable.dim,):
         raise ValueError(f"state has shape {phi_a.shape}, expected ({observable.dim},)")
+    validate_ket(phi_a, eps)
     w = np.array(
         [np.vdot(phi_a, p @ phi_a).real for p in observable.projectors], dtype=np.float64
     )
@@ -79,10 +88,10 @@ def butcher(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> np.ndar
     """
     validate_tolerance(eps)
     final = premeasure(model, phi_a)
-    w = weights(phi_a, model.observable).weights
+    w = weights(phi_a, model.observable, eps).weights
     rho = np.zeros((model.dim, model.dim), dtype=np.complex128)
     for k in range(model.outcomes):
-        piece = model.lifted_pointer(k) @ final
+        piece = model.apply_pointer(k, final)
         norm = float(np.linalg.norm(piece))
         if norm < eps:
             continue
@@ -92,26 +101,23 @@ def butcher(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> np.ndar
 
 
 def sample(dist: OutcomeDistribution, n: int, seed: int) -> SampleReport:
-    """Draw n outcomes by inverse CDF over the weight array.
+    """Draw n outcomes as one multinomial draw over the renormalized support.
 
     The generator is numpy's PCG64 seeded with `seed`, so identical seeds
-    reproduce identical counts. Weights below DEFAULT_EPS are excluded
-    from the support.
+    reproduce identical counts; cost and memory grow with the number of
+    outcomes, not with n. Weights below DEFAULT_EPS are excluded from the
+    support. Counts for a given seed differ from those of the earlier
+    inverse-CDF sampler, which drew n uniforms.
 
     Raises:
-        ValueError: n is not a positive integer or no weight is sampleable.
+        ValueError: n is not a positive int64 or no weight is sampleable.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be positive, got {n}")
-    keep = dist.weights >= DEFAULT_EPS
-    if not np.any(keep):
+    if not 1 <= n < 2**63:
+        raise ValueError(f"sample size must be a positive int64, got {n}")
+    support = np.flatnonzero(dist.weights >= DEFAULT_EPS)
+    if not support.size:
         raise ValueError("distribution has no weight above threshold")
-    support = np.flatnonzero(keep)
-    cdf = np.cumsum(dist.weights[support])
-    rng = np.random.default_rng(seed)
-    draws = rng.random(n) * cdf[-1]
-    picks = np.searchsorted(cdf, draws, side="right")
+    w = dist.weights[support]
     counts = np.zeros(dist.outcomes.size, dtype=np.int64)
-    for s, c in zip(*np.unique(picks, return_counts=True)):
-        counts[support[s]] = c
+    counts[support] = np.random.default_rng(seed).multinomial(n, w / w.sum())
     return SampleReport(counts=counts, total=n, seed=seed)

@@ -16,9 +16,6 @@ DEFAULT_EPS = 1e-9
 # largest composite dimension tensor() will produce
 _MAX_TENSOR_DIM = 1 << 20
 
-# residual norm below which a Gram-Schmidt candidate counts as dependent
-_INDEPENDENCE_TOL = 1e-8
-
 
 def as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128)
@@ -96,48 +93,6 @@ def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
     return np.einsum("iaib->ab", r)
 
 
-def complete_to_unitary(columns: Sequence[np.ndarray], eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Complete mutually orthonormal columns to a full unitary.
-
-    The inputs become the first columns, reproduced exactly. The remaining
-    columns come from Gram-Schmidt over the canonical basis in index order;
-    each accepted candidate is orthogonalized twice against everything kept
-    so far, which keeps the loss of orthogonality at machine level.
-
-    Raises:
-        ValueError: input columns are not orthonormal within eps.
-    """
-    validate_tolerance(eps)
-    cols = [as_complex(c).reshape(-1) for c in columns]
-    if not cols:
-        raise ValueError("at least one input column is required")
-    dim = cols[0].size
-    if any(c.size != dim for c in cols):
-        raise ValueError("input columns have mismatched dimensions")
-    if len(cols) > dim:
-        raise ValueError(f"{len(cols)} columns cannot be orthonormal in dimension {dim}")
-    q = np.column_stack(cols)
-    gram = dag(q) @ q
-    defect = np.max(np.abs(gram - np.eye(len(cols))))
-    if defect > eps:
-        raise ValueError(f"input columns are not orthonormal (defect {defect:.3e})")
-
-    kept = list(cols)
-    for j in range(dim):
-        if len(kept) == dim:
-            break
-        q = np.column_stack(kept)
-        v = basis_ket(dim, j)
-        for _ in range(2):
-            v = v - q @ (dag(q) @ v)
-        n = np.linalg.norm(v)
-        if n > _INDEPENDENCE_TOL:
-            kept.append(v / n)
-    if len(kept) != dim:
-        raise ValueError("Gram-Schmidt completion failed to span the space")
-    return np.column_stack(kept)
-
-
 def hermiticity_defect(a) -> float:
     a = as_complex(a)
     return float(np.max(np.abs(a - dag(a))))
@@ -164,15 +119,37 @@ def validate_ket(v, eps: float = DEFAULT_EPS) -> None:
         raise ValueError(f"state norm {n} is not 1 within {eps}")
 
 
-def validate_projector(p, eps: float = DEFAULT_EPS) -> None:
-    """Raise unless p is Hermitian and idempotent within eps."""
+def validate_projector(p, eps: float = DEFAULT_EPS, name: str = "projector") -> None:
+    """Raise unless p is a finite square matrix, Hermitian and idempotent within eps.
+
+    Error messages start with `name`.
+    """
     p = as_complex(p)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError(f"projector must be square, got shape {p.shape}")
+        raise ValueError(f"{name} must be square, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"{name} has non-finite entries")
     if hermiticity_defect(p) > eps:
-        raise ValueError("projector is not Hermitian")
+        raise ValueError(f"{name} is not Hermitian")
     if np.max(np.abs(p @ p - p)) > eps:
-        raise ValueError("projector is not idempotent")
+        raise ValueError(f"{name} is not idempotent")
+
+
+def validate_projectors(
+    projectors: Sequence[np.ndarray], dim: int, eps: float = DEFAULT_EPS, label: str = "projector"
+) -> None:
+    """Raise unless each matrix is a dim x dim projector and every pair is orthogonal.
+
+    Matrix k is named "<label> k" in error messages, a pair "<label>s k and k'".
+    """
+    for k, p in enumerate(projectors):
+        if p.shape != (dim, dim):
+            raise ValueError(f"{label} {k} has shape {p.shape}, expected {(dim, dim)}")
+        validate_projector(p, eps, f"{label} {k}")
+    for k in range(len(projectors)):
+        for kp in range(k + 1, len(projectors)):
+            if np.max(np.abs(projectors[k] @ projectors[kp])) > eps:
+                raise ValueError(f"{label}s {k} and {kp} are not orthogonal")
 
 
 def validate_density(rho, eps: float = DEFAULT_EPS) -> None:

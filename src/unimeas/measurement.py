@@ -11,6 +11,7 @@ basis vectors only, which linearity extends to arbitrary object states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from .linalg import (
     DEFAULT_EPS,
     as_complex,
     basis_ket,
-    complete_to_unitary,
     dag,
     frozen,
     tensor,
@@ -68,8 +68,32 @@ class MeasurementModel:
     def outcomes(self) -> int:
         return self.observable.outcomes
 
+    @cached_property
+    def isometry(self) -> np.ndarray:
+        """W = U (I_A (x) phi_B), the unitary on the initial subspace, shape (dim, dim_a).
+
+        Column i is U(e_i (x) phi_B); every check and branch computation
+        uses the unitary only through W.
+        """
+        w = self.unitary.reshape(self.dim, self.dim_a, self.dim_b) @ self.instrument_state
+        return frozen(w)
+
+    def apply_pointer(self, k: int, states) -> np.ndarray:
+        """(I_A (x) F_k) applied to a joint vector or to each column of a (dim, m) array.
+
+        F_k acts on the instrument axis of the (dim_a, dim_b, ...) reshape,
+        so the dense joint operator is never formed.
+        """
+        states = as_complex(states)
+        sectors = states.reshape(self.dim_a, self.dim_b, -1)
+        return (self.pointer.projectors[k] @ sectors).reshape(states.shape)
+
     def lifted_pointer(self, k: int) -> np.ndarray:
-        """Pointer projector k acting on the joint space, I_A (x) F_k."""
+        """Dense pointer projector k on the joint space, I_A (x) F_k.
+
+        Costs dim^2 memory per call; the library uses apply_pointer, and
+        this stays as the dense reference that tests compare against.
+        """
         return tensor(np.eye(self.dim_a), self.pointer.projectors[k])
 
     def validate(self, eps: float = DEFAULT_EPS) -> None:
@@ -116,18 +140,20 @@ def build_canonical_model(observable: SpectralForm) -> MeasurementModel:
     """Minimal model measuring the given observable exactly.
 
     The instrument gets one dimension per outcome, pointer projectors
-    |k><k| with eigenvalues k, and initial state |0>. On the initial
-    subspace the unitary keeps each object branch intact while moving the
-    pointer to the branch label:
+    |k><k| with eigenvalues k, and initial state |0>. The unitary is von
+    Neumann's controlled shift
+
+        U = sum_k E_k (x) S^k,    S|j> = |j+1 mod n>,
+
+    which is unitary because the E_k are orthogonal and sum to the
+    identity, and on the initial subspace keeps each object branch intact
+    while moving the pointer to the branch label:
 
         |psi>|0>  ->  sum_k (E_k |psi>) (x) |k>
-
-    and is completed deterministically elsewhere.
     """
     dim_a = observable.dim
     n_out = observable.outcomes
     dim_b = n_out
-    dim = dim_a * dim_b
 
     pointer = SpectralForm(
         np.arange(n_out, dtype=np.float64),
@@ -135,23 +161,11 @@ def build_canonical_model(observable: SpectralForm) -> MeasurementModel:
     )
     instrument_state = basis_ket(dim_b, 0)
 
-    images = []
-    for i in range(dim_a):
-        v = np.zeros(dim, dtype=np.complex128)
-        for k in range(n_out):
-            v += tensor(observable.projectors[k] @ basis_ket(dim_a, i), basis_ket(dim_b, k))
-        images.append(v)
-    completed = complete_to_unitary(images)
-
-    # input e_i (x) |0> lives at joint index i*dim_b; route the prescribed
-    # images there and fill the remaining columns with the completion
-    unitary = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(dim_a):
-        unitary[:, i * dim_b] = completed[:, i]
-    rest = iter(range(dim_a, dim))
-    for j in range(dim):
-        if j % dim_b != 0:
-            unitary[:, j] = completed[:, next(rest)]
+    # u[a, (j + k) % n, a', j] = E_k[a, a']
+    u = np.zeros((dim_a, dim_b, dim_a, dim_b), dtype=np.complex128)
+    j = np.arange(dim_b)
+    for k, e_k in enumerate(observable.projectors):
+        u[:, (j + k) % dim_b, :, j] = e_k
 
     return MeasurementModel(
         dim_a=dim_a,
@@ -159,66 +173,70 @@ def build_canonical_model(observable: SpectralForm) -> MeasurementModel:
         observable=observable,
         pointer=pointer,
         instrument_state=instrument_state,
-        unitary=unitary,
+        unitary=u.reshape(dim_a * dim_b, dim_a * dim_b),
     )
 
 
 def premeasure(model: MeasurementModel, phi_a) -> np.ndarray:
-    """Joint final state U (phi_a (x) instrument_state)."""
+    """Joint final state U (phi_a (x) instrument_state), computed as W phi_a."""
     phi_a = as_complex(phi_a)
     if phi_a.shape != (model.dim_a,):
         raise ValueError(
             f"object state has shape {phi_a.shape}, expected ({model.dim_a},)"
         )
-    return model.unitary @ tensor(phi_a, model.instrument_state)
+    return model.isometry @ phi_a
+
+
+def _report(column_residuals: list[np.ndarray], eps: float, column: str) -> CheckReport:
+    """Report from per-outcome arrays of per-column residuals.
+
+    An outcome's residual is the largest of its columns; the witness names
+    the first column above eps in (outcome, column) order.
+    """
+    residuals = np.array([np.max(r, initial=0.0) for r in column_residuals])
+    witness = None
+    for k, r in enumerate(column_residuals):
+        above = np.flatnonzero(r > eps)
+        if above.size:
+            j = int(above[0])
+            witness = f"outcome {k}, {column} {j}: residual {r[j]:.3e}"
+            break
+    max_residual = float(np.max(residuals))
+    return CheckReport(max_residual <= eps, residuals, max_residual, witness)
 
 
 def check_calibration(model: MeasurementModel, eps: float = DEFAULT_EPS) -> CheckReport:
     """Eigenstate condition: object eigenstates yield pointer eigenstates.
 
     For each outcome k and each orthonormal basis vector e of the range of
-    the object projector E_k, verifies F_k U(e (x) phi_B) = U(e (x) phi_B).
+    the object projector E_k, verifies F_k U(e (x) phi_B) = U(e (x) phi_B),
+    i.e. F_k W B_k = W B_k column by column, with B_k the range basis.
     """
     validate_tolerance(eps)
-    residuals = np.zeros(model.outcomes)
-    witness = None
+    column_residuals = []
     for k in range(model.outcomes):
-        f_lift = model.lifted_pointer(k)
-        worst = 0.0
-        for j, e in enumerate(range_basis(model.observable.projectors[k], eps)):
-            final = model.unitary @ tensor(e, model.instrument_state)
-            r = float(np.linalg.norm(f_lift @ final - final))
-            if r > worst:
-                worst = r
-            if r > eps and witness is None:
-                witness = f"outcome {k}, range basis vector {j}: residual {r:.3e}"
-        residuals[k] = worst
-    max_residual = float(np.max(residuals)) if residuals.size else 0.0
-    return CheckReport(max_residual <= eps, residuals, max_residual, witness)
+        basis = range_basis(model.observable.projectors[k], eps)
+        if not basis:
+            column_residuals.append(np.zeros(0))
+            continue
+        finals = model.isometry @ np.column_stack(basis)
+        column_residuals.append(
+            np.linalg.norm(model.apply_pointer(k, finals) - finals, axis=0)
+        )
+    return _report(column_residuals, eps, "range basis vector")
 
 
 def check_dynamical(model: MeasurementModel, eps: float = DEFAULT_EPS) -> CheckReport:
     """Operator condition: F_k U equals U E_k on the initial subspace.
 
     For each outcome k and each canonical basis vector e of the object
-    space, verifies F_k U(e (x) phi_B) = U((E_k e) (x) phi_B).
+    space, verifies F_k U(e (x) phi_B) = U((E_k e) (x) phi_B), i.e.
+    F_k W = W E_k column by column.
     """
     validate_tolerance(eps)
-    residuals = np.zeros(model.outcomes)
-    witness = None
-    for k in range(model.outcomes):
-        f_lift = model.lifted_pointer(k)
-        e_k = model.observable.projectors[k]
-        worst = 0.0
-        for i in range(model.dim_a):
-            e = basis_ket(model.dim_a, i)
-            lhs = f_lift @ (model.unitary @ tensor(e, model.instrument_state))
-            rhs = model.unitary @ tensor(e_k @ e, model.instrument_state)
-            r = float(np.linalg.norm(lhs - rhs))
-            if r > worst:
-                worst = r
-            if r > eps and witness is None:
-                witness = f"outcome {k}, basis vector {i}: residual {r:.3e}"
-        residuals[k] = worst
-    max_residual = float(np.max(residuals)) if residuals.size else 0.0
-    return CheckReport(max_residual <= eps, residuals, max_residual, witness)
+    w = model.isometry
+    column_residuals = [
+        np.linalg.norm(model.apply_pointer(k, w) - w @ e_k, axis=0)
+        for k, e_k in enumerate(model.observable.projectors)
+    ]
+    return _report(column_residuals, eps, "basis vector")

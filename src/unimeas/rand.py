@@ -117,7 +117,7 @@ def perturb_model(
     Applies a two-level rotation of angle theta mixing one initial-subspace
     input direction e_a (x) phi_B with the orthogonal direction
     e_a (x) phi_perp, so the model's action on the initial subspace leaks
-    into completed columns. Requires dim_b >= 2.
+    into the image of a column outside it. Requires dim_b >= 2.
     """
     if model.dim_b < 2:
         raise ValueError("perturbation needs an instrument of dimension >= 2")

@@ -13,6 +13,7 @@ from .linalg import (
     dag,
     frozen,
     hermiticity_defect,
+    validate_projectors,
     validate_tolerance,
 )
 
@@ -53,19 +54,7 @@ class SpectralForm:
     def validate(self, eps: float = DEFAULT_EPS) -> None:
         """Check idempotency, orthogonality, completeness, and distinctness."""
         validate_tolerance(eps)
-        d = self.dim
-        for k, p in enumerate(self.projectors):
-            if p.shape != (d, d):
-                raise ValueError(f"projector {k} has shape {p.shape}, expected {(d, d)}")
-            if hermiticity_defect(p) > eps:
-                raise ValueError(f"projector {k} is not Hermitian")
-            if np.max(np.abs(p @ p - p)) > eps:
-                raise ValueError(f"projector {k} is not idempotent")
-        for k in range(self.outcomes):
-            for kp in range(k + 1, self.outcomes):
-                cross = np.max(np.abs(self.projectors[k] @ self.projectors[kp]))
-                if cross > eps:
-                    raise ValueError(f"projectors {k} and {kp} are not orthogonal")
+        validate_projectors(self.projectors, self.dim, eps)
         ok, residual = verify_completeness(self, eps)
         if not ok:
             raise ValueError(f"projectors do not sum to identity (residual {residual:.3e})")
@@ -91,12 +80,14 @@ def spectral_decompose(h, eps: float = DEFAULT_EPS) -> SpectralForm:
     eigenvalue so indexing is deterministic.
 
     Raises:
-        ValueError: input is not Hermitian within eps.
+        ValueError: input is non-finite or not Hermitian within eps.
     """
     validate_tolerance(eps)
     h = as_complex(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"observable must be square, got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("observable has non-finite entries")
     defect = hermiticity_defect(h)
     if defect > eps:
         raise ValueError(f"observable is not Hermitian (defect {defect:.3e})")
@@ -151,18 +142,7 @@ def refine(
     subs = [as_complex(p) for p in sub_projectors]
     if not subs:
         raise ValueError("at least one sub-projector is required")
-    d = sf.dim
-    for j, p in enumerate(subs):
-        if p.shape != (d, d):
-            raise ValueError(f"sub-projector {j} has shape {p.shape}, expected {(d, d)}")
-        if hermiticity_defect(p) > eps:
-            raise ValueError(f"sub-projector {j} is not Hermitian")
-        if np.max(np.abs(p @ p - p)) > eps:
-            raise ValueError(f"sub-projector {j} is not idempotent")
-    for j in range(len(subs)):
-        for jp in range(j + 1, len(subs)):
-            if np.max(np.abs(subs[j] @ subs[jp])) > eps:
-                raise ValueError(f"sub-projectors {j} and {jp} are not orthogonal")
+    validate_projectors(subs, sf.dim, eps, "sub-projector")
     total = sum(subs)
     defect = float(np.max(np.abs(total - sf.projectors[k])))
     if defect > eps:

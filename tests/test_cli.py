@@ -171,6 +171,12 @@ class TestCollapse:
             "collapse", str(workspace / "model.json"), str(workspace / "phi.json"), "--n", "0",
         ]) == 2
 
+    def test_n_beyond_int64_exits_2(self, workspace, capsys):
+        assert main([
+            "collapse", str(workspace / "model.json"), str(workspace / "phi.json"),
+            "--n", str(2**63),
+        ]) == 2
+
     def test_negative_seed_exits_2(self, workspace, capsys):
         assert main([
             "collapse", str(workspace / "model.json"), str(workspace / "phi.json"), "--seed", "-1",

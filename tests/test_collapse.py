@@ -119,6 +119,10 @@ class TestWeights:
         with pytest.raises(ValueError, match="expected"):
             weights(rand_ket(3, rng), spectral_decompose(np.diag([1.0, -1.0])))
 
+    def test_unnormalized_state_rejected(self):
+        with pytest.raises(ValueError, match="norm"):
+            weights(np.array([3.0, 4.0]), spectral_decompose(np.diag([1.0, -1.0])))
+
 
 class TestSample:
     def test_certain_event(self):
@@ -162,8 +166,27 @@ class TestSample:
         with pytest.raises(ValueError, match="positive"):
             sample(dist, -5, 0)
 
+    def test_huge_n_needs_no_per_draw_memory(self):
+        dist = OutcomeDistribution(np.arange(3), np.array([0.2, 0.5, 0.3]))
+        report = sample(dist, 10**12, 0)
+        assert int(np.sum(report.counts)) == report.total == 10**12
+
+    def test_n_beyond_int64_rejected(self):
+        dist = OutcomeDistribution(np.arange(2), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="positive int64"):
+            sample(dist, 2**63, 0)
+
 
 class TestOutcomeDistribution:
     def test_coindexing_enforced(self):
         with pytest.raises(ValueError, match="coindexed"):
             OutcomeDistribution(np.arange(3), np.array([0.5, 0.5]))
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            OutcomeDistribution(np.arange(2), np.array([-0.1, 1.1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            OutcomeDistribution(np.arange(2), np.array([bad, 1.0]))

@@ -5,7 +5,6 @@ import pytest
 
 from unimeas.linalg import (
     basis_ket,
-    complete_to_unitary,
     dag,
     hermiticity_defect,
     is_hermitian,
@@ -17,7 +16,7 @@ from unimeas.linalg import (
     validate_ket,
     validate_projector,
 )
-from unimeas.rand import rand_density, rand_ket, rand_unitary
+from unimeas.rand import rand_density, rand_ket
 
 
 class TestKets:
@@ -134,45 +133,6 @@ class TestPartialTrace:
             partial_trace(rand_density(4, rng), (2, 2), keep=2)
 
 
-class TestCompleteToUnitary:
-    def test_full_unitary_reproduced(self, rng):
-        u = rand_unitary(4, rng)
-        out = complete_to_unitary([u[:, j] for j in range(4)])
-        np.testing.assert_array_equal(out, u)
-
-    def test_single_basis_vector_gives_identity(self):
-        np.testing.assert_allclose(complete_to_unitary([basis_ket(2, 0)]), np.eye(2), atol=1e-15)
-
-    def test_canonical_isometry_columns(self):
-        # the two image columns a canonical two-outcome builder prescribes
-        cols = [basis_ket(4, 0), basis_ket(4, 3)]
-        u = complete_to_unitary(cols)
-        np.testing.assert_array_equal(u[:, 0], cols[0])
-        np.testing.assert_array_equal(u[:, 1], cols[1])
-        assert np.max(np.abs(dag(u) @ u - np.eye(4))) <= 1e-10
-
-    def test_random_partial_isometry(self, rng):
-        for dim, k in [(3, 1), (5, 3), (8, 4)]:
-            u_full = rand_unitary(dim, rng)
-            cols = [u_full[:, j] for j in range(k)]
-            u = complete_to_unitary(cols)
-            for j in range(k):
-                np.testing.assert_array_equal(u[:, j], cols[j])
-            assert np.max(np.abs(dag(u) @ u - np.eye(dim))) <= 1e-10
-
-    def test_non_orthonormal_rejected(self):
-        with pytest.raises(ValueError, match="not orthonormal"):
-            complete_to_unitary([basis_ket(2, 0), ket([1.0, 1.0])])
-
-    def test_too_many_columns_rejected(self):
-        with pytest.raises(ValueError, match="cannot be orthonormal"):
-            complete_to_unitary([basis_ket(2, 0)] * 3)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            complete_to_unitary([])
-
-
 class TestValidators:
     def test_hermiticity_defect(self):
         assert hermiticity_defect(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(1.0)
@@ -201,6 +161,10 @@ class TestValidators:
             validate_projector(np.diag([2.0, 0.0]))
         with pytest.raises(ValueError, match="square"):
             validate_projector(np.ones((2, 3)))
+
+    def test_validate_projector_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="projector has non-finite entries"):
+            validate_projector(np.full((2, 2), np.nan))
 
     def test_validate_density(self, rng):
         validate_density(rand_density(3, rng))

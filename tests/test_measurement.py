@@ -187,6 +187,48 @@ class TestCheckDynamical:
         assert check_dynamical(model).passed
 
 
+@pytest.mark.parametrize("dim_a", [4, 8, 16])
+class TestCanonicalAtScale:
+    """Closed-form controlled shift at joint dimensions 16, 64 and 256."""
+
+    def test_unitarity_defect(self, dim_a):
+        model = rand_model(dim_a, np.random.default_rng(dim_a))
+        assert model.dim == dim_a * dim_a
+        u = model.unitary
+        assert np.max(np.abs(dag(u) @ u - np.eye(model.dim))) <= 1e-12
+
+    def test_premeasure_moves_pointer_to_branch_label(self, dim_a):
+        rng = np.random.default_rng(dim_a)
+        model = rand_model(dim_a, rng)
+        phi = rand_ket(dim_a, rng)
+        expected = sum(
+            tensor(e_k @ phi, basis_ket(model.dim_b, k))
+            for k, e_k in enumerate(model.observable.projectors)
+        )
+        np.testing.assert_allclose(premeasure(model, phi), expected, atol=1e-12)
+
+    def test_isometry_and_pointer_match_dense_reference(self, dim_a):
+        rng = np.random.default_rng(dim_a)
+        model = with_redundant_pointer(rand_model(dim_a, rng), 2, rng)
+        direct = model.unitary @ np.kron(np.eye(dim_a), model.instrument_state[:, None])
+        np.testing.assert_allclose(model.isometry, direct, atol=1e-12)
+        states = model.isometry[:, :3]
+        for k in (0, model.outcomes - 1):
+            dense = model.lifted_pointer(k)
+            np.testing.assert_allclose(model.apply_pointer(k, states), dense @ states, atol=1e-12)
+            np.testing.assert_allclose(
+                model.apply_pointer(k, states[:, 0]), dense @ states[:, 0], atol=1e-12
+            )
+
+    def test_negatives_fail_both_with_witnesses(self, dim_a):
+        rng = np.random.default_rng(dim_a)
+        base = rand_model(dim_a, rng)
+        for model in (perturb_model(base, rng), swap_pointer(base)):
+            for report in (check_calibration(model), check_dynamical(model)):
+                assert not report.passed
+                assert report.witness is not None
+
+
 class TestModelValidate:
     def test_field_named_in_error(self):
         base = z_model()

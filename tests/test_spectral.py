@@ -65,6 +65,10 @@ class TestSpectralDecompose:
         with pytest.raises(ValueError, match="square"):
             spectral_decompose(np.ones((2, 3)))
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_decompose(np.full((2, 2), np.nan))
+
 
 class TestVerifyCompleteness:
     def test_decompose_output_complete(self, rng):
@@ -178,6 +182,11 @@ class TestSpectralFormType:
     def test_equal_eigenvalues_rejected_by_validate(self):
         sf = SpectralForm(np.array([1.0, 1.0]), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
         with pytest.raises(ValueError, match="are equal"):
+            sf.validate(1e-9)
+
+    def test_non_finite_projector_named_by_index(self):
+        sf = SpectralForm(np.array([1.0, 2.0]), (np.diag([1.0, 0.0]), np.diag([0.0, np.nan])))
+        with pytest.raises(ValueError, match="projector 1 has non-finite entries"):
             sf.validate(1e-9)
 
     def test_projectors_read_only(self):

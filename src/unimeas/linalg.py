@@ -153,10 +153,12 @@ def validate_projectors(
 
 
 def validate_density(rho, eps: float = DEFAULT_EPS) -> None:
-    """Raise unless rho is Hermitian, positive semidefinite, and trace one."""
+    """Raise unless rho is finite, Hermitian, positive semidefinite, and trace one."""
     rho = as_complex(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density operator must be square, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density operator has non-finite entries")
     if hermiticity_defect(rho) > eps:
         raise ValueError("density operator is not Hermitian")
     lo = float(np.min(np.linalg.eigvalsh((rho + dag(rho)) / 2.0)))

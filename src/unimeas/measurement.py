@@ -132,7 +132,7 @@ class MeasurementModel:
         if u.shape != (self.dim, self.dim):
             raise ValueError(f"unitary: shape {u.shape}, expected {(self.dim, self.dim)}")
         defect = float(np.max(np.abs(dag(u) @ u - np.eye(self.dim))))
-        if defect > eps:
+        if not defect <= eps:  # NaN-aware: a non-finite unitary has defect nan
             raise ValueError(f"unitary: unitarity defect {defect:.3e} exceeds {eps}")
 
 

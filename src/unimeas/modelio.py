@@ -1,9 +1,16 @@
 """JSON serialization of models, states, and operators.
 
 Complex scalars are written as [re, im] pairs, matrices as arrays of rows,
-vectors as arrays of complex scalars. Floats use Python's shortest
-round-trip representation, so save(load(f)) is byte-identical for files
-this module wrote.
+vectors as arrays of complex scalars. Files are written compactly, without
+indentation or spaces, and floats use Python's shortest round-trip
+representation, so save(load(f)) is byte-identical for files this version
+wrote. Files written with other whitespace, such as the earlier indented
+layout, still load to the same arrays. Saving a non-finite value raises
+ValueError before any file is written; loading one raises ModelFormatError.
+
+Encoding and decoding are array operations. Decoding checks each complex
+array as a whole first; when that check fails, a per-element walk finds
+the offending entry and names its field path in the error.
 """
 
 from __future__ import annotations
@@ -25,16 +32,31 @@ class ModelFormatError(ValueError):
 _MODEL_FIELDS = ("dim_a", "dim_b", "observable", "pointer", "instrument_state", "unitary")
 
 
-def _complex_out(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _complex_out(a: np.ndarray) -> list:
+    """Nested lists of the same shape as a, each complex entry as a [re, im] pair."""
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _vector_out(v: np.ndarray) -> list:
-    return [_complex_out(z) for z in v]
+def _pairs_fast(node, ndim: int) -> np.ndarray | None:
+    """Complex array of ndim dimensions from nested [re, im] pairs, or None.
 
-
-def _matrix_out(m: np.ndarray) -> list:
-    return [_vector_out(row) for row in m]
+    None means the node is not a regular, finite, list-nested array of
+    int/float pairs, and the caller's per-element walk must diagnose it.
+    """
+    rows = node if ndim == 2 else [node]
+    if type(node) is not list or not all(type(row) is list for row in rows):
+        return None
+    try:
+        a = np.array(node, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if a.ndim != ndim + 1 or a.shape[-1] != 2 or not np.isfinite(a).all():
+        return None
+    # np.array converts true/false and numeric strings to floats
+    if not all(type(x) is float or type(x) is int for row in rows for pair in row for x in pair):
+        return None
+    # a view keeps every bit, signed zeros included, as complex(re, im) does
+    return a.view(np.complex128)[..., 0]
 
 
 def _complex_in(node, where: str) -> complex:
@@ -44,13 +66,19 @@ def _complex_in(node, where: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)
     ):
         raise ModelFormatError(f"{where}: expected a [re, im] pair, got {node!r}")
-    z = complex(node[0], node[1])
+    try:
+        z = complex(node[0], node[1])
+    except OverflowError:
+        raise ModelFormatError(f"{where}: non-finite value {node!r}") from None
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise ModelFormatError(f"{where}: non-finite value {node!r}")
     return z
 
 
 def _vector_in(node, where: str) -> np.ndarray:
+    fast = _pairs_fast(node, 1)
+    if fast is not None:
+        return fast
     if not isinstance(node, list) or not node:
         raise ModelFormatError(f"{where}: expected a non-empty array of complex scalars")
     return np.array(
@@ -59,6 +87,9 @@ def _vector_in(node, where: str) -> np.ndarray:
 
 
 def _matrix_in(node, where: str) -> np.ndarray:
+    fast = _pairs_fast(node, 2)
+    if fast is not None:
+        return fast
     if not isinstance(node, list) or not node:
         raise ModelFormatError(f"{where}: expected a non-empty array of rows")
     rows = [_vector_in(row, f"{where}[{i}]") for i, row in enumerate(node)]
@@ -75,13 +106,16 @@ def _real_array_in(node, where: str) -> np.ndarray:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)
     ):
         raise ModelFormatError(f"{where}: expected a non-empty array of real numbers")
-    return np.array(node, dtype=np.float64)
+    try:
+        return np.array(node, dtype=np.float64)
+    except OverflowError:
+        raise ModelFormatError(f"{where}: value too large for a float") from None
 
 
 def _spectral_out(sf: SpectralForm) -> dict:
     return {
-        "eigenvalues": [float(v) for v in sf.eigenvalues],
-        "projectors": [_matrix_out(p) for p in sf.projectors],
+        "eigenvalues": sf.eigenvalues.tolist(),
+        "projectors": [_complex_out(p) for p in sf.projectors],
     }
 
 
@@ -113,8 +147,8 @@ def model_to_document(model: MeasurementModel) -> dict:
         "dim_b": model.dim_b,
         "observable": _spectral_out(model.observable),
         "pointer": _spectral_out(model.pointer),
-        "instrument_state": _vector_out(model.instrument_state),
-        "unitary": _matrix_out(model.unitary),
+        "instrument_state": _complex_out(model.instrument_state),
+        "unitary": _complex_out(model.unitary),
     }
 
 
@@ -152,7 +186,7 @@ def model_from_document(doc, eps: float = DEFAULT_EPS) -> MeasurementModel:
 
 
 def _dump(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _parse(path) -> object:
@@ -175,7 +209,10 @@ def load_model(path, eps: float = DEFAULT_EPS) -> MeasurementModel:
 
 
 def save_vector(v: np.ndarray, path) -> None:
-    Path(path).write_text(_dump(_vector_out(np.asarray(v, dtype=np.complex128))), encoding="utf-8")
+    v = np.asarray(v, dtype=np.complex128)
+    if v.ndim != 1:
+        raise ValueError(f"vector must be 1-D, got shape {v.shape}")
+    Path(path).write_text(_dump(_complex_out(v)), encoding="utf-8")
 
 
 def load_vector(path) -> np.ndarray:
@@ -183,7 +220,10 @@ def load_vector(path) -> np.ndarray:
 
 
 def save_matrix(m: np.ndarray, path) -> None:
-    Path(path).write_text(_dump(_matrix_out(np.asarray(m, dtype=np.complex128))), encoding="utf-8")
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim != 2:
+        raise ValueError(f"matrix must be 2-D, got shape {m.shape}")
+    Path(path).write_text(_dump(_complex_out(m)), encoding="utf-8")
 
 
 def load_matrix(path) -> np.ndarray:

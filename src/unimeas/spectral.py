@@ -52,8 +52,10 @@ class SpectralForm:
         return int(round(np.trace(self.projectors[k]).real))
 
     def validate(self, eps: float = DEFAULT_EPS) -> None:
-        """Check idempotency, orthogonality, completeness, and distinctness."""
+        """Check finiteness, idempotency, orthogonality, completeness, and distinctness."""
         validate_tolerance(eps)
+        if not np.all(np.isfinite(self.eigenvalues)):
+            raise ValueError("eigenvalues must be finite")
         validate_projectors(self.projectors, self.dim, eps)
         ok, residual = verify_completeness(self, eps)
         if not ok:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -66,17 +67,138 @@ class TestVectorMatrixFiles:
         save_matrix(m, path)
         np.testing.assert_array_equal(load_matrix(path), m)
 
+    def test_signed_zeros_round_trip(self, tmp_path):
+        v = np.array([complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)])
+        path = tmp_path / "v.json"
+        save_vector(v, path)
+        assert load_vector(path).tobytes() == v.tobytes()
+
     def test_vector_file_is_complex_pairs(self, tmp_path):
         path = tmp_path / "v.json"
         save_vector(np.array([1.0, 1.0j]), path)
-        doc = json.loads(path.read_text())
-        assert doc == [[1.0, 0.0], [0.0, 1.0]]
+        assert path.read_text() == "[[1.0,0.0],[0.0,1.0]]\n"
+
+    @pytest.mark.parametrize(
+        "save, array",
+        [(save_vector, np.eye(2)), (save_vector, np.float64(1.0)), (save_matrix, np.ones(2))],
+        ids=["vector-2d", "vector-0d", "matrix-1d"],
+    )
+    def test_save_wrong_rank_rejected(self, tmp_path, save, array):
+        path = tmp_path / "a.json"
+        with pytest.raises(ValueError, match="-D, got shape"):
+            save(array, path)
+        assert not path.exists()
 
     def test_ragged_matrix_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("[[[1,0],[0,0]],[[1,0]]]")
         with pytest.raises(ModelFormatError, match="inconsistent"):
             load_matrix(path)
+
+
+class TestLayouts:
+    def test_seed_indented_layout_loads_exactly(self, tmp_path, model):
+        path = tmp_path / "indented.json"
+        path.write_text(json.dumps(model_to_document(model), indent=2) + "\n")
+        loaded = load_model(path)
+        np.testing.assert_array_equal(loaded.unitary, model.unitary)
+        np.testing.assert_array_equal(loaded.instrument_state, model.instrument_state)
+        for sf, ref in ((loaded.observable, model.observable), (loaded.pointer, model.pointer)):
+            np.testing.assert_array_equal(sf.eigenvalues, ref.eigenvalues)
+            for p, q in zip(sf.projectors, ref.projectors):
+                np.testing.assert_array_equal(p, q)
+
+    def test_round_trip_at_joint_256(self, tmp_path):
+        rng = np.random.default_rng(7)
+        model = build_canonical_model(spectral_decompose(rand_hermitian(16, rng)))
+        assert model.dim == 256
+        first = tmp_path / "model.json"
+        second = tmp_path / "again.json"
+        save_model(model, first)
+        loaded = load_model(first)
+        save_model(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        # bitwise: assert_array_equal would let 0.0 match -0.0
+        assert loaded.unitary.tobytes() == model.unitary.tobytes()
+        assert loaded.instrument_state.tobytes() == model.instrument_state.tobytes()
+
+    def test_save_refuses_non_finite(self, tmp_path, model):
+        u = np.array(model.unitary)
+        u[0, 0] = np.nan
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError):
+            save_model(dataclasses.replace(model, unitary=u), path)
+        assert not path.exists()
+
+
+def _set(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+PAIR = r"expected a \[re, im\] pair"
+
+# case: (field path in the document, replacement, message the loader must give)
+MALFORMED = {
+    "bool-in-pair": (
+        ("unitary", 3, 1), [True, 0.0], rf"^unitary\[3\]\[1\]: {PAIR}, got \[True, 0\.0\]$"
+    ),
+    "string": (
+        ("unitary", 3, 1), ["0.5", 0.0], rf"^unitary\[3\]\[1\]: {PAIR}, got \['0\.5', 0\.0\]$"
+    ),
+    "string-scalar": (("instrument_state", 0), "1", rf"^instrument_state\[0\]: {PAIR}, got '1'$"),
+    "one-element-pair": (("unitary", 3, 1), [0.5], rf"^unitary\[3\]\[1\]: {PAIR}"),
+    "three-element-pair": (("unitary", 3, 1), [0.5, 0.0, 0.0], rf"^unitary\[3\]\[1\]: {PAIR}"),
+    "nested-pair": (("instrument_state", 1), [[1.0, 0.0], [0.0, 0.0]], rf"^instrument_state\[1\]: {PAIR}"),
+    "nan-token": (
+        ("unitary", 3, 1), [float("nan"), 0.0], r"^unitary\[3\]\[1\]: non-finite value \[nan, 0\.0\]$"
+    ),
+    "infinity-token": (
+        ("instrument_state", 0),
+        [0.0, float("inf")],
+        r"^instrument_state\[0\]: non-finite value \[0\.0, inf\]$",
+    ),
+    "int-overflow": (("unitary", 0, 0), [10**400, 0], r"^unitary\[0\]\[0\]: non-finite value"),
+    "empty-vector": (
+        ("instrument_state",), [], r"^instrument_state: expected a non-empty array of complex scalars$"
+    ),
+    "empty-matrix": (("unitary",), [], r"^unitary: expected a non-empty array of rows$"),
+    "ragged-rows": (("unitary", 2), [[1.0, 0.0]], r"^unitary: rows have inconsistent lengths$"),
+    "empty-row": (("unitary", 2), [], r"^unitary\[2\]: expected a non-empty array of complex scalars$"),
+    "vector-for-matrix": (("unitary",), [[1.0, 0.0], [0.0, 0.0]], rf"^unitary\[0\]\[0\]: {PAIR}, got 1\.0$"),
+    "matrix-for-vector": (("instrument_state",), [[[1.0, 0.0]]], rf"^instrument_state\[0\]: {PAIR}"),
+    "projector-depth": (
+        ("pointer", "projectors", 1), [[1.0, 0.0]], rf"^pointer\.projectors\[1\]\[0\]\[0\]: {PAIR}"
+    ),
+}
+
+
+class TestMalformedArrays:
+    """Every malformed complex array is rejected with the offending field path."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_rejected_with_field_path(self, tmp_path, model, case):
+        where, value, message = MALFORMED[case]
+        doc = model_to_document(model)
+        _set(doc, where, value)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    def test_eigenvalue_overflow_rejected(self, model):
+        doc = model_to_document(model)
+        doc["observable"]["eigenvalues"][0] = 10**400
+        with pytest.raises(ModelFormatError, match=r"^observable\.eigenvalues: "):
+            model_from_document(doc)
+
+    def test_non_finite_eigenvalue_named(self, model):
+        doc = model_to_document(model)
+        doc["observable"]["eigenvalues"][0] = float("nan")
+        with pytest.raises(ModelFormatError, match="observable"):
+            model_from_document(doc)
 
 
 class TestFieldDiagnostics:

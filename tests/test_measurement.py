@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,14 @@ class TestModelValidate:
             instrument_state=base.instrument_state,
             unitary=np.ones((4, 4)),
         )
+        with pytest.raises(ValueError, match="unitary"):
+            bad.validate(1e-9)
+
+    def test_non_finite_unitary_named(self):
+        base = z_model()
+        u = np.array(base.unitary)
+        u[0, 0] = np.nan
+        bad = dataclasses.replace(base, unitary=u)
         with pytest.raises(ValueError, match="unitary"):
             bad.validate(1e-9)
 

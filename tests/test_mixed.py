@@ -96,6 +96,10 @@ class TestMixedProbability:
         with pytest.raises(ValueError, match="idempotent"):
             mixed_probability(rand_density(2, rng), np.diag([2.0, 0.0]))
 
+    def test_non_finite_density_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            mixed_probability(np.full((2, 2), np.nan), np.diag([1.0, 0.0]))
+
     def test_dimension_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="does not match"):
             mixed_probability(rand_density(3, rng), np.diag([1.0, 0.0]))

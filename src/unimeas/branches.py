@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, as_complex, frozen, validate_tolerance
-from .measurement import CheckReport, MeasurementModel, premeasure
+from .linalg import DEFAULT_EPS, as_complex, frozen, validate_state, validate_tolerance, validate_unit_state
+from .measurement import CheckReport, MeasurementModel
 from .spectral import SpectralForm
 
 
@@ -72,9 +72,7 @@ def decompose_initial(phi, observable: SpectralForm, eps: float = DEFAULT_EPS) -
     idempotency; branch states keep the phase inherited from E_k phi.
     """
     validate_tolerance(eps)
-    phi = as_complex(phi)
-    if phi.shape != (observable.dim,):
-        raise ValueError(f"state has shape {phi.shape}, expected ({observable.dim},)")
+    phi = validate_state(phi, observable.dim)
     return _decompose([p @ phi for p in observable.projectors], eps)
 
 
@@ -84,17 +82,20 @@ def check_prc(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> Check
     For each outcome k, compares <Phi_f|F_k|Phi_f> against <phi|E_k|phi>,
     where Phi_f is the premeasured joint state. Assumes the model passes
     the dynamical check.
+
+    Raises:
+        ValueError: phi_a is not a finite unit vector of shape (dim_a,).
     """
     validate_tolerance(eps)
-    phi_a = as_complex(phi_a)
-    final = premeasure(model, phi_a)
+    phi_a = validate_unit_state(phi_a, model.dim_a, eps)
+    final = model.isometry @ phi_a
     residuals = np.zeros(model.outcomes)
     witness = None
     for k in range(model.outcomes):
         pointer_prob = float(np.vdot(final, model.apply_pointer(k, final)).real)
         object_prob = float(np.vdot(phi_a, model.observable.projectors[k] @ phi_a).real)
         residuals[k] = abs(pointer_prob - object_prob)
-        if residuals[k] > eps and witness is None:
+        if not residuals[k] <= eps and witness is None:
             witness = (
                 f"outcome {k}: pointer probability {pointer_prob:.12g} "
                 f"vs object probability {object_prob:.12g}"
@@ -110,8 +111,7 @@ def decompose_final(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) ->
     weights the initial decomposition assigns.
     """
     validate_tolerance(eps)
-    phi_a = as_complex(phi_a)
-    final = premeasure(model, phi_a)
+    final = model.isometry @ validate_state(phi_a, model.dim_a)
     return _decompose([model.apply_pointer(k, final) for k in range(model.outcomes)], eps)
 
 
@@ -122,9 +122,7 @@ def evolve_branch(model: MeasurementModel, phi_a, k: int) -> np.ndarray:
     branch F_k Phi_f of the full final state, and it is the zero vector
     when E_k annihilates phi.
     """
-    phi_a = as_complex(phi_a)
-    if phi_a.shape != (model.dim_a,):
-        raise ValueError(f"state has shape {phi_a.shape}, expected ({model.dim_a},)")
+    phi_a = validate_state(phi_a, model.dim_a)
     if not 0 <= k < model.outcomes:
         raise ValueError(f"outcome index {k} out of range")
     return model.isometry @ (model.observable.projectors[k] @ phi_a)

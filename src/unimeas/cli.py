@@ -17,7 +17,7 @@ import numpy as np
 
 from .branches import check_prc, decompose_final
 from .collapse import butcher, sample, weights
-from .linalg import DEFAULT_EPS, uniform_ket, validate_ket, validate_tolerance
+from .linalg import DEFAULT_EPS, uniform_ket, validate_tolerance, validate_unit_state
 from .measurement import build_canonical_model, check_calibration, check_dynamical, premeasure
 from .modelio import (
     ModelFormatError,
@@ -112,18 +112,19 @@ def _timed(name: str, fn) -> CheckEntry:
     )
 
 
+def _load_phi(path, model, tol: float) -> np.ndarray:
+    """Object state file, checked to be a finite unit vector of shape (dim_a,)."""
+    phi = load_vector(path)
+    try:
+        return validate_unit_state(phi, model.dim_a, tol)
+    except ValueError as exc:
+        raise ModelFormatError(f"phi: {exc}") from exc
+
+
 def _cmd_verify(args) -> int:
     tol = args.tol
     model = load_model(args.model, tol)
-    if args.phi is not None:
-        phi = load_vector(args.phi)
-        validate_ket(phi, tol)
-        if phi.size != model.dim_a:
-            raise ModelFormatError(
-                f"phi: dimension {phi.size} does not match dim_a {model.dim_a}"
-            )
-    else:
-        phi = uniform_ket(model.dim_a)
+    phi = uniform_ket(model.dim_a) if args.phi is None else _load_phi(args.phi, model, tol)
 
     entries = [
         _timed("calibration", lambda: check_calibration(model, tol)),
@@ -152,12 +153,7 @@ def _cmd_verify(args) -> int:
 def _cmd_collapse(args) -> int:
     tol = args.tol
     model = load_model(args.model, tol)
-    phi = load_vector(args.phi)
-    validate_ket(phi, tol)
-    if phi.size != model.dim_a:
-        raise ModelFormatError(
-            f"phi: dimension {phi.size} does not match dim_a {model.dim_a}"
-        )
+    phi = _load_phi(args.phi, model, tol)
     dist = weights(phi, model.observable, tol)
     rho = butcher(model, phi, tol)
     trace_residual = abs(float(np.trace(rho).real) - 1.0)
@@ -185,10 +181,7 @@ def _cmd_collapse(args) -> int:
 
 def _cmd_forms(args) -> int:
     tol = args.tol
-    psi = load_vector(args.psi)
-    validate_ket(psi, tol)
-    projector = load_matrix(args.projector)
-    triple = forms_triple(psi, projector, tol)
+    triple = forms_triple(load_vector(args.psi), load_matrix(args.projector), tol)
     if args.json:
         doc = {
             "expectation_form": triple.expectation_form,
@@ -265,8 +258,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         validate_tolerance(args.tol)
-        if hasattr(args, "seed") and not 0 <= args.seed < 2**64:
-            raise ValueError(f"seed must be a uint64, got {args.seed}")
         return args.handler(args)
     except (ModelFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, as_complex, frozen, validate_ket, validate_tolerance
+from .linalg import DEFAULT_EPS, as_complex, frozen, validate_tolerance, validate_unit_state
 from .measurement import MeasurementModel, premeasure
 from .spectral import SpectralForm
 
@@ -60,10 +60,8 @@ def weights(phi_a, observable: SpectralForm, eps: float = DEFAULT_EPS) -> Outcom
     Raises:
         ValueError: phi_a has the wrong shape or is not a finite unit vector within eps.
     """
-    phi_a = as_complex(phi_a)
-    if phi_a.shape != (observable.dim,):
-        raise ValueError(f"state has shape {phi_a.shape}, expected ({observable.dim},)")
-    validate_ket(phi_a, eps)
+    validate_tolerance(eps)
+    phi_a = validate_unit_state(phi_a, observable.dim, eps)
     w = np.array(
         [np.vdot(phi_a, p @ phi_a).real for p in observable.projectors], dtype=np.float64
     )
@@ -86,9 +84,8 @@ def butcher(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> np.ndar
     omitted. Equals the pinching sum_k F_k |Phi_f><Phi_f| F_k for exact
     models, with every off-diagonal pointer block removed.
     """
-    validate_tolerance(eps)
-    final = premeasure(model, phi_a)
-    w = weights(phi_a, model.observable, eps).weights
+    w = weights(phi_a, model.observable, eps).weights  # validates eps and phi_a
+    final = model.isometry @ as_complex(phi_a)
     rho = np.zeros((model.dim, model.dim), dtype=np.complex128)
     for k in range(model.outcomes):
         piece = model.apply_pointer(k, final)
@@ -110,14 +107,16 @@ def sample(dist: OutcomeDistribution, n: int, seed: int) -> SampleReport:
     inverse-CDF sampler, which drew n uniforms.
 
     Raises:
-        ValueError: n is not a positive int64 or no weight is sampleable.
+        ValueError: n is not a positive int64, seed not a uint64, or no weight is sampleable.
     """
-    if not 1 <= n < 2**63:
-        raise ValueError(f"sample size must be a positive int64, got {n}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n < 2**63:
+        raise ValueError(f"sample size must be a positive int64, got {n!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a uint64, got {seed!r}")
     support = np.flatnonzero(dist.weights >= DEFAULT_EPS)
     if not support.size:
         raise ValueError("distribution has no weight above threshold")
     w = dist.weights[support]
     counts = np.zeros(dist.outcomes.size, dtype=np.int64)
     counts[support] = np.random.default_rng(seed).multinomial(n, w / w.sum())
-    return SampleReport(counts=counts, total=n, seed=seed)
+    return SampleReport(counts=counts, total=int(n), seed=int(seed))

@@ -29,6 +29,7 @@ def dag(a) -> np.ndarray:
 def ket(amplitudes) -> np.ndarray:
     """Normalized state vector built from a sequence of amplitudes."""
     v = as_complex(amplitudes).reshape(-1)
+    v = validate_state(v, v.size)
     n = np.linalg.norm(v)
     if n == 0:
         raise ValueError("cannot normalize the zero vector")
@@ -102,37 +103,68 @@ def is_hermitian(a, eps: float = DEFAULT_EPS) -> bool:
     return hermiticity_defect(a) <= eps
 
 
+def orthonormality_defect(q) -> float:
+    """max |Q^dag Q - I| over the columns of q; nan when q is non-finite."""
+    q = as_complex(q)
+    return float(np.max(np.abs(dag(q) @ q - np.eye(q.shape[1]))))
+
+
+def sum_defect(matrices: Sequence[np.ndarray], target) -> float:
+    """max |sum(matrices) - target|; nan when an entry is non-finite."""
+    return float(np.max(np.abs(np.sum(matrices, axis=0) - target)))
+
+
 def validate_tolerance(eps: float) -> None:
     if not 0.0 < eps < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {eps}")
 
 
+def validate_state(v, dim: int, name: str = "state") -> np.ndarray:
+    """Return v as complex128, raising unless it is a finite vector of shape (dim,)."""
+    v = as_complex(v)
+    if v.shape != (dim,):
+        raise ValueError(f"{name} has shape {v.shape}, expected ({dim},)")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} contains non-finite amplitudes")
+    return v
+
+
+def validate_unit_state(v, dim: int, eps: float = DEFAULT_EPS, name: str = "state") -> np.ndarray:
+    """validate_state, and also raise unless the norm is 1 within eps."""
+    v = validate_state(v, dim, name)
+    n = np.linalg.norm(v)
+    if abs(n - 1.0) > eps:
+        raise ValueError(f"{name} norm {n} is not 1 within {eps}")
+    return v
+
+
 def validate_ket(v, eps: float = DEFAULT_EPS) -> None:
-    """Raise unless v is a finite norm-one vector."""
+    """Raise unless v is a finite norm-one vector of any dimension."""
     v = as_complex(v)
     if v.ndim != 1:
         raise ValueError(f"state must be a vector, got ndim {v.ndim}")
-    if not np.all(np.isfinite(v.view(np.float64))):
-        raise ValueError("state contains non-finite amplitudes")
-    n = np.linalg.norm(v)
-    if abs(n - 1.0) > eps:
-        raise ValueError(f"state norm {n} is not 1 within {eps}")
+    validate_unit_state(v, v.size, eps)
 
 
-def validate_projector(p, eps: float = DEFAULT_EPS, name: str = "projector") -> None:
-    """Raise unless p is a finite square matrix, Hermitian and idempotent within eps.
-
-    Error messages start with `name`.
-    """
-    p = as_complex(p)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+def validate_hermitian(a, eps: float = DEFAULT_EPS, name: str = "matrix") -> np.ndarray:
+    """a as complex128; raises "<name> ..." unless finite, square and Hermitian within eps."""
+    a = as_complex(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
-    if hermiticity_defect(p) > eps:
-        raise ValueError(f"{name} is not Hermitian")
+    defect = hermiticity_defect(a)
+    if defect > eps:
+        raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
+    return a
+
+
+def validate_projector(p, eps: float = DEFAULT_EPS, name: str = "projector") -> np.ndarray:
+    """Return p as complex128, raising unless it is a finite Hermitian idempotent within eps."""
+    p = validate_hermitian(p, eps, name)
     if np.max(np.abs(p @ p - p)) > eps:
         raise ValueError(f"{name} is not idempotent")
+    return p
 
 
 def validate_projectors(
@@ -152,21 +184,16 @@ def validate_projectors(
                 raise ValueError(f"{label}s {k} and {kp} are not orthogonal")
 
 
-def validate_density(rho, eps: float = DEFAULT_EPS) -> None:
-    """Raise unless rho is finite, Hermitian, positive semidefinite, and trace one."""
-    rho = as_complex(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density operator must be square, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("density operator has non-finite entries")
-    if hermiticity_defect(rho) > eps:
-        raise ValueError("density operator is not Hermitian")
+def validate_density(rho, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """Return rho as complex128, raising unless it is finite, Hermitian, PSD, and trace one."""
+    rho = validate_hermitian(rho, eps, "density operator")
     lo = float(np.min(np.linalg.eigvalsh((rho + dag(rho)) / 2.0)))
     if lo < -eps:
         raise ValueError(f"density operator has negative eigenvalue {lo:.3e}")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > eps:
         raise ValueError(f"density operator trace {tr} is not 1 within {eps}")
+    return rho
 
 
 def frozen(a: np.ndarray) -> np.ndarray:

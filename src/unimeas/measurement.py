@@ -19,11 +19,12 @@ from .linalg import (
     DEFAULT_EPS,
     as_complex,
     basis_ket,
-    dag,
     frozen,
+    orthonormality_defect,
     tensor,
-    validate_ket,
+    validate_state,
     validate_tolerance,
+    validate_unit_state,
 )
 from .spectral import SpectralForm, range_basis
 
@@ -112,26 +113,16 @@ class MeasurementModel:
                 f"observable has {self.observable.outcomes} outcomes, "
                 f"pointer has {self.pointer.outcomes}"
             )
-        try:
-            self.observable.validate(eps)
-        except ValueError as exc:
-            raise ValueError(f"observable: {exc}") from exc
-        try:
-            self.pointer.validate(eps)
-        except ValueError as exc:
-            raise ValueError(f"pointer: {exc}") from exc
-        if self.instrument_state.size != self.dim_b:
-            raise ValueError(
-                f"instrument_state: dim {self.instrument_state.size}, expected {self.dim_b}"
-            )
-        try:
-            validate_ket(self.instrument_state, eps)
-        except ValueError as exc:
-            raise ValueError(f"instrument_state: {exc}") from exc
+        for name, sf in (("observable", self.observable), ("pointer", self.pointer)):
+            try:
+                sf.validate(eps)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+        validate_unit_state(self.instrument_state, self.dim_b, eps, "instrument_state")
         u = self.unitary
         if u.shape != (self.dim, self.dim):
             raise ValueError(f"unitary: shape {u.shape}, expected {(self.dim, self.dim)}")
-        defect = float(np.max(np.abs(dag(u) @ u - np.eye(self.dim))))
+        defect = orthonormality_defect(u)
         if not defect <= eps:  # NaN-aware: a non-finite unitary has defect nan
             raise ValueError(f"unitary: unitarity defect {defect:.3e} exceeds {eps}")
 
@@ -178,25 +169,20 @@ def build_canonical_model(observable: SpectralForm) -> MeasurementModel:
 
 
 def premeasure(model: MeasurementModel, phi_a) -> np.ndarray:
-    """Joint final state U (phi_a (x) instrument_state), computed as W phi_a."""
-    phi_a = as_complex(phi_a)
-    if phi_a.shape != (model.dim_a,):
-        raise ValueError(
-            f"object state has shape {phi_a.shape}, expected ({model.dim_a},)"
-        )
-    return model.isometry @ phi_a
+    """Joint final state U (phi_a (x) instrument_state) = W phi_a, for any finite phi_a."""
+    return model.isometry @ validate_state(phi_a, model.dim_a)
 
 
 def _report(column_residuals: list[np.ndarray], eps: float, column: str) -> CheckReport:
     """Report from per-outcome arrays of per-column residuals.
 
     An outcome's residual is the largest of its columns; the witness names
-    the first column above eps in (outcome, column) order.
+    the first column above eps, or nan, in (outcome, column) order.
     """
     residuals = np.array([np.max(r, initial=0.0) for r in column_residuals])
     witness = None
     for k, r in enumerate(column_residuals):
-        above = np.flatnonzero(r > eps)
+        above = np.flatnonzero(~(r <= eps))
         if above.size:
             j = int(above[0])
             witness = f"outcome {k}, {column} {j}: residual {r[j]:.3e}"

@@ -17,7 +17,6 @@ from .linalg import (
     as_complex,
     dag,
     partial_trace,
-    tensor,
     frozen,
     validate_density,
     validate_projector,
@@ -52,37 +51,40 @@ def purify(rho, eps: float = DEFAULT_EPS) -> Purification:
     Eigendecomposes rho, keeps the positive eigenpairs (r_i, |i>), and
     returns sum_i sqrt(r_i) |i> (x) |i> with the ancilla running over its
     canonical basis in descending-eigenvalue order. The ancilla dimension
-    equals the number of positive eigenvalues.
+    equals the number of positive eigenvalues; column i of the (dim, ancilla)
+    reshape of the state is sqrt(r_i) |i>.
 
     Raises:
         ValueError: rho is not a valid density operator.
     """
     validate_tolerance(eps)
-    rho = as_complex(rho)
-    validate_density(rho, eps)
+    rho = validate_density(rho, eps)
     vals, vecs = np.linalg.eigh((rho + dag(rho)) / 2.0)
     # stable sort keeps eigh's tie order, so degenerate spectra pair
     # eigenvector i with ancilla slot i
     by_descending = np.argsort(-vals, kind="stable")
-    order = [int(i) for i in by_descending if vals[i] > EIGENVALUE_CUTOFF]
-    dim_a1 = rho.shape[0]
-    dim_a2 = len(order)
-    state = np.zeros(dim_a1 * dim_a2, dtype=np.complex128)
-    for slot, i in enumerate(order):
-        ancilla = np.zeros(dim_a2, dtype=np.complex128)
-        ancilla[slot] = 1.0
-        state += np.sqrt(vals[i]) * tensor(vecs[:, i], ancilla)
-    return Purification(state=state, dims=(dim_a1, dim_a2), source=rho)
+    order = by_descending[vals[by_descending] > EIGENVALUE_CUTOFF]
+    columns = vecs[:, order] * np.sqrt(vals[order])
+    return Purification(state=columns.reshape(-1), dims=columns.shape, source=rho)
 
 
 def purified_probability(rho, projector, eps: float = DEFAULT_EPS) -> float:
-    """Outcome probability via the purified state: <phi|(E (x) I)|phi>."""
-    validate_tolerance(eps)
-    projector = as_complex(projector)
-    validate_projector(projector, eps)
+    """Outcome probability via the purified state: <Psi|(E (x) I)|Psi>.
+
+    E acts on the system axis of the (dim, ancilla) reshape of Psi, so the
+    dense lift E (x) I is never formed.
+
+    Raises:
+        ValueError: invalid density operator or projector, or differing shapes.
+    """
     pur = purify(rho, eps)
-    lifted = tensor(projector, np.eye(pur.dims[1]))
-    return float(np.vdot(pur.state, lifted @ pur.state).real)
+    projector = validate_projector(projector, eps)
+    if projector.shape != pur.source.shape:
+        raise ValueError(
+            f"projector shape {projector.shape} does not match state shape {pur.source.shape}"
+        )
+    psi = pur.state.reshape(pur.dims)
+    return float(np.vdot(psi, projector @ psi).real)
 
 
 def mixed_probability(rho, projector, eps: float = DEFAULT_EPS) -> float:
@@ -96,16 +98,8 @@ def mixed_probability(rho, projector, eps: float = DEFAULT_EPS) -> float:
         ValueError: invalid projector or density operator, or routes
             disagreeing beyond eps.
     """
-    validate_tolerance(eps)
-    rho = as_complex(rho)
-    projector = as_complex(projector)
-    validate_projector(projector, eps)
-    if projector.shape != rho.shape:
-        raise ValueError(
-            f"projector shape {projector.shape} does not match state shape {rho.shape}"
-        )
-    via_purification = purified_probability(rho, projector, eps)
-    via_trace = float(np.trace(rho @ projector).real)
+    via_purification = purified_probability(rho, projector, eps)  # validates both
+    via_trace = float(np.trace(as_complex(rho) @ as_complex(projector)).real)
     if abs(via_purification - via_trace) > eps:
         raise ValueError(
             f"purified route {via_purification!r} disagrees with trace route {via_trace!r}"

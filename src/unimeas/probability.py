@@ -16,11 +16,12 @@ import numpy as np
 from .linalg import (
     DEFAULT_EPS,
     as_complex,
-    dag,
+    orthonormality_defect,
     validate_projector,
     validate_tolerance,
+    validate_unit_state,
 )
-from .spectral import range_basis
+from .spectral import _range_vectors
 
 
 @dataclass(frozen=True)
@@ -37,55 +38,56 @@ class ProbabilityTriple:
         return max(abs(a - b) for a in vals for b in vals)
 
 
-def expectation_form(psi, p, eps: float = DEFAULT_EPS) -> float:
-    """Expectation value <psi|P|psi> of a projector."""
+def _checked(psi, p, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The validated (unit state, projector) pair; the state must match the projector."""
     validate_tolerance(eps)
-    psi = as_complex(psi)
-    p = as_complex(p)
-    validate_projector(p, eps)
-    if p.shape[0] != psi.size:
-        raise ValueError(f"projector dim {p.shape[0]} does not match state dim {psi.size}")
+    p = validate_projector(p, eps)
+    return validate_unit_state(psi, p.shape[0], eps), p
+
+
+def _born(psi: np.ndarray, vecs: Sequence[np.ndarray]) -> float:
+    return float(sum(abs(np.vdot(psi, v)) ** 2 for v in vecs))
+
+
+def _trace(psi: np.ndarray, p: np.ndarray) -> float:
+    return float(np.trace(p @ np.outer(psi, psi.conj())).real)
+
+
+def expectation_form(psi, p, eps: float = DEFAULT_EPS) -> float:
+    """Expectation value <psi|P|psi> of a projector, for a unit state psi."""
+    psi, p = _checked(psi, p, eps)
     return float(np.vdot(psi, p @ psi).real)
 
 
 def born_form(psi, basis: Sequence[np.ndarray], eps: float = DEFAULT_EPS) -> float:
-    """Summed squared overlaps with an orthonormal range basis.
+    """Summed squared overlaps of a unit state with an orthonormal range basis.
 
     Raises:
-        ValueError: basis vectors are not orthonormal within eps.
+        ValueError: basis vectors are not orthonormal within eps (a non-finite
+            basis counts as not orthonormal), or psi is not a matching unit state.
     """
     validate_tolerance(eps)
-    psi = as_complex(psi)
     vecs = [as_complex(v).reshape(-1) for v in basis]
     if not vecs:
         raise ValueError("range basis must contain at least one vector")
     q = np.column_stack(vecs)
-    defect = float(np.max(np.abs(dag(q) @ q - np.eye(len(vecs)))))
-    if defect > eps:
+    defect = orthonormality_defect(q)
+    if not defect <= eps:
         raise ValueError(f"range basis is not orthonormal (defect {defect:.3e})")
-    return float(sum(abs(np.vdot(psi, v)) ** 2 for v in vecs))
+    return _born(validate_unit_state(psi, q.shape[0], eps), vecs)
 
 
 def trace_form(psi, p, eps: float = DEFAULT_EPS) -> float:
-    """Trace rule tr(P|psi><psi|), evaluated by explicit trace."""
-    validate_tolerance(eps)
-    psi = as_complex(psi)
-    p = as_complex(p)
-    validate_projector(p, eps)
-    if p.shape[0] != psi.size:
-        raise ValueError(f"projector dim {p.shape[0]} does not match state dim {psi.size}")
-    return float(np.trace(p @ np.outer(psi, psi.conj())).real)
+    """Trace rule tr(P|psi><psi|) for a unit state psi, evaluated by explicit trace."""
+    return _trace(*_checked(psi, p, eps))
 
 
 def forms_triple(psi, p, eps: float = DEFAULT_EPS) -> ProbabilityTriple:
-    """Evaluate all three forms, deriving the range basis from the projector."""
-    basis = range_basis(p, eps)
-    if basis:
-        born = born_form(psi, basis, eps)
-    else:
-        born = 0.0  # zero projector has an empty range
+    """All three forms, each its own code path, on arguments validated once."""
+    expectation = expectation_form(psi, p, eps)  # validates both arguments
+    psi, p = as_complex(psi), as_complex(p)
     return ProbabilityTriple(
-        expectation_form=expectation_form(psi, p, eps),
-        born_form=born,
-        trace_form=trace_form(psi, p, eps),
+        expectation_form=expectation,
+        born_form=_born(psi, _range_vectors(p)),  # 0.0 for the empty range of P = 0
+        trace_form=_trace(psi, p),
     )

@@ -12,7 +12,8 @@ from .linalg import (
     as_complex,
     dag,
     frozen,
-    hermiticity_defect,
+    sum_defect,
+    validate_hermitian,
     validate_projectors,
     validate_tolerance,
 )
@@ -85,14 +86,7 @@ def spectral_decompose(h, eps: float = DEFAULT_EPS) -> SpectralForm:
         ValueError: input is non-finite or not Hermitian within eps.
     """
     validate_tolerance(eps)
-    h = as_complex(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"observable must be square, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("observable has non-finite entries")
-    defect = hermiticity_defect(h)
-    if defect > eps:
-        raise ValueError(f"observable is not Hermitian (defect {defect:.3e})")
+    h = validate_hermitian(h, eps, "observable")
     vals, vecs = np.linalg.eigh((h + dag(h)) / 2.0)
 
     # group ascending eigenvalues whenever the gap to the previous one is small
@@ -115,10 +109,7 @@ def spectral_decompose(h, eps: float = DEFAULT_EPS) -> SpectralForm:
 def verify_completeness(sf: SpectralForm, eps: float = DEFAULT_EPS) -> tuple[bool, float]:
     """Whether the projectors sum to the identity; returns (ok, max residual)."""
     validate_tolerance(eps)
-    total = np.zeros((sf.dim, sf.dim), dtype=np.complex128)
-    for p in sf.projectors:
-        total = total + p
-    residual = float(np.max(np.abs(total - np.eye(sf.dim))))
+    residual = sum_defect(sf.projectors, np.eye(sf.dim))
     return residual <= eps, residual
 
 
@@ -145,9 +136,8 @@ def refine(
     if not subs:
         raise ValueError("at least one sub-projector is required")
     validate_projectors(subs, sf.dim, eps, "sub-projector")
-    total = sum(subs)
-    defect = float(np.max(np.abs(total - sf.projectors[k])))
-    if defect > eps:
+    defect = sum_defect(subs, sf.projectors[k])
+    if not defect <= eps:
         raise ValueError(
             f"sub-projectors do not sum to projector {k} (defect {defect:.3e})"
         )
@@ -171,9 +161,15 @@ def refine(
 
 
 def range_basis(projector, eps: float = DEFAULT_EPS) -> list[np.ndarray]:
-    """Deterministic orthonormal basis of a projector's range."""
-    p = as_complex(projector)
-    if hermiticity_defect(p) > eps:
-        raise ValueError("projector is not Hermitian")
+    """Deterministic orthonormal basis of a projector's range.
+
+    Raises:
+        ValueError: projector is non-finite, not square, or not Hermitian within eps.
+    """
+    return _range_vectors(validate_hermitian(projector, eps, "projector"))
+
+
+def _range_vectors(p: np.ndarray) -> list[np.ndarray]:
+    """range_basis of a matrix the caller has already validated."""
     vals, vecs = np.linalg.eigh((p + dag(p)) / 2.0)
     return [vecs[:, i] for i in range(vals.size) if vals[i] > 0.5]

@@ -182,6 +182,20 @@ class TestCollapse:
             "collapse", str(workspace / "model.json"), str(workspace / "phi.json"), "--seed", "-1",
         ]) == 2
 
+    def test_seed_beyond_uint64_exits_2(self, workspace, capsys):
+        assert main([
+            "collapse", str(workspace / "model.json"), str(workspace / "phi.json"),
+            "--seed", str(2**64),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "uint64" in captured.err and captured.out == ""
+
+    def test_unnormalized_phi_exits_2(self, workspace, tmp_path, capsys):
+        phi = tmp_path / "phi34.json"
+        save_vector(np.array([3.0, 4.0], dtype=complex), phi)
+        assert main(["collapse", str(workspace / "model.json"), str(phi)]) == 2
+        assert capsys.readouterr().err.startswith("error: phi: state norm 5.0")
+
 
 class TestForms:
     def test_eigenstate_triple(self, workspace, tmp_path, capsys):
@@ -215,6 +229,14 @@ class TestForms:
         assert main(["--json", "forms", str(psi), str(proj)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["max_pairwise_diff"] <= 1e-12
+
+    def test_unnormalized_psi_exits_2(self, tmp_path, capsys):
+        psi = tmp_path / "psi.json"
+        save_vector(np.array([3.0, 4.0], dtype=complex), psi)
+        proj = tmp_path / "proj.json"
+        save_matrix(np.diag([1.0, 0.0]), proj)
+        assert main(["forms", str(psi), str(proj)]) == 2
+        assert "norm" in capsys.readouterr().err
 
     def test_invalid_projector_exits_2(self, tmp_path, capsys):
         psi = tmp_path / "psi.json"

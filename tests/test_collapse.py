@@ -176,6 +176,24 @@ class TestSample:
         with pytest.raises(ValueError, match="positive int64"):
             sample(dist, 2**63, 0)
 
+    @pytest.mark.parametrize("n", [10.5, True, "10", None])
+    def test_non_integer_n_rejected(self, n):
+        dist = OutcomeDistribution(np.arange(2), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="positive int64"):
+            sample(dist, n, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5, True, "0", None])
+    def test_seed_outside_uint64_rejected(self, seed):
+        dist = OutcomeDistribution(np.arange(2), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="uint64"):
+            sample(dist, 10, seed)
+
+    def test_numpy_integers_accepted(self):
+        dist = OutcomeDistribution(np.arange(2), np.array([0.5, 0.5]))
+        report = sample(dist, np.int64(10), np.uint64(2**64 - 1))
+        assert report.total == 10 and report.seed == 2**64 - 1
+        assert sample(dist, 10, 2**64 - 1).counts.tolist() == report.counts.tolist()
+
 
 class TestOutcomeDistribution:
     def test_coindexing_enforced(self):

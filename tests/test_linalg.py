@@ -9,12 +9,17 @@ from unimeas.linalg import (
     hermiticity_defect,
     is_hermitian,
     ket,
+    orthonormality_defect,
     partial_trace,
+    sum_defect,
     tensor,
     uniform_ket,
     validate_density,
+    validate_hermitian,
     validate_ket,
     validate_projector,
+    validate_state,
+    validate_unit_state,
 )
 from unimeas.rand import rand_density, rand_ket
 
@@ -27,6 +32,11 @@ class TestKets:
     def test_ket_rejects_zero_vector(self):
         with pytest.raises(ValueError, match="zero vector"):
             ket([0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_ket_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            ket([bad, 1.0])
 
     def test_basis_ket(self):
         np.testing.assert_array_equal(basis_ket(3, 1), [0, 1, 0])
@@ -174,3 +184,46 @@ class TestValidators:
             validate_density(np.eye(2))
         with pytest.raises(ValueError, match="not Hermitian"):
             validate_density(np.array([[0.5, 1.0], [0.0, 0.5]]))
+
+    def test_hermiticity_messages_report_defect(self):
+        skew = np.array([[0.5, 1.0], [0.0, 0.5]])
+        for check in (validate_hermitian, validate_projector, validate_density):
+            with pytest.raises(ValueError, match=r"not Hermitian \(defect 1\.000e\+00\)"):
+                check(skew)
+
+    def test_validate_hermitian_names_the_matrix(self):
+        with pytest.raises(ValueError, match="^observable must be square"):
+            validate_hermitian(np.ones((2, 3)), name="observable")
+        with pytest.raises(ValueError, match="^observable has non-finite entries"):
+            validate_hermitian(np.full((2, 2), np.inf), name="observable")
+
+    def test_validate_state(self):
+        out = validate_state([3.0, 4.0], 2)
+        assert out.dtype == np.complex128
+        with pytest.raises(ValueError, match=r"^phi has shape \(3,\), expected \(2,\)"):
+            validate_state(np.ones(3), 2, "phi")
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_state([np.nan, 0.0], 2)
+
+    def test_validate_unit_state(self):
+        validate_unit_state(uniform_ket(3), 3)
+        with pytest.raises(ValueError, match="norm 5.0 is not 1"):
+            validate_unit_state([3.0, 4.0], 2)
+        with pytest.raises(ValueError, match="expected"):
+            validate_unit_state(uniform_ket(3), 2)
+
+
+class TestDefects:
+    def test_orthonormality_defect(self, rng):
+        q = np.linalg.qr(rng.normal(size=(5, 3)))[0]
+        assert orthonormality_defect(q) <= 1e-12
+        assert orthonormality_defect(2.0 * q) == pytest.approx(3.0)
+
+    def test_orthonormality_defect_is_nan_on_nan(self):
+        assert np.isnan(orthonormality_defect(np.array([[np.nan], [0.0]])))
+
+    def test_sum_defect(self):
+        projs = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        assert sum_defect(projs, np.eye(2)) == 0.0
+        assert sum_defect(projs[:1], np.eye(2)) == pytest.approx(1.0)
+        assert np.isnan(sum_defect([np.full((2, 2), np.nan)], np.eye(2)))

@@ -56,6 +56,42 @@ class TestPurify:
             purify(np.eye(3))
 
 
+class TestPurifiedRoute:
+    def test_state_matches_per_eigenpair_tensor_sum(self, rng):
+        rho = rand_density(4, rng)
+        vals, vecs = np.linalg.eigh(rho)
+        order = np.argsort(-vals, kind="stable")
+        ancilla = np.eye(4)
+        expected = sum(
+            np.sqrt(vals[i]) * tensor(vecs[:, i], ancilla[slot]) for slot, i in enumerate(order)
+        )
+        np.testing.assert_allclose(purify(rho).state, expected, atol=1e-12)
+
+    def test_matches_dense_lift(self, rng):
+        """<Psi|(E (x) I)|Psi> on the reshape equals the dense Kronecker lift."""
+        for dim, rank in [(2, 1), (4, 2), (6, 3)]:
+            rho = rand_density(dim, rng)
+            proj = rand_projector(dim, rank, rng)
+            pur = purify(rho)
+            lifted = tensor(proj, np.eye(pur.dims[1]))
+            dense = np.vdot(pur.state, lifted @ pur.state).real
+            assert abs(purified_probability(rho, proj) - dense) <= 1e-12
+
+    def test_rank_deficient_state(self, rng):
+        psi = rand_ket(3, rng)
+        rho = np.outer(psi, psi.conj())
+        proj = rand_projector(3, 2, rng)
+        lifted = tensor(proj, np.eye(1))
+        pur = purify(rho)
+        assert pur.dims == (3, 1)
+        dense = np.vdot(pur.state, lifted @ pur.state).real
+        assert abs(purified_probability(rho, proj) - dense) <= 1e-12
+
+    def test_dimension_mismatch_rejected(self, rng):
+        with pytest.raises(ValueError, match="does not match"):
+            purified_probability(rand_density(3, rng), np.diag([1.0, 0.0]))
+
+
 class TestMixedProbability:
     def test_maximally_mixed(self):
         p = mixed_probability(np.eye(2) / 2.0, np.diag([1.0, 0.0]))

@@ -1,0 +1,67 @@
+"""Property tests over seeded zoo models: both condition checks agree with each other
+and with the construction, and positive models reproduce probabilities and final states.
+
+The variants follow the benchmark zoo: plain and degenerate canonical models, a
+redundant (uncoupled) pointer factor, a perturbed unitary and a swapped pointer.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from unimeas.branches import check_prc, decompose_final
+from unimeas.measurement import check_calibration, check_dynamical, premeasure
+from unimeas.rand import (
+    perturb_model,
+    rand_ket,
+    rand_model,
+    swap_pointer,
+    with_redundant_pointer,
+)
+
+TOL = 1e-9
+POSITIVE = ("plain", "degenerate", "redundant")
+NEGATIVE = ("perturbed", "swapped")
+MAX_JOINT_DIM = 256
+
+
+def _model(dim_a: int, variant: str, rng: np.random.Generator):
+    if variant == "degenerate":
+        k = int(rng.integers(1, dim_a))
+        cuts = np.sort(rng.choice(np.arange(1, dim_a), size=k - 1, replace=False))
+        multiplicities = np.diff(np.concatenate(([0], cuts, [dim_a]))).tolist()
+        return rand_model(dim_a, rng, multiplicities)
+    model = rand_model(dim_a, rng)
+    if variant == "redundant":
+        return with_redundant_pointer(model, 2, rng)
+    if variant == "perturbed":
+        return perturb_model(model, rng)
+    if variant == "swapped":
+        return swap_pointer(model)
+    return model
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(
+    dim_a=st.integers(2, 16),
+    variant=st.sampled_from(POSITIVE + NEGATIVE),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zoo_model_verdicts(dim_a, variant, seed):
+    # the canonical instrument has one dimension per outcome, doubled by a redundant factor
+    assume(dim_a * dim_a * (2 if variant == "redundant" else 1) <= MAX_JOINT_DIM)
+    rng = np.random.default_rng(seed)
+    model = _model(dim_a, variant, rng)
+    positive = variant in POSITIVE
+    cal = check_calibration(model, TOL)
+    dyn = check_dynamical(model, TOL)
+    assert cal.passed == dyn.passed == positive
+    if not positive:
+        assert cal.witness is not None and dyn.witness is not None
+        return
+    phi = rand_ket(dim_a, rng)
+    assert check_prc(model, phi, TOL).passed
+    final = premeasure(model, phi)
+    assert np.linalg.norm(decompose_final(model, phi, TOL).reconstruct() - final) <= TOL

@@ -1,0 +1,89 @@
+"""Every public entry point rejects input it cannot give a meaningful number for.
+
+Linear maps accept any finite vector of the right shape; functions that
+return probabilities also require a unit vector. A failing check report
+always names a witness, also when its residual is nan.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from unimeas.branches import check_prc, decompose_final, decompose_initial, evolve_branch
+from unimeas.collapse import final_density
+from unimeas.measurement import (
+    build_canonical_model,
+    check_calibration,
+    check_dynamical,
+    premeasure,
+)
+from unimeas.probability import born_form, expectation_form, forms_triple, trace_form
+from unimeas.rand import rand_ket, rand_model
+from unimeas.spectral import range_basis, spectral_decompose
+
+MODEL = build_canonical_model(spectral_decompose(np.diag([1.0, -1.0])))
+NAN_STATE = np.array([np.nan, 0.0])
+UNNORMALIZED = np.array([3.0, 4.0])
+P0 = np.diag([1.0, 0.0])
+E0 = [np.array([1.0, 0.0])]
+
+# probe name -> (call, fragment of the expected message)
+PROBES = {
+    "premeasure-nan": (lambda: premeasure(MODEL, NAN_STATE), "non-finite"),
+    "evolve_branch-nan": (lambda: evolve_branch(MODEL, NAN_STATE, 0), "non-finite"),
+    "decompose_initial-nan": (lambda: decompose_initial(NAN_STATE, MODEL.observable), "non-finite"),
+    "decompose_final-nan": (lambda: decompose_final(MODEL, NAN_STATE), "non-finite"),
+    "final_density-nan": (lambda: final_density(MODEL, NAN_STATE), "non-finite"),
+    "check_prc-nan": (lambda: check_prc(MODEL, NAN_STATE), "non-finite"),
+    "check_prc-unnormalized": (lambda: check_prc(MODEL, UNNORMALIZED), "norm"),
+    "expectation_form-nan": (lambda: expectation_form(NAN_STATE, P0), "non-finite"),
+    "expectation_form-unnormalized": (lambda: expectation_form(UNNORMALIZED, P0), "norm"),
+    "born_form-nan": (lambda: born_form(NAN_STATE, E0), "non-finite"),
+    "born_form-unnormalized": (lambda: born_form(UNNORMALIZED, E0), "norm"),
+    "born_form-nan-basis": (lambda: born_form(np.array([1.0, 0.0]), [NAN_STATE]), "not orthonormal"),
+    "trace_form-nan": (lambda: trace_form(NAN_STATE, P0), "non-finite"),
+    "trace_form-unnormalized": (lambda: trace_form(UNNORMALIZED, P0), "norm"),
+    "forms_triple-nan": (lambda: forms_triple(NAN_STATE, P0), "non-finite"),
+    "forms_triple-unnormalized": (lambda: forms_triple(UNNORMALIZED, P0), "norm"),
+    "range_basis-nan": (lambda: range_basis(np.full((2, 2), np.nan)), "non-finite"),
+    "range_basis-not-square": (lambda: range_basis(np.zeros((2, 3))), "must be square"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_rejected_with_value_error(probe):
+    call, message = PROBES[probe]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_linear_maps_accept_unnormalized_states():
+    final = premeasure(MODEL, UNNORMALIZED)
+    assert np.linalg.norm(final) == pytest.approx(5.0, abs=1e-12)
+    assert decompose_final(MODEL, UNNORMALIZED).reconstruct() == pytest.approx(final, abs=1e-12)
+
+
+class TestNanUnitaryWitness:
+    """A nan residual fails its check and is named, although nan > eps is False."""
+
+    @pytest.fixture
+    def model(self, rng):
+        base = rand_model(3, rng)
+        u = np.array(base.unitary)
+        u[0, 0] = np.nan
+        return dataclasses.replace(base, unitary=u)
+
+    def test_calibration(self, model):
+        report = check_calibration(model)
+        assert not report.passed and report.witness is not None
+
+    def test_dynamical(self, model):
+        report = check_dynamical(model)
+        assert not report.passed and report.witness is not None
+
+    def test_prc(self, model, rng):
+        report = check_prc(model, rand_ket(3, rng))
+        assert not report.passed and report.witness is not None

@@ -1,8 +1,9 @@
 """Numerical verification of unitary premeasurement models.
 
 The package builds finite-dimensional premeasurement models (object
-observable, pointer observable, instrument ready state, interaction
-unitary), checks the calibration and dynamical conditions and probability
+observable, pointer observable, instrument ready state, and the interaction
+unitary, carried as its isometry W = U(I (x) phi_B) on the initial
+subspace), checks the calibration and dynamical conditions and probability
 reproducibility, decomposes final states into outcome branches, forms the
 butchered post-measurement mixture with seeded sampling, purifies mixed
 states, and evaluates the three equivalent probability forms.

@@ -92,7 +92,7 @@ def check_prc(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> Check
     residuals = np.zeros(model.outcomes)
     witness = None
     for k in range(model.outcomes):
-        pointer_prob = float(np.vdot(final, model.apply_pointer(k, final)).real)
+        pointer_prob = float(np.vdot(final, model._pointer_sector(k, final)).real)
         object_prob = float(np.vdot(phi_a, model.observable.projectors[k] @ phi_a).real)
         residuals[k] = abs(pointer_prob - object_prob)
         if not residuals[k] <= eps and witness is None:
@@ -112,7 +112,7 @@ def decompose_final(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) ->
     """
     validate_tolerance(eps)
     final = model.isometry @ validate_state(phi_a, model.dim_a)
-    return _decompose([model.apply_pointer(k, final) for k in range(model.outcomes)], eps)
+    return _decompose([model._pointer_sector(k, final) for k in range(model.outcomes)], eps)
 
 
 def evolve_branch(model: MeasurementModel, phi_a, k: int) -> np.ndarray:

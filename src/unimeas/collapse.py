@@ -88,7 +88,7 @@ def butcher(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> np.ndar
     final = model.isometry @ as_complex(phi_a)
     rho = np.zeros((model.dim, model.dim), dtype=np.complex128)
     for k in range(model.outcomes):
-        piece = model.apply_pointer(k, final)
+        piece = model._pointer_sector(k, final)
         norm = float(np.linalg.norm(piece))
         if norm < eps:
             continue

@@ -21,9 +21,17 @@ def as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128)
 
 
+def _finite(a, name: str) -> np.ndarray:
+    """a as complex128, raising "<name> has non-finite entries" unless every entry is finite."""
+    a = as_complex(a)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return a
+
+
 def dag(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex(a).conj().T
+    """Conjugate transpose of a finite array."""
+    return _finite(a, "operand").conj().T
 
 
 def ket(amplitudes) -> np.ndarray:
@@ -46,18 +54,20 @@ def basis_ket(dim: int, index: int) -> np.ndarray:
 
 
 def uniform_ket(dim: int) -> np.ndarray:
-    """Equal-amplitude superposition over the canonical basis."""
+    """Equal-amplitude superposition over the canonical basis of a positive dimension."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise ValueError(f"uniform_ket dimension must be a positive integer, got {dim!r}")
     return np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
 
 
 def tensor(a, b) -> np.ndarray:
     """Kronecker product of two vectors or two operators.
 
-    Both operands must be of the same kind (1-D with 1-D, 2-D with 2-D).
-    The composite index convention is (i_a, i_b) -> i_a * dim_b + i_b.
+    Both operands must be finite and of the same kind (1-D with 1-D, 2-D
+    with 2-D). The composite index convention is (i_a, i_b) -> i_a * dim_b + i_b.
     """
-    a = as_complex(a)
-    b = as_complex(b)
+    a = _finite(a, "tensor operand")
+    b = _finite(b, "tensor operand")
     if a.ndim != b.ndim or a.ndim not in (1, 2):
         raise ValueError(
             f"tensor expects two vectors or two operators, got ndim {a.ndim} and {b.ndim}"
@@ -73,7 +83,7 @@ def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
     """Reduced operator on one factor of a bipartite system.
 
     Args:
-        rho: operator on the composite space of dimension dims[0] * dims[1].
+        rho: finite operator on the composite space of dimension dims[0] * dims[1].
         dims: the two factor dimensions, first-factor-major indexing.
         keep: 0 to keep the first factor, 1 to keep the second.
 
@@ -86,6 +96,7 @@ def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
         raise ValueError(
             f"operator shape {rho.shape} does not match factor dims {da}x{db}"
         )
+    _finite(rho, "operator")
     if keep not in (0, 1):
         raise ValueError(f"keep must be 0 or 1, got {keep}")
     r = rho.reshape(da, db, da, db)
@@ -96,7 +107,7 @@ def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
 
 def hermiticity_defect(a) -> float:
     a = as_complex(a)
-    return float(np.max(np.abs(a - dag(a))))
+    return float(np.max(np.abs(a - a.conj().T)))
 
 
 def is_hermitian(a, eps: float = DEFAULT_EPS) -> bool:
@@ -106,7 +117,7 @@ def is_hermitian(a, eps: float = DEFAULT_EPS) -> bool:
 def orthonormality_defect(q) -> float:
     """max |Q^dag Q - I| over the columns of q; nan when q is non-finite."""
     q = as_complex(q)
-    return float(np.max(np.abs(dag(q) @ q - np.eye(q.shape[1]))))
+    return float(np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1]))))
 
 
 def sum_defect(matrices: Sequence[np.ndarray], target) -> float:
@@ -151,8 +162,7 @@ def validate_hermitian(a, eps: float = DEFAULT_EPS, name: str = "matrix") -> np.
     a = as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} has non-finite entries")
+    _finite(a, name)
     defect = hermiticity_defect(a)
     if defect > eps:
         raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
@@ -184,16 +194,25 @@ def validate_projectors(
                 raise ValueError(f"{label}s {k} and {kp} are not orthogonal")
 
 
-def validate_density(rho, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Return rho as complex128, raising unless it is finite, Hermitian, PSD, and trace one."""
+def density_eigh(rho, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho, eigenvalues, eigenvectors) of a density operator, from one eigh.
+
+    Raises unless rho is finite, Hermitian, PSD and of trace one within eps;
+    eigenvalues ascend, as np.linalg.eigh returns them.
+    """
     rho = validate_hermitian(rho, eps, "density operator")
-    lo = float(np.min(np.linalg.eigvalsh((rho + dag(rho)) / 2.0)))
-    if lo < -eps:
-        raise ValueError(f"density operator has negative eigenvalue {lo:.3e}")
+    vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+    if vals[0] < -eps:
+        raise ValueError(f"density operator has negative eigenvalue {vals[0]:.3e}")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > eps:
         raise ValueError(f"density operator trace {tr} is not 1 within {eps}")
-    return rho
+    return rho, vals, vecs
+
+
+def validate_density(rho, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """Return rho as complex128, raising unless it is finite, Hermitian, PSD, and trace one."""
+    return density_eigh(rho, eps)[0]
 
 
 def frozen(a: np.ndarray) -> np.ndarray:

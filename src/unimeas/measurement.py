@@ -1,7 +1,10 @@
 """Premeasurement models: canonical construction, evolution, condition checks.
 
 A model couples an object observable to an instrument pointer through a
-joint unitary. The calibration check asks that eigenstates of an object
+joint unitary U. It carries U only on the initial subspace, as the isometry
+W = U(I_A (x) phi_B) of shape (dim, dim_a): every check, branch and collapse
+reads U there alone, and any isometry extends to a unitary, so W fixes the
+measuring process. The calibration check asks that eigenstates of an object
 projector end up as eigenstates of the coindexed pointer projector; the
 dynamical check asks that the pointer projector commutes past the unitary
 into the object projector on the initial subspace. Both quantify over
@@ -11,7 +14,6 @@ basis vectors only, which linearity extends to arbitrary object states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -48,18 +50,22 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """Object observable, pointer observable, instrument state, and unitary."""
+    """Object observable, pointer observable, instrument state, and isometry.
+
+    The isometry W = U(I_A (x) phi_B), shape (dim, dim_a), is the interaction
+    on the initial subspace: column i is U(e_i (x) phi_B).
+    """
 
     dim_a: int
     dim_b: int
     observable: SpectralForm
     pointer: SpectralForm
     instrument_state: np.ndarray = field(repr=False)
-    unitary: np.ndarray = field(repr=False)
+    isometry: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "instrument_state", frozen(as_complex(self.instrument_state)))
-        object.__setattr__(self, "unitary", frozen(as_complex(self.unitary)))
+        object.__setattr__(self, "isometry", frozen(as_complex(self.isometry)))
 
     @property
     def dim(self) -> int:
@@ -69,36 +75,39 @@ class MeasurementModel:
     def outcomes(self) -> int:
         return self.observable.outcomes
 
-    @cached_property
-    def isometry(self) -> np.ndarray:
-        """W = U (I_A (x) phi_B), the unitary on the initial subspace, shape (dim, dim_a).
-
-        Column i is U(e_i (x) phi_B); every check and branch computation
-        uses the unitary only through W.
-        """
-        w = self.unitary.reshape(self.dim, self.dim_a, self.dim_b) @ self.instrument_state
-        return frozen(w)
-
     def apply_pointer(self, k: int, states) -> np.ndarray:
         """(I_A (x) F_k) applied to a joint vector or to each column of a (dim, m) array.
 
         F_k acts on the instrument axis of the (dim_a, dim_b, ...) reshape,
         so the dense joint operator is never formed.
+
+        Raises:
+            ValueError: states has a leading size other than dim, or a
+                non-finite entry.
         """
         states = as_complex(states)
+        if states.shape[:1] != (self.dim,):
+            raise ValueError(f"states have shape {states.shape}, expected leading size {self.dim}")
+        if not np.isfinite(states).all():
+            raise ValueError("states contain non-finite amplitudes")
+        return self._pointer_sector(k, states)
+
+    def _pointer_sector(self, k: int, states: np.ndarray) -> np.ndarray:
+        """apply_pointer on a complex array the caller has checked or computed from W."""
         sectors = states.reshape(self.dim_a, self.dim_b, -1)
         return (self.pointer.projectors[k] @ sectors).reshape(states.shape)
 
     def lifted_pointer(self, k: int) -> np.ndarray:
         """Dense pointer projector k on the joint space, I_A (x) F_k.
 
-        Costs dim^2 memory per call; the library uses apply_pointer, and
-        this stays as the dense reference that tests compare against.
+        Costs dim^2 memory per call; the library applies F_k sector by
+        sector instead, and this stays as the dense reference that tests
+        compare against.
         """
         return tensor(np.eye(self.dim_a), self.pointer.projectors[k])
 
     def validate(self, eps: float = DEFAULT_EPS) -> None:
-        """Check coindexing, unitarity, and both spectral forms."""
+        """Check coindexing, both spectral forms, and W^dag W = I in O(dim dim_a^2)."""
         validate_tolerance(eps)
         if self.observable.dim != self.dim_a:
             raise ValueError(
@@ -119,19 +128,43 @@ class MeasurementModel:
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from exc
         validate_unit_state(self.instrument_state, self.dim_b, eps, "instrument_state")
-        u = self.unitary
-        if u.shape != (self.dim, self.dim):
-            raise ValueError(f"unitary: shape {u.shape}, expected {(self.dim, self.dim)}")
-        defect = orthonormality_defect(u)
-        if not defect <= eps:  # NaN-aware: a non-finite unitary has defect nan
-            raise ValueError(f"unitary: unitarity defect {defect:.3e} exceeds {eps}")
+        w = self.isometry
+        if w.shape != (self.dim, self.dim_a):
+            raise ValueError(f"isometry: shape {w.shape}, expected {(self.dim, self.dim_a)}")
+        defect = orthonormality_defect(w)
+        if not defect <= eps:  # NaN-aware: a non-finite isometry has defect nan
+            raise ValueError(f"isometry: isometry defect {defect:.3e} exceeds {eps}")
+
+
+def isometry_from_unitary(
+    unitary, dim_a: int, dim_b: int, instrument_state, eps: float = DEFAULT_EPS
+) -> np.ndarray:
+    """W = U(I_A (x) phi_B) of a dense joint unitary, checking U as a whole first.
+
+    The only place a dense U is handled: files that store the full unitary
+    load through it. Costs dim^3 for the unitarity check.
+
+    Raises:
+        ValueError: a bad tolerance or instrument state, or a unitary that is
+            not dim x dim, not finite, or not unitary within eps.
+    """
+    validate_tolerance(eps)
+    phi = validate_unit_state(instrument_state, dim_b, eps, "instrument_state")
+    dim = dim_a * dim_b
+    u = as_complex(unitary)
+    if u.shape != (dim, dim):
+        raise ValueError(f"unitary: shape {u.shape}, expected {(dim, dim)}")
+    defect = orthonormality_defect(u)
+    if not defect <= eps:  # NaN-aware: a non-finite unitary has defect nan
+        raise ValueError(f"unitary: unitarity defect {defect:.3e} exceeds {eps}")
+    return u.reshape(dim, dim_a, dim_b) @ phi
 
 
 def build_canonical_model(observable: SpectralForm) -> MeasurementModel:
     """Minimal model measuring the given observable exactly.
 
     The instrument gets one dimension per outcome, pointer projectors
-    |k><k| with eigenvalues k, and initial state |0>. The unitary is von
+    |k><k| with eigenvalues k, and initial state |0>. The interaction is von
     Neumann's controlled shift
 
         U = sum_k E_k (x) S^k,    S|j> = |j+1 mod n>,
@@ -141,6 +174,8 @@ def build_canonical_model(observable: SpectralForm) -> MeasurementModel:
     while moving the pointer to the branch label:
 
         |psi>|0>  ->  sum_k (E_k |psi>) (x) |k>
+
+    The model stores only that initial-subspace part, W[(a, k), a'] = E_k[a, a'].
     """
     dim_a = observable.dim
     n_out = observable.outcomes
@@ -152,19 +187,15 @@ def build_canonical_model(observable: SpectralForm) -> MeasurementModel:
     )
     instrument_state = basis_ket(dim_b, 0)
 
-    # u[a, (j + k) % n, a', j] = E_k[a, a']
-    u = np.zeros((dim_a, dim_b, dim_a, dim_b), dtype=np.complex128)
-    j = np.arange(dim_b)
-    for k, e_k in enumerate(observable.projectors):
-        u[:, (j + k) % dim_b, :, j] = e_k
-
+    # w[a, k, a'] = E_k[a, a']
+    w = np.stack(observable.projectors, axis=1)
     return MeasurementModel(
         dim_a=dim_a,
         dim_b=dim_b,
         observable=observable,
         pointer=pointer,
         instrument_state=instrument_state,
-        unitary=u.reshape(dim_a * dim_b, dim_a * dim_b),
+        isometry=w.reshape(dim_a * dim_b, dim_a),
     )
 
 
@@ -207,7 +238,7 @@ def check_calibration(model: MeasurementModel, eps: float = DEFAULT_EPS) -> Chec
             continue
         finals = model.isometry @ np.column_stack(basis)
         column_residuals.append(
-            np.linalg.norm(model.apply_pointer(k, finals) - finals, axis=0)
+            np.linalg.norm(model._pointer_sector(k, finals) - finals, axis=0)
         )
     return _report(column_residuals, eps, "range basis vector")
 
@@ -222,7 +253,7 @@ def check_dynamical(model: MeasurementModel, eps: float = DEFAULT_EPS) -> CheckR
     validate_tolerance(eps)
     w = model.isometry
     column_residuals = [
-        np.linalg.norm(model.apply_pointer(k, w) - w @ e_k, axis=0)
+        np.linalg.norm(model._pointer_sector(k, w) - w @ e_k, axis=0)
         for k, e_k in enumerate(model.observable.projectors)
     ]
     return _report(column_residuals, eps, "basis vector")

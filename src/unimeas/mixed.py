@@ -15,10 +15,9 @@ import numpy as np
 from .linalg import (
     DEFAULT_EPS,
     as_complex,
-    dag,
+    density_eigh,
     partial_trace,
     frozen,
-    validate_density,
     validate_projector,
     validate_tolerance,
 )
@@ -48,18 +47,17 @@ class Purification:
 def purify(rho, eps: float = DEFAULT_EPS) -> Purification:
     """Purify a density operator over a minimal ancilla.
 
-    Eigendecomposes rho, keeps the positive eigenpairs (r_i, |i>), and
-    returns sum_i sqrt(r_i) |i> (x) |i> with the ancilla running over its
-    canonical basis in descending-eigenvalue order. The ancilla dimension
-    equals the number of positive eigenvalues; column i of the (dim, ancilla)
-    reshape of the state is sqrt(r_i) |i>.
+    Eigendecomposes rho once, which also serves the positivity check, keeps
+    the positive eigenpairs (r_i, |i>), and returns sum_i sqrt(r_i) |i> (x) |i>
+    with the ancilla running over its canonical basis in descending-eigenvalue
+    order. The ancilla dimension equals the number of positive eigenvalues;
+    column i of the (dim, ancilla) reshape of the state is sqrt(r_i) |i>.
 
     Raises:
         ValueError: rho is not a valid density operator.
     """
     validate_tolerance(eps)
-    rho = validate_density(rho, eps)
-    vals, vecs = np.linalg.eigh((rho + dag(rho)) / 2.0)
+    rho, vals, vecs = density_eigh(rho, eps)
     # stable sort keeps eigh's tie order, so degenerate spectra pair
     # eigenvector i with ancilla slot i
     by_descending = np.argsort(-vals, kind="stable")

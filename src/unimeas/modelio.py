@@ -8,6 +8,11 @@ wrote. Files written with other whitespace, such as the earlier indented
 layout, still load to the same arrays. Saving a non-finite value raises
 ValueError before any file is written; loading one raises ModelFormatError.
 
+A model file stores the interaction on the initial subspace, the isometry
+W = U(I (x) phi_B), as a (dim_a*dim_b) x dim_a matrix. Files of earlier
+versions store the dense unitary U under "unitary" instead; they still load,
+their U checked as a whole and reduced to W, and are saved again with W.
+
 Encoding and decoding are array operations. Decoding checks each complex
 array as a whole first; when that check fails, a per-element walk finds
 the offending entry and names its field path in the error.
@@ -21,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import DEFAULT_EPS
-from .measurement import MeasurementModel
+from .measurement import MeasurementModel, isometry_from_unitary
 from .spectral import SpectralForm, spectral_decompose
 
 
@@ -29,7 +34,9 @@ class ModelFormatError(ValueError):
     """A file failed to parse or violated a type invariant."""
 
 
-_MODEL_FIELDS = ("dim_a", "dim_b", "observable", "pointer", "instrument_state", "unitary")
+# every model field but the interaction, which is "isometry" or, in files of
+# earlier versions, "unitary"
+_MODEL_FIELDS = ("dim_a", "dim_b", "observable", "pointer", "instrument_state")
 
 
 def _complex_out(a: np.ndarray) -> list:
@@ -148,12 +155,15 @@ def model_to_document(model: MeasurementModel) -> dict:
         "observable": _spectral_out(model.observable),
         "pointer": _spectral_out(model.pointer),
         "instrument_state": _complex_out(model.instrument_state),
-        "unitary": _complex_out(model.unitary),
+        "isometry": _complex_out(model.isometry),
     }
 
 
 def model_from_document(doc, eps: float = DEFAULT_EPS) -> MeasurementModel:
     """Build and validate a model from a parsed JSON document.
+
+    The interaction is read from "isometry", or from a legacy "unitary",
+    which must then be a dim x dim unitary; a document holding both is refused.
 
     Raises:
         ModelFormatError: structural problems or type-invariant violations,
@@ -161,22 +171,39 @@ def model_from_document(doc, eps: float = DEFAULT_EPS) -> MeasurementModel:
     """
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
-    missing = [f for f in _MODEL_FIELDS if f not in doc]
+    legacy = "unitary" in doc
+    if legacy and "isometry" in doc:
+        raise ModelFormatError("both isometry and legacy unitary given; expected one")
+    fields = _MODEL_FIELDS + ("unitary" if legacy else "isometry",)
+    missing = [f for f in fields if f not in doc]
     if missing:
         raise ModelFormatError(f"missing fields: {', '.join(missing)}")
-    extra = set(doc) - set(_MODEL_FIELDS)
+    extra = set(doc) - set(fields)
     if extra:
         raise ModelFormatError(f"unknown fields: {', '.join(sorted(extra))}")
     for name in ("dim_a", "dim_b"):
         if not isinstance(doc[name], int) or isinstance(doc[name], bool) or doc[name] < 1:
             raise ModelFormatError(f"{name}: expected a positive integer, got {doc[name]!r}")
+    observable = _spectral_in(doc["observable"], "observable")
+    pointer = _spectral_in(doc["pointer"], "pointer")
+    instrument_state = _vector_in(doc["instrument_state"], "instrument_state")
+    if legacy:
+        unitary = _matrix_in(doc["unitary"], "unitary")
+        try:
+            isometry = isometry_from_unitary(
+                unitary, doc["dim_a"], doc["dim_b"], instrument_state, eps
+            )
+        except ValueError as exc:
+            raise ModelFormatError(str(exc)) from exc
+    else:
+        isometry = _matrix_in(doc["isometry"], "isometry")
     model = MeasurementModel(
         dim_a=doc["dim_a"],
         dim_b=doc["dim_b"],
-        observable=_spectral_in(doc["observable"], "observable"),
-        pointer=_spectral_in(doc["pointer"], "pointer"),
-        instrument_state=_vector_in(doc["instrument_state"], "instrument_state"),
-        unitary=_matrix_in(doc["unitary"], "unitary"),
+        observable=observable,
+        pointer=pointer,
+        instrument_state=instrument_state,
+        isometry=isometry,
     )
     try:
         model.validate(eps)

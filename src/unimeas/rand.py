@@ -1,16 +1,18 @@
 """Random states, observables, and measurement models for verification suites.
 
 All generators take an explicit numpy Generator so suites stay reproducible.
-Includes the two negative-model constructions: swapping pointer projectors
-(breaks coindexing outright) and rotating the unitary's action on the
-initial subspace (breaks the measurement conditions for generic models).
+Models are built and changed through their isometry W = U(I (x) phi_B) alone,
+never through a dense unitary. Includes the two negative-model
+constructions: swapping pointer projectors (breaks coindexing outright) and
+rotating one column of W out of its range (breaks the measurement conditions
+for generic models).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import basis_ket, dag, tensor
+from .linalg import basis_ket, tensor
 from .measurement import MeasurementModel, build_canonical_model
 from .spectral import SpectralForm, spectral_decompose
 
@@ -31,13 +33,13 @@ def rand_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def rand_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * (z + dag(z)) / 2.0
+    return scale * (z + z.conj().T) / 2.0
 
 
 def rand_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random full-rank density operator."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = z @ dag(z)
+    rho = z @ z.conj().T
     return rho / np.trace(rho).real
 
 
@@ -46,7 +48,7 @@ def rand_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     if not 0 < rank <= dim:
         raise ValueError(f"rank must lie in 1..{dim}, got {rank}")
     q = rand_unitary(dim, rng)[:, :rank]
-    return q @ dag(q)
+    return q @ q.conj().T
 
 
 def rand_observable(
@@ -69,7 +71,7 @@ def rand_observable(
     vals = np.arange(k) + rng.uniform(-0.3, 0.3, size=k)
     u = rand_unitary(dim, rng)
     diag = np.concatenate([np.full(m, v) for v, m in zip(vals, multiplicities)])
-    return spectral_decompose(u @ np.diag(diag) @ dag(u))
+    return spectral_decompose(u @ np.diag(diag) @ u.conj().T)
 
 
 def rand_model(
@@ -87,7 +89,9 @@ def with_redundant_pointer(
     """Enlarge the instrument by an uncoupled factor of dimension extra_dim.
 
     Pointer projectors become F_k (x) I, so every pointer outcome gains
-    rank, while the measurement conditions are inherited unchanged.
+    rank, while the measurement conditions are inherited unchanged. The
+    interaction becomes U (x) I and the instrument state phi_B (x) chi, so the
+    isometry becomes W (x) chi.
     """
     if extra_dim < 1:
         raise ValueError(f"extra_dim must be positive, got {extra_dim}")
@@ -103,7 +107,7 @@ def with_redundant_pointer(
         observable=model.observable,
         pointer=pointer,
         instrument_state=tensor(model.instrument_state, chi),
-        unitary=tensor(model.unitary, eye),
+        isometry=tensor(model.isometry, chi[:, None]),
     )
 
 
@@ -112,38 +116,43 @@ def perturb_model(
     rng: np.random.Generator,
     theta_range: tuple[float, float] = (0.1, 1.0),
 ) -> MeasurementModel:
-    """Rotate the unitary's columns to break the measurement conditions.
+    """Rotate one column of the isometry out of its range to break the conditions.
 
-    Applies a two-level rotation of angle theta mixing one initial-subspace
-    input direction e_a (x) phi_B with the orthogonal direction
-    e_a (x) phi_perp, so the model's action on the initial subspace leaks
-    into the image of a column outside it. Requires dim_b >= 2.
+    Column a of W becomes cos(theta) W e_a + sin(theta) v, with v a
+    deterministic unit vector orthogonal to range(W): v = (I - W W^dag) x
+    normalised, where x = (I (x) S) W e_a and S|j> = |j+1 mod dim_b> shifts
+    the instrument basis. For a canonical model x is U(e_a (x) |1>), already
+    orthogonal to range(W), so this is the two-level rotation of e_a (x) |0>
+    toward e_a (x) |1> applied to the dense U. Should x lie within 1/2 of
+    range(W), the joint basis vector farthest from range(W) takes its place.
+    The result is again an isometry, so it extends to a unitary, but the
+    model's action on the initial subspace leaks out of it. Costs
+    O(dim dim_a). Requires dim_b >= 2.
     """
     if model.dim_b < 2:
         raise ValueError("perturbation needs an instrument of dimension >= 2")
     theta = rng.uniform(*theta_range)
     a = int(rng.integers(model.dim_a))
 
-    phi = model.instrument_state
-    # deterministic unit vector orthogonal to the instrument state
-    seed = basis_ket(model.dim_b, 0 if abs(phi[0]) < 0.9 else 1)
-    perp = seed - np.vdot(phi, seed) * phi
-    perp = perp / np.linalg.norm(perp)
+    w = model.isometry
+    x = np.roll(w[:, a].reshape(model.dim_a, model.dim_b), 1, axis=1).reshape(-1)
+    v = x - w @ (w.conj().T @ x)
+    if np.linalg.norm(v) < 0.5:
+        # the basis vectors' squared distances to range(W) average
+        # 1 - dim_a/dim >= 1/2, so the farthest lies at least 1/sqrt(2) away
+        j = int(np.argmin(np.sum(np.abs(w) ** 2, axis=1)))
+        v = basis_ket(model.dim, j) - w @ w[j].conj()
+    v = v / np.linalg.norm(v)
 
-    x1 = tensor(basis_ket(model.dim_a, a), phi)
-    x2 = tensor(basis_ket(model.dim_a, a), perp)
-    rot = (
-        np.eye(model.dim, dtype=np.complex128)
-        + (np.cos(theta) - 1.0) * (np.outer(x1, x1.conj()) + np.outer(x2, x2.conj()))
-        + np.sin(theta) * (np.outer(x2, x1.conj()) - np.outer(x1, x2.conj()))
-    )
+    perturbed = np.array(w)
+    perturbed[:, a] = np.cos(theta) * w[:, a] + np.sin(theta) * v
     return MeasurementModel(
         dim_a=model.dim_a,
         dim_b=model.dim_b,
         observable=model.observable,
         pointer=model.pointer,
         instrument_state=model.instrument_state,
-        unitary=model.unitary @ rot,
+        isometry=perturbed,
     )
 
 
@@ -160,5 +169,5 @@ def swap_pointer(model: MeasurementModel) -> MeasurementModel:
         observable=model.observable,
         pointer=pointer,
         instrument_state=model.instrument_state,
-        unitary=model.unitary,
+        isometry=model.isometry,
     )

@@ -10,7 +10,6 @@ import numpy as np
 from .linalg import (
     DEFAULT_EPS,
     as_complex,
-    dag,
     frozen,
     sum_defect,
     validate_hermitian,
@@ -87,7 +86,7 @@ def spectral_decompose(h, eps: float = DEFAULT_EPS) -> SpectralForm:
     """
     validate_tolerance(eps)
     h = validate_hermitian(h, eps, "observable")
-    vals, vecs = np.linalg.eigh((h + dag(h)) / 2.0)
+    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
 
     # group ascending eigenvalues whenever the gap to the previous one is small
     clusters: list[list[int]] = [[0]]
@@ -102,7 +101,7 @@ def spectral_decompose(h, eps: float = DEFAULT_EPS) -> SpectralForm:
     for idx in reversed(clusters):
         block = vecs[:, idx]
         eigenvalues.append(float(np.mean(vals[idx])))
-        projectors.append(block @ dag(block))
+        projectors.append(block @ block.conj().T)
     return SpectralForm(np.array(eigenvalues), tuple(projectors))
 
 
@@ -171,5 +170,5 @@ def range_basis(projector, eps: float = DEFAULT_EPS) -> list[np.ndarray]:
 
 def _range_vectors(p: np.ndarray) -> list[np.ndarray]:
     """range_basis of a matrix the caller has already validated."""
-    vals, vecs = np.linalg.eigh((p + dag(p)) / 2.0)
+    vals, vecs = np.linalg.eigh((p + p.conj().T) / 2.0)
     return [vecs[:, i] for i in range(vals.size) if vals[i] > 0.5]

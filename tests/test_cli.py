@@ -43,7 +43,7 @@ class TestBuild:
         capsys.readouterr()
         loaded = load_model(out_path)
         direct = build_canonical_model(spectral_decompose(np.diag([1.0, -1.0])))
-        np.testing.assert_array_equal(loaded.unitary, direct.unitary)
+        np.testing.assert_array_equal(loaded.isometry, direct.isometry)
 
     def test_identity_observable_single_pointer_dim(self, tmp_path, capsys):
         obs = tmp_path / "eye.json"

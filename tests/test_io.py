@@ -19,13 +19,21 @@ from unimeas.modelio import (
     save_model,
     save_vector,
 )
-from unimeas.rand import rand_hermitian, rand_ket, rand_model
+from unimeas.rand import rand_hermitian, rand_ket, rand_model, with_redundant_pointer
 from unimeas.spectral import spectral_decompose
 
 
 @pytest.fixture
 def model(rng):
     return rand_model(3, rng)
+
+
+def _legacy_document(model, unitary) -> dict:
+    """The model as earlier versions wrote it: the dense unitary in place of the isometry."""
+    doc = model_to_document(model)
+    del doc["isometry"]
+    doc["unitary"] = np.stack([unitary.real, unitary.imag], -1).tolist()
+    return doc
 
 
 class TestModelRoundTrip:
@@ -42,7 +50,7 @@ class TestModelRoundTrip:
         loaded = load_model(path)
         assert loaded.dim_a == model.dim_a
         assert loaded.dim_b == model.dim_b
-        np.testing.assert_array_equal(loaded.unitary, model.unitary)
+        np.testing.assert_array_equal(loaded.isometry, model.isometry)
         np.testing.assert_array_equal(loaded.instrument_state, model.instrument_state)
         np.testing.assert_array_equal(loaded.observable.eigenvalues, model.observable.eigenvalues)
         for p, q in zip(loaded.pointer.projectors, model.pointer.projectors):
@@ -51,7 +59,7 @@ class TestModelRoundTrip:
     def test_document_round_trip(self, model):
         doc = model_to_document(model)
         rebuilt = model_from_document(json.loads(json.dumps(doc)))
-        np.testing.assert_array_equal(rebuilt.unitary, model.unitary)
+        np.testing.assert_array_equal(rebuilt.isometry, model.isometry)
 
 
 class TestVectorMatrixFiles:
@@ -101,7 +109,7 @@ class TestLayouts:
         path = tmp_path / "indented.json"
         path.write_text(json.dumps(model_to_document(model), indent=2) + "\n")
         loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.unitary, model.unitary)
+        np.testing.assert_array_equal(loaded.isometry, model.isometry)
         np.testing.assert_array_equal(loaded.instrument_state, model.instrument_state)
         for sf, ref in ((loaded.observable, model.observable), (loaded.pointer, model.pointer)):
             np.testing.assert_array_equal(sf.eigenvalues, ref.eigenvalues)
@@ -119,16 +127,68 @@ class TestLayouts:
         save_model(loaded, second)
         assert first.read_bytes() == second.read_bytes()
         # bitwise: assert_array_equal would let 0.0 match -0.0
-        assert loaded.unitary.tobytes() == model.unitary.tobytes()
+        assert loaded.isometry.tobytes() == model.isometry.tobytes()
         assert loaded.instrument_state.tobytes() == model.instrument_state.tobytes()
 
+    def test_round_trip_at_joint_1024(self, tmp_path):
+        rng = np.random.default_rng(7)
+        model = build_canonical_model(spectral_decompose(rand_hermitian(32, rng)))
+        assert model.dim == 1024
+        first = tmp_path / "model.json"
+        second = tmp_path / "again.json"
+        save_model(model, first)
+        assert first.stat().st_size < 4_000_000
+        loaded = load_model(first)
+        save_model(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert loaded.isometry.tobytes() == model.isometry.tobytes()
+
     def test_save_refuses_non_finite(self, tmp_path, model):
-        u = np.array(model.unitary)
-        u[0, 0] = np.nan
+        w = np.array(model.isometry)
+        w[0, 0] = np.nan
         path = tmp_path / "model.json"
         with pytest.raises(ValueError):
-            save_model(dataclasses.replace(model, unitary=u), path)
+            save_model(dataclasses.replace(model, isometry=w), path)
         assert not path.exists()
+
+
+class TestLegacyUnitaryFiles:
+    """Files that store the dense unitary load to its initial-subspace columns."""
+
+    def test_loads_to_canonical_isometry(self, tmp_path, model, controlled_shift):
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(_legacy_document(model, controlled_shift(model.observable))))
+        loaded = load_model(path)
+        np.testing.assert_array_equal(loaded.isometry, model.isometry)
+        again = tmp_path / "again.json"
+        save_model(loaded, again)
+        doc = json.loads(again.read_text())
+        assert "isometry" in doc and "unitary" not in doc
+
+    def test_redundant_pointer_reduces_through_instrument_state(self, rng, controlled_shift):
+        base = rand_model(3, rng)
+        model = with_redundant_pointer(base, 2, rng)
+        unitary = np.kron(controlled_shift(base.observable), np.eye(2))
+        loaded = model_from_document(_legacy_document(model, unitary))
+        np.testing.assert_allclose(loaded.isometry, model.isometry, atol=1e-15)
+
+    def test_wrong_shape_named(self, model):
+        doc = _legacy_document(model, np.eye(4))
+        with pytest.raises(ModelFormatError, match=r"^unitary: shape \(4, 4\), expected \(9, 9\)$"):
+            model_from_document(doc)
+
+    def test_unitary_checked_outside_initial_subspace(self, model, controlled_shift):
+        """A dense U is checked as a whole, not only on the columns that are kept."""
+        unitary = controlled_shift(model.observable)
+        unitary[:, 1] = 0.0  # column (0, 1) lies outside the initial subspace
+        with pytest.raises(ModelFormatError, match=r"^unitary: unitarity defect"):
+            model_from_document(_legacy_document(model, unitary))
+
+    def test_both_fields_rejected(self, model, controlled_shift):
+        doc = model_to_document(model)
+        doc["unitary"] = _legacy_document(model, controlled_shift(model.observable))["unitary"]
+        with pytest.raises(ModelFormatError, match="both isometry and legacy unitary"):
+            model_from_document(doc)
 
 
 def _set(doc, path, value):
@@ -143,31 +203,31 @@ PAIR = r"expected a \[re, im\] pair"
 # case: (field path in the document, replacement, message the loader must give)
 MALFORMED = {
     "bool-in-pair": (
-        ("unitary", 3, 1), [True, 0.0], rf"^unitary\[3\]\[1\]: {PAIR}, got \[True, 0\.0\]$"
+        ("isometry", 3, 1), [True, 0.0], rf"^isometry\[3\]\[1\]: {PAIR}, got \[True, 0\.0\]$"
     ),
     "string": (
-        ("unitary", 3, 1), ["0.5", 0.0], rf"^unitary\[3\]\[1\]: {PAIR}, got \['0\.5', 0\.0\]$"
+        ("isometry", 3, 1), ["0.5", 0.0], rf"^isometry\[3\]\[1\]: {PAIR}, got \['0\.5', 0\.0\]$"
     ),
     "string-scalar": (("instrument_state", 0), "1", rf"^instrument_state\[0\]: {PAIR}, got '1'$"),
-    "one-element-pair": (("unitary", 3, 1), [0.5], rf"^unitary\[3\]\[1\]: {PAIR}"),
-    "three-element-pair": (("unitary", 3, 1), [0.5, 0.0, 0.0], rf"^unitary\[3\]\[1\]: {PAIR}"),
+    "one-element-pair": (("isometry", 3, 1), [0.5], rf"^isometry\[3\]\[1\]: {PAIR}"),
+    "three-element-pair": (("isometry", 3, 1), [0.5, 0.0, 0.0], rf"^isometry\[3\]\[1\]: {PAIR}"),
     "nested-pair": (("instrument_state", 1), [[1.0, 0.0], [0.0, 0.0]], rf"^instrument_state\[1\]: {PAIR}"),
     "nan-token": (
-        ("unitary", 3, 1), [float("nan"), 0.0], r"^unitary\[3\]\[1\]: non-finite value \[nan, 0\.0\]$"
+        ("isometry", 3, 1), [float("nan"), 0.0], r"^isometry\[3\]\[1\]: non-finite value \[nan, 0\.0\]$"
     ),
     "infinity-token": (
         ("instrument_state", 0),
         [0.0, float("inf")],
         r"^instrument_state\[0\]: non-finite value \[0\.0, inf\]$",
     ),
-    "int-overflow": (("unitary", 0, 0), [10**400, 0], r"^unitary\[0\]\[0\]: non-finite value"),
+    "int-overflow": (("isometry", 0, 0), [10**400, 0], r"^isometry\[0\]\[0\]: non-finite value"),
     "empty-vector": (
         ("instrument_state",), [], r"^instrument_state: expected a non-empty array of complex scalars$"
     ),
-    "empty-matrix": (("unitary",), [], r"^unitary: expected a non-empty array of rows$"),
-    "ragged-rows": (("unitary", 2), [[1.0, 0.0]], r"^unitary: rows have inconsistent lengths$"),
-    "empty-row": (("unitary", 2), [], r"^unitary\[2\]: expected a non-empty array of complex scalars$"),
-    "vector-for-matrix": (("unitary",), [[1.0, 0.0], [0.0, 0.0]], rf"^unitary\[0\]\[0\]: {PAIR}, got 1\.0$"),
+    "empty-matrix": (("isometry",), [], r"^isometry: expected a non-empty array of rows$"),
+    "ragged-rows": (("isometry", 2), [[1.0, 0.0]], r"^isometry: rows have inconsistent lengths$"),
+    "empty-row": (("isometry", 2), [], r"^isometry\[2\]: expected a non-empty array of complex scalars$"),
+    "vector-for-matrix": (("isometry",), [[1.0, 0.0], [0.0, 0.0]], rf"^isometry\[0\]\[0\]: {PAIR}, got 1\.0$"),
     "matrix-for-vector": (("instrument_state",), [[[1.0, 0.0]]], rf"^instrument_state\[0\]: {PAIR}"),
     "projector-depth": (
         ("pointer", "projectors", 1), [[1.0, 0.0]], rf"^pointer\.projectors\[1\]\[0\]\[0\]: {PAIR}"
@@ -204,8 +264,8 @@ class TestMalformedArrays:
 class TestFieldDiagnostics:
     def test_missing_field_named(self, model):
         doc = model_to_document(model)
-        del doc["unitary"]
-        with pytest.raises(ModelFormatError, match="unitary"):
+        del doc["isometry"]
+        with pytest.raises(ModelFormatError, match="isometry"):
             model_from_document(doc)
 
     def test_unknown_field_named(self, model):
@@ -250,10 +310,22 @@ class TestFieldDiagnostics:
         with pytest.raises(ModelFormatError, match="pointer"):
             model_from_document(doc)
 
-    def test_non_unitary_matrix_named(self, model):
-        doc = model_to_document(model)
+    def test_non_unitary_matrix_named(self, model, controlled_shift):
+        doc = _legacy_document(model, controlled_shift(model.observable))
         doc["unitary"][0][0] = [5.0, 0.0]
         with pytest.raises(ModelFormatError, match="unitary"):
+            model_from_document(doc)
+
+    def test_non_isometric_matrix_named(self, model):
+        doc = model_to_document(model)
+        doc["isometry"][0][0] = [5.0, 0.0]
+        with pytest.raises(ModelFormatError, match=r"^isometry: isometry defect"):
+            model_from_document(doc)
+
+    def test_dense_matrix_in_isometry_field_named(self, model, controlled_shift):
+        doc = model_to_document(model)
+        doc["isometry"] = _legacy_document(model, controlled_shift(model.observable))["unitary"]
+        with pytest.raises(ModelFormatError, match=r"^isometry: shape \(9, 9\), expected \(9, 3\)$"):
             model_from_document(doc)
 
     def test_non_object_document(self):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,15 @@ class TestKets:
 
     def test_uniform_ket_norm(self):
         assert np.linalg.norm(uniform_ket(5)) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [0, -1, True, 2.0, "3", None])
+    def test_uniform_ket_rejects_non_positive_or_non_integer(self, bad):
+        message = f"^uniform_ket dimension must be a positive integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            uniform_ket(bad)
+
+    def test_uniform_ket_accepts_numpy_integer(self):
+        np.testing.assert_allclose(uniform_ket(np.int64(4)), np.full(4, 0.5), atol=1e-15)
 
     def test_dag(self):
         a = np.array([[1.0, 2.0j], [3.0, 4.0]])

@@ -11,6 +11,7 @@ from unimeas.measurement import (
     build_canonical_model,
     check_calibration,
     check_dynamical,
+    isometry_from_unitary,
     premeasure,
 )
 from unimeas.rand import (
@@ -29,19 +30,22 @@ def z_model():
 
 
 class TestBuildCanonicalModel:
-    def test_qubit_action_and_unitarity(self, rng):
+    def test_qubit_action_and_unitarity(self, rng, controlled_shift):
         model = z_model()
         psi = rand_ket(2, rng)
         plus, minus = model.observable.projectors
         expected = tensor(plus @ psi, basis_ket(2, 0)) + tensor(minus @ psi, basis_ket(2, 1))
         np.testing.assert_allclose(premeasure(model, psi), expected, atol=1e-12)
-        u = model.unitary
+        w = model.isometry
+        assert np.max(np.abs(dag(w) @ w - np.eye(2))) <= 1e-10
+        u = controlled_shift(model.observable)
         assert np.max(np.abs(dag(u) @ u - np.eye(4))) <= 1e-10
+        np.testing.assert_array_equal(w, u[:, :: model.dim_b])
 
     def test_single_outcome_observable(self):
         model = build_canonical_model(spectral_decompose(np.eye(2)))
         assert model.dim_b == 1
-        np.testing.assert_allclose(model.unitary, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(model.isometry, np.eye(2), atol=1e-15)
 
     def test_degenerate_observable(self):
         model = build_canonical_model(spectral_decompose(np.diag([2.0, 2.0, 5.0])))
@@ -78,10 +82,10 @@ class TestPremeasure:
             premeasure(z_model(), basis_ket(2, 0)), basis_ket(4, 0), atol=1e-12
         )
 
-    def test_matches_dense_product(self, rng):
+    def test_matches_dense_product(self, rng, controlled_shift):
         model = rand_model(3, rng)
         phi = rand_ket(3, rng)
-        direct = model.unitary @ np.kron(phi, model.instrument_state)
+        direct = controlled_shift(model.observable) @ np.kron(phi, model.instrument_state)
         np.testing.assert_allclose(premeasure(model, phi), direct, atol=1e-14)
 
     def test_preserves_norm(self, rng):
@@ -120,7 +124,8 @@ class TestCheckCalibration:
             observable=base.observable,
             pointer=base.pointer,
             instrument_state=base.instrument_state,
-            unitary=np.eye(4, dtype=complex),
+            # the identity interaction's initial-subspace columns e_a (x) |0>
+            isometry=np.eye(4, dtype=complex)[:, ::2],
         )
         report = check_calibration(model)
         assert not report.passed
@@ -193,11 +198,15 @@ class TestCheckDynamical:
 class TestCanonicalAtScale:
     """Closed-form controlled shift at joint dimensions 16, 64 and 256."""
 
-    def test_unitarity_defect(self, dim_a):
+    def test_unitarity_defect(self, dim_a, controlled_shift):
         model = rand_model(dim_a, np.random.default_rng(dim_a))
         assert model.dim == dim_a * dim_a
-        u = model.unitary
+        w = model.isometry
+        assert w.shape == (model.dim, dim_a)
+        assert np.max(np.abs(dag(w) @ w - np.eye(dim_a))) <= 1e-12
+        u = controlled_shift(model.observable)
         assert np.max(np.abs(dag(u) @ u - np.eye(model.dim))) <= 1e-12
+        np.testing.assert_array_equal(w, u[:, :: model.dim_b])
 
     def test_premeasure_moves_pointer_to_branch_label(self, dim_a):
         rng = np.random.default_rng(dim_a)
@@ -209,10 +218,13 @@ class TestCanonicalAtScale:
         )
         np.testing.assert_allclose(premeasure(model, phi), expected, atol=1e-12)
 
-    def test_isometry_and_pointer_match_dense_reference(self, dim_a):
+    def test_isometry_and_pointer_match_dense_reference(self, dim_a, controlled_shift):
         rng = np.random.default_rng(dim_a)
-        model = with_redundant_pointer(rand_model(dim_a, rng), 2, rng)
-        direct = model.unitary @ np.kron(np.eye(dim_a), model.instrument_state[:, None])
+        base = rand_model(dim_a, rng)
+        model = with_redundant_pointer(base, 2, rng)
+        # the redundant factor is uncoupled: U (x) I on the enlarged instrument
+        unitary = tensor(controlled_shift(base.observable), np.eye(2))
+        direct = unitary @ np.kron(np.eye(dim_a), model.instrument_state[:, None])
         np.testing.assert_allclose(model.isometry, direct, atol=1e-12)
         states = model.isometry[:, :3]
         for k in (0, model.outcomes - 1):
@@ -222,6 +234,28 @@ class TestCanonicalAtScale:
                 model.apply_pointer(k, states[:, 0]), dense @ states[:, 0], atol=1e-12
             )
 
+    def test_perturbed_is_a_dense_rotation_of_the_unitary(self, dim_a, controlled_shift):
+        """On the initial subspace perturb_model equals U R, R rotating e_a|0> toward e_a|1>."""
+        rng = np.random.default_rng(dim_a)
+        base = rand_model(dim_a, rng)
+        model = perturb_model(base, rng)
+        changed = np.flatnonzero(np.any(model.isometry != base.isometry, axis=0))
+        assert changed.size == 1
+        a = int(changed[0])
+        cos = float(np.vdot(base.isometry[:, a], model.isometry[:, a]).real)
+        sin = np.sqrt(1.0 - cos**2)
+        assert 0.1 <= np.arccos(cos) <= 1.0
+        x1 = tensor(basis_ket(dim_a, a), basis_ket(model.dim_b, 0))
+        x2 = tensor(basis_ket(dim_a, a), basis_ket(model.dim_b, 1))
+        rotation = (
+            np.eye(model.dim)
+            + (cos - 1.0) * (np.outer(x1, x1) + np.outer(x2, x2))
+            + sin * (np.outer(x2, x1) - np.outer(x1, x2))
+        )
+        unitary = controlled_shift(base.observable) @ rotation
+        assert np.max(np.abs(dag(unitary) @ unitary - np.eye(model.dim))) <= 1e-12
+        np.testing.assert_allclose(model.isometry, unitary[:, :: model.dim_b], atol=1e-12)
+
     def test_negatives_fail_both_with_witnesses(self, dim_a):
         rng = np.random.default_rng(dim_a)
         base = rand_model(dim_a, rng)
@@ -229,6 +263,31 @@ class TestCanonicalAtScale:
             for report in (check_calibration(model), check_dynamical(model)):
                 assert not report.passed
                 assert report.witness is not None
+
+
+@pytest.mark.parametrize("dim_a", range(2, 17))
+def test_perturbed_fails_both_with_witnesses(dim_a):
+    rng = np.random.default_rng(100 + dim_a)
+    model = perturb_model(rand_model(dim_a, rng), rng)
+    model.validate(1e-9)
+    for report in (check_calibration(model), check_dynamical(model)):
+        assert not report.passed
+        assert report.witness is not None
+
+
+def test_perturb_falls_back_to_farthest_basis_vector():
+    """W e_i = e_0 (x) |i> swaps the object state into the pointer and measures Z,
+    and the shifted column (I (x) S) W e_a lies in range(W)."""
+    swap = dataclasses.replace(z_model(), isometry=np.eye(4)[:, :2])
+    assert check_calibration(swap).passed and check_dynamical(swap).passed
+    farthest = basis_ket(4, 2)  # e_1 (x) |0>: the first row of W that is zero
+    for seed in range(4):
+        model = perturb_model(swap, np.random.default_rng(seed))
+        model.validate(1e-9)
+        a = int(np.flatnonzero(np.any(model.isometry != swap.isometry, axis=0))[0])
+        cos = float(np.vdot(swap.isometry[:, a], model.isometry[:, a]).real)
+        expected = cos * swap.isometry[:, a] + np.sqrt(1.0 - cos**2) * farthest
+        np.testing.assert_allclose(model.isometry[:, a], expected, atol=1e-15)
 
 
 class TestModelValidate:
@@ -240,31 +299,45 @@ class TestModelValidate:
             observable=base.observable,
             pointer=base.pointer,
             instrument_state=np.array([1.0, 1.0]),
-            unitary=base.unitary,
+            isometry=base.isometry,
         )
         with pytest.raises(ValueError, match="instrument_state"):
             bad.validate(1e-9)
 
-    def test_non_unitary_named(self):
-        base = z_model()
-        bad = MeasurementModel(
-            dim_a=2,
-            dim_b=2,
-            observable=base.observable,
-            pointer=base.pointer,
-            instrument_state=base.instrument_state,
-            unitary=np.ones((4, 4)),
-        )
-        with pytest.raises(ValueError, match="unitary"):
+    def test_non_isometric_named(self):
+        bad = dataclasses.replace(z_model(), isometry=np.ones((4, 2)))
+        with pytest.raises(ValueError, match=r"^isometry: isometry defect"):
             bad.validate(1e-9)
 
-    def test_non_finite_unitary_named(self):
-        base = z_model()
-        u = np.array(base.unitary)
-        u[0, 0] = np.nan
-        bad = dataclasses.replace(base, unitary=u)
-        with pytest.raises(ValueError, match="unitary"):
+    def test_wrong_shape_isometry_named(self):
+        bad = dataclasses.replace(z_model(), isometry=np.eye(4))
+        with pytest.raises(ValueError, match=r"^isometry: shape \(4, 4\), expected \(4, 2\)$"):
             bad.validate(1e-9)
+
+    def test_non_finite_isometry_named(self):
+        base = z_model()
+        w = np.array(base.isometry)
+        w[0, 0] = np.nan
+        bad = dataclasses.replace(base, isometry=w)
+        with pytest.raises(ValueError, match=r"^isometry: isometry defect nan"):
+            bad.validate(1e-9)
+
+    def test_non_unitary_named(self):
+        base = z_model()
+        with pytest.raises(ValueError, match="unitary"):
+            isometry_from_unitary(np.ones((4, 4)), 2, 2, base.instrument_state, 1e-9)
+
+    def test_non_finite_unitary_named(self, controlled_shift):
+        base = z_model()
+        u = controlled_shift(base.observable)
+        u[0, 0] = np.nan
+        with pytest.raises(ValueError, match="unitary"):
+            isometry_from_unitary(u, 2, 2, base.instrument_state, 1e-9)
+
+    def test_wrong_shape_unitary_named(self):
+        base = z_model()
+        with pytest.raises(ValueError, match=r"^unitary: shape \(4, 2\), expected \(4, 4\)$"):
+            isometry_from_unitary(base.isometry, 2, 2, base.instrument_state)
 
     def test_outcome_count_mismatch(self):
         base = z_model()
@@ -275,12 +348,18 @@ class TestModelValidate:
             observable=base.observable,
             pointer=three.pointer,
             instrument_state=three.instrument_state,
-            unitary=np.eye(6),
+            isometry=np.eye(6)[:, :2],
         )
         with pytest.raises(ValueError, match="outcomes"):
             bad.validate(1e-9)
 
-    def test_unitary_read_only(self):
+    def test_isometry_read_only(self):
         model = z_model()
         with pytest.raises(ValueError):
-            model.unitary[0, 0] = 0.0
+            model.isometry[0, 0] = 0.0
+
+    def test_holds_no_dense_joint_array(self, rng):
+        model = with_redundant_pointer(rand_model(4, rng), 2, rng)
+        assert model.isometry.shape == (model.dim, model.dim_a)
+        for f in model.pointer.projectors:
+            assert f.shape == (model.dim_b, model.dim_b)

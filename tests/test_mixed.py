@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from unimeas.linalg import basis_ket, partial_trace, tensor
+from unimeas.linalg import basis_ket, partial_trace, tensor, validate_density
 from unimeas.mixed import mixed_probability, purified_probability, purify
 from unimeas.probability import expectation_form
 from unimeas.rand import rand_density, rand_ket, rand_observable, rand_projector
@@ -54,6 +56,38 @@ class TestPurify:
     def test_non_unit_trace_rejected(self):
         with pytest.raises(ValueError, match="trace"):
             purify(np.eye(3))
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            np.diag([1.5, -0.5]),
+            np.eye(3),
+            np.array([[0.5, 1.0], [0.0, 0.5]]),
+            np.full((2, 2), np.nan),
+            np.zeros((2, 3)),
+        ],
+        ids=["negative", "trace", "non-hermitian", "nan", "not-square"],
+    )
+    def test_rejections_match_validate_density(self, rho):
+        with pytest.raises(ValueError) as expected:
+            validate_density(rho)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            purify(rho)
+
+    def test_one_eigendecomposition_per_mixed_probability(self, rng, monkeypatch):
+        rho = rand_density(4, rng)
+        projector = rand_projector(4, 2, rng)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, _name=name, _original=original):
+                calls.append(_name)
+                return _original(a)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        mixed_probability(rho, projector)
+        assert calls == ["eigh"]
 
 
 class TestPurifiedRoute:

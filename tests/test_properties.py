@@ -2,7 +2,7 @@
 and with the construction, and positive models reproduce probabilities and final states.
 
 The variants follow the benchmark zoo: plain and degenerate canonical models, a
-redundant (uncoupled) pointer factor, a perturbed unitary and a swapped pointer.
+redundant (uncoupled) pointer factor, a perturbed isometry and a swapped pointer.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ import pytest
 
 from unimeas.branches import check_prc, decompose_final, decompose_initial, evolve_branch
 from unimeas.collapse import final_density
+from unimeas.linalg import dag, partial_trace, tensor, uniform_ket
 from unimeas.measurement import (
     build_canonical_model,
     check_calibration,
@@ -50,6 +51,25 @@ PROBES = {
     "forms_triple-unnormalized": (lambda: forms_triple(UNNORMALIZED, P0), "norm"),
     "range_basis-nan": (lambda: range_basis(np.full((2, 2), np.nan)), "non-finite"),
     "range_basis-not-square": (lambda: range_basis(np.zeros((2, 3))), "must be square"),
+    "tensor-nan": (lambda: tensor(NAN_STATE, np.array([1.0, 0.0])), "non-finite"),
+    "tensor-nan-operator": (lambda: tensor(np.eye(2), np.full((2, 2), np.nan)), "non-finite"),
+    "partial_trace-nan": (lambda: partial_trace(np.full((4, 4), np.nan), (2, 2), 0), "non-finite"),
+    "dag-nan": (lambda: dag(np.array([[1.0, np.inf], [0.0, 1.0]])), "non-finite"),
+    "apply_pointer-nan": (lambda: MODEL.apply_pointer(0, np.full(4, np.nan)), "non-finite"),
+    "apply_pointer-nan-column": (
+        lambda: MODEL.apply_pointer(1, np.diag([1.0, np.nan, 0.0, 0.0])[:, :2]),
+        "non-finite",
+    ),
+    "apply_pointer-short": (lambda: MODEL.apply_pointer(0, np.zeros(3)), "expected leading size 4"),
+    "apply_pointer-transposed": (
+        lambda: MODEL.apply_pointer(0, np.zeros((2, 4))),
+        "expected leading size 4",
+    ),
+    "apply_pointer-scalar": (lambda: MODEL.apply_pointer(0, 1.0), "expected leading size 4"),
+    "uniform_ket-zero": (lambda: uniform_ket(0), r"positive integer, got 0$"),
+    "uniform_ket-negative": (lambda: uniform_ket(-1), r"positive integer, got -1$"),
+    "uniform_ket-bool": (lambda: uniform_ket(True), r"positive integer, got True$"),
+    "uniform_ket-float": (lambda: uniform_ket(2.0), r"positive integer, got 2\.0$"),
 }
 
 
@@ -67,14 +87,17 @@ def test_linear_maps_accept_unnormalized_states():
 
 
 class TestNanUnitaryWitness:
-    """A nan residual fails its check and is named, although nan > eps is False."""
+    """A nan residual fails its check and is named, although nan > eps is False.
+
+    The nan sits in the interaction on the initial subspace, the model's isometry.
+    """
 
     @pytest.fixture
     def model(self, rng):
         base = rand_model(3, rng)
-        u = np.array(base.unitary)
-        u[0, 0] = np.nan
-        return dataclasses.replace(base, unitary=u)
+        w = np.array(base.isometry)
+        w[0, 0] = np.nan
+        return dataclasses.replace(base, isometry=w)
 
     def test_calibration(self, model):
         report = check_calibration(model)

@@ -2,10 +2,10 @@
 
 An object state splits over the observable's eigenprojectors into weighted
 orthogonal branches; the joint final state splits the same way over the
-lifted pointer projectors, with matching weights whenever the model
-measures exactly (probability reproducibility). Each branch also evolves
-independently: applying the unitary to a single initial branch lands
-exactly on the corresponding pointer branch of the final state.
+lifted pointer projectors, one (dim, outcomes) array of branches, with
+matching weights whenever the model measures exactly (probability
+reproducibility). Each branch also evolves independently: applying the
+unitary to a single initial branch lands on the matching pointer branch.
 """
 
 from __future__ import annotations
@@ -14,14 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, as_complex, frozen, validate_state, validate_tolerance, validate_unit_state
+from .linalg import DEFAULT_EPS, as_complex, frozen, validate_outcome_index, validate_state
+from .linalg import validate_tolerance, validate_unit_state
 from .measurement import CheckReport, MeasurementModel
 from .spectral import SpectralForm
 
 
 @dataclass(frozen=True)
 class BranchDecomposition:
-    """Per-outcome weights and normalized branch states of a decomposed ket.
+    """Per-outcome weights and normalized branch states (one per row) of a decomposed ket.
 
     Outcomes whose amplitude falls below the drop threshold appear in
     `dropped` and carry no branch state.
@@ -29,39 +30,29 @@ class BranchDecomposition:
 
     outcomes: np.ndarray
     amplitudes: np.ndarray
-    branch_states: tuple[np.ndarray, ...] = field(repr=False)
+    branch_states: np.ndarray = field(repr=False)
     dropped: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
 
     def __post_init__(self):
         object.__setattr__(self, "outcomes", frozen(np.asarray(self.outcomes, dtype=np.int64)))
         object.__setattr__(self, "amplitudes", frozen(np.asarray(self.amplitudes, dtype=np.float64)))
-        object.__setattr__(self, "branch_states", tuple(frozen(as_complex(b)) for b in self.branch_states))
+        object.__setattr__(self, "branch_states", frozen(as_complex(self.branch_states)))
         object.__setattr__(self, "dropped", frozen(np.asarray(self.dropped, dtype=np.int64)))
 
     def reconstruct(self) -> np.ndarray:
-        """Amplitude-weighted sum of the branch states."""
-        out = np.zeros_like(self.branch_states[0]) if self.branch_states else np.array([])
-        for a, b in zip(self.amplitudes, self.branch_states):
-            out = out + a * b
-        return out
+        """Amplitude-weighted sum of the branch states; empty when no branch is kept."""
+        return self.amplitudes @ self.branch_states if len(self.branch_states) else np.array([])
 
 
-def _decompose(pieces, eps: float) -> BranchDecomposition:
-    """Decomposition from the unnormalized per-outcome pieces P_k state."""
-    outcomes, amplitudes, branches, dropped = [], [], [], []
-    for k, piece in enumerate(pieces):
-        a = float(np.linalg.norm(piece))
-        if a < eps:
-            dropped.append(k)
-            continue
-        outcomes.append(k)
-        amplitudes.append(a)
-        branches.append(piece / a)
+def _decompose(pieces: np.ndarray, eps: float) -> BranchDecomposition:
+    """Decomposition from the unnormalized pieces P_k state, one per column; drops norms below eps."""
+    amplitudes = np.linalg.norm(pieces, axis=0)
+    kept = ~(amplitudes < eps)  # a nan norm is kept, as nan < eps is False
     return BranchDecomposition(
-        np.array(outcomes, dtype=np.int64),
-        np.array(amplitudes),
-        tuple(branches),
-        np.array(dropped, dtype=np.int64),
+        np.flatnonzero(kept),
+        amplitudes[kept],
+        (pieces[:, kept] / amplitudes[kept]).T,
+        np.flatnonzero(~kept),
     )
 
 
@@ -73,7 +64,7 @@ def decompose_initial(phi, observable: SpectralForm, eps: float = DEFAULT_EPS) -
     """
     validate_tolerance(eps)
     phi = validate_state(phi, observable.dim)
-    return _decompose([p @ phi for p in observable.projectors], eps)
+    return _decompose((np.stack(observable.projectors) @ phi).T, eps)
 
 
 def check_prc(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> CheckReport:
@@ -89,18 +80,18 @@ def check_prc(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> Check
     validate_tolerance(eps)
     phi_a = validate_unit_state(phi_a, model.dim_a, eps)
     final = model.isometry @ phi_a
-    residuals = np.zeros(model.outcomes)
+    pointer_probs = (final.conj() @ model._pointer_branches(final)).real
+    object_probs = np.array([np.vdot(phi_a, p @ phi_a).real for p in model.observable.projectors])
+    residuals = np.abs(pointer_probs - object_probs)
     witness = None
-    for k in range(model.outcomes):
-        pointer_prob = float(np.vdot(final, model._pointer_sector(k, final)).real)
-        object_prob = float(np.vdot(phi_a, model.observable.projectors[k] @ phi_a).real)
-        residuals[k] = abs(pointer_prob - object_prob)
-        if not residuals[k] <= eps and witness is None:
-            witness = (
-                f"outcome {k}: pointer probability {pointer_prob:.12g} "
-                f"vs object probability {object_prob:.12g}"
-            )
-    max_residual = float(np.max(residuals)) if residuals.size else 0.0
+    above = np.flatnonzero(~(residuals <= eps))  # nan counts as above
+    if above.size:
+        k = int(above[0])
+        witness = (
+            f"outcome {k}: pointer probability {pointer_probs[k]:.12g} "
+            f"vs object probability {object_probs[k]:.12g}"
+        )
+    max_residual = float(np.max(residuals))
     return CheckReport(max_residual <= eps, residuals, max_residual, witness)
 
 
@@ -112,7 +103,7 @@ def decompose_final(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) ->
     """
     validate_tolerance(eps)
     final = model.isometry @ validate_state(phi_a, model.dim_a)
-    return _decompose([model._pointer_sector(k, final) for k in range(model.outcomes)], eps)
+    return _decompose(model._pointer_branches(final), eps)
 
 
 def evolve_branch(model: MeasurementModel, phi_a, k: int) -> np.ndarray:
@@ -123,6 +114,5 @@ def evolve_branch(model: MeasurementModel, phi_a, k: int) -> np.ndarray:
     when E_k annihilates phi.
     """
     phi_a = validate_state(phi_a, model.dim_a)
-    if not 0 <= k < model.outcomes:
-        raise ValueError(f"outcome index {k} out of range")
+    k = validate_outcome_index(k, model.outcomes)
     return model.isometry @ (model.observable.projectors[k] @ phi_a)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branches import check_prc, decompose_final
-from .collapse import butcher, sample, weights
+from .collapse import sample, weights
 from .linalg import DEFAULT_EPS, uniform_ket, validate_tolerance, validate_unit_state
 from .measurement import build_canonical_model, check_calibration, check_dynamical, premeasure
 from .modelio import (
@@ -155,8 +155,9 @@ def _cmd_collapse(args) -> int:
     model = load_model(args.model, tol)
     phi = _load_phi(args.phi, model, tol)
     dist = weights(phi, model.observable, tol)
-    rho = butcher(model, phi, tol)
-    trace_residual = abs(float(np.trace(rho).real) - 1.0)
+    dec = decompose_final(model, phi, tol)  # trace sum_kept w_k ||beta_k||^2, no dim^2 array
+    norms = np.linalg.norm(dec.branch_states, axis=1) ** 2
+    trace_residual = abs(float(dist.weights[dec.outcomes] @ norms) - 1.0)
     report = sample(dist, args.n, args.seed)
 
     if args.json:

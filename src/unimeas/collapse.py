@@ -1,10 +1,10 @@
 """Two-step collapse: decohere the joint final state, then sample outcomes.
 
 The coherent final density operator contains off-diagonal terms between
-pointer sectors. Butchering deletes them, leaving a mixture of pointer
-branches whose statistical weights are the object-side probabilities
-<phi|E_k|phi>. The mixture step is realized operationally as seeded
-sampling from those weights.
+pointer sectors. Butchering deletes them, leaving a mixture of the kept
+pointer branches (one matrix product; its trace needs only the branches)
+whose statistical weights are the object-side probabilities <phi|E_k|phi>.
+The mixture step is realized operationally as seeded sampling from them.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, as_complex, frozen, validate_tolerance, validate_unit_state
+from .branches import decompose_final
+from .linalg import DEFAULT_EPS, frozen, validate_tolerance, validate_unit_state
 from .measurement import MeasurementModel, premeasure
 from .spectral import SpectralForm
 
@@ -79,22 +80,14 @@ def final_density(model: MeasurementModel, phi_a) -> np.ndarray:
 def butcher(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Decohered mixture sum_k w_k |beta_k><beta_k| of pointer branches.
 
-    beta_k is the normalized pointer branch F_k Phi_f / ||F_k Phi_f|| and
-    w_k the object-side weight; branches with amplitude below eps are
-    omitted. Equals the pinching sum_k F_k |Phi_f><Phi_f| F_k for exact
-    models, with every off-diagonal pointer block removed.
+    beta_k ranges over the normalized pointer branches F_k Phi_f / ||F_k Phi_f||
+    that decompose_final keeps and w_k is the object-side weight: one product
+    (B diag(w)) B^dag, with the beta_k as columns of B. Equals the pinching
+    sum_k F_k |Phi_f><Phi_f| F_k for exact models, off-diagonal blocks removed.
     """
     w = weights(phi_a, model.observable, eps).weights  # validates eps and phi_a
-    final = model.isometry @ as_complex(phi_a)
-    rho = np.zeros((model.dim, model.dim), dtype=np.complex128)
-    for k in range(model.outcomes):
-        piece = model._pointer_sector(k, final)
-        norm = float(np.linalg.norm(piece))
-        if norm < eps:
-            continue
-        beta = piece / norm
-        rho += w[k] * np.outer(beta, beta.conj())
-    return rho
+    dec = decompose_final(model, phi_a, eps)
+    return (dec.branch_states.T * w[dec.outcomes]) @ dec.branch_states.conj()
 
 
 def sample(dist: OutcomeDistribution, n: int, seed: int) -> SampleReport:

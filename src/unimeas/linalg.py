@@ -140,6 +140,13 @@ def validate_state(v, dim: int, name: str = "state") -> np.ndarray:
     return v
 
 
+def validate_outcome_index(k, outcomes: int) -> int:
+    """k as an int; raises unless k is an int or numpy integer, not a bool, in [0, outcomes)."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < outcomes:
+        raise ValueError(f"outcome index {k} out of range")
+    return int(k)
+
+
 def validate_unit_state(v, dim: int, eps: float = DEFAULT_EPS, name: str = "state") -> np.ndarray:
     """validate_state, and also raise unless the norm is 1 within eps."""
     v = validate_state(v, dim, name)

@@ -24,6 +24,7 @@ from .linalg import (
     frozen,
     orthonormality_defect,
     tensor,
+    validate_outcome_index,
     validate_state,
     validate_tolerance,
     validate_unit_state,
@@ -82,20 +83,25 @@ class MeasurementModel:
         so the dense joint operator is never formed.
 
         Raises:
-            ValueError: states has a leading size other than dim, or a
-                non-finite entry.
+            ValueError: k is not an outcome index, or states are not finite
+                with leading size dim.
         """
         states = as_complex(states)
         if states.shape[:1] != (self.dim,):
             raise ValueError(f"states have shape {states.shape}, expected leading size {self.dim}")
         if not np.isfinite(states).all():
             raise ValueError("states contain non-finite amplitudes")
-        return self._pointer_sector(k, states)
+        return self._pointer_sector(validate_outcome_index(k, self.outcomes), states)
 
     def _pointer_sector(self, k: int, states: np.ndarray) -> np.ndarray:
         """apply_pointer on a complex array the caller has checked or computed from W."""
         sectors = states.reshape(self.dim_a, self.dim_b, -1)
         return (self.pointer.projectors[k] @ sectors).reshape(states.shape)
+
+    def _pointer_branches(self, final: np.ndarray) -> np.ndarray:
+        """(dim, outcomes) array of columns _pointer_sector(k, final), for a joint vector."""
+        pieces = np.stack(self.pointer.projectors) @ final.reshape(self.dim_a, self.dim_b).T
+        return pieces.transpose(2, 1, 0).reshape(self.dim, self.outcomes)
 
     def lifted_pointer(self, k: int) -> np.ndarray:
         """Dense pointer projector k on the joint space, I_A (x) F_k.

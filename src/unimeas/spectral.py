@@ -13,6 +13,7 @@ from .linalg import (
     frozen,
     sum_defect,
     validate_hermitian,
+    validate_outcome_index,
     validate_projectors,
     validate_tolerance,
 )
@@ -49,7 +50,7 @@ class SpectralForm:
         return len(self.projectors)
 
     def rank(self, k: int) -> int:
-        return int(round(np.trace(self.projectors[k]).real))
+        return int(round(np.trace(self.projectors[validate_outcome_index(k, self.outcomes)]).real))
 
     def validate(self, eps: float = DEFAULT_EPS) -> None:
         """Check finiteness, idempotency, orthogonality, completeness, and distinctness."""
@@ -126,11 +127,11 @@ def refine(
     labels only and carry no numeric meaning.
 
     Raises:
-        ValueError: sub-projectors invalid or not summing to projector k.
+        ValueError: k is not an outcome index, or the sub-projectors are
+            invalid or do not sum to projector k.
     """
     validate_tolerance(eps)
-    if not 0 <= k < sf.outcomes:
-        raise ValueError(f"outcome index {k} out of range")
+    k = validate_outcome_index(k, sf.outcomes)
     subs = [as_complex(p) for p in sub_projectors]
     if not subs:
         raise ValueError("at least one sub-projector is required")

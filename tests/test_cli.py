@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from unimeas.cli import main
+from unimeas.collapse import butcher
 from unimeas.linalg import uniform_ket
 from unimeas.measurement import build_canonical_model
-from unimeas.modelio import load_model, save_matrix, save_model, save_vector
-from unimeas.rand import swap_pointer
+from unimeas.modelio import load_model, load_vector, save_matrix, save_model, save_vector
+from unimeas.rand import perturb_model, rand_ket, rand_model, swap_pointer
 from unimeas.spectral import spectral_decompose
 
 
@@ -149,6 +151,29 @@ class TestCollapse:
         assert doc["seed"] == 42
         assert doc["generator"] == "pcg64"
         assert doc["butcher_trace_residual"] <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["workspace", "perturbed", "identity"])
+    def test_trace_residual_matches_butcher(self, kind, workspace, rng, capsys):
+        """The residual read from the kept branches equals the dense butchered state's.
+
+        The identity interaction leaves the pointer at |0>, so branch 1 is dropped
+        and the butchered trace is w_0 = 1/2.
+        """
+        model_path, phi_path = workspace / "model.json", workspace / "phi.json"
+        if kind == "perturbed":
+            model_path, phi_path = workspace / "perturbed.json", workspace / "phi3.json"
+            save_model(perturb_model(rand_model(3, rng), rng), model_path)
+            save_vector(rand_ket(3, rng), phi_path)
+        elif kind == "identity":
+            model_path = workspace / "identity.json"
+            z = load_model(workspace / "model.json")
+            save_model(dataclasses.replace(z, isometry=np.eye(4)[:, ::2]), model_path)
+        assert main(["--json", "collapse", str(model_path), str(phi_path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        rho = butcher(load_model(model_path), load_vector(phi_path))
+        assert abs(doc["butcher_trace_residual"] - abs(np.trace(rho).real - 1.0)) <= 1e-12
+        if kind == "identity":
+            assert doc["butcher_trace_residual"] == pytest.approx(0.5, abs=1e-12)
 
     def test_eigenstate_all_counts_on_one_outcome(self, workspace, capsys):
         assert main([

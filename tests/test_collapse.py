@@ -11,9 +11,10 @@ from unimeas.collapse import (
     sample,
     weights,
 )
+from unimeas.branches import decompose_final
 from unimeas.linalg import basis_ket, ket, uniform_ket, validate_density
 from unimeas.measurement import build_canonical_model
-from unimeas.rand import rand_ket, rand_model
+from unimeas.rand import rand_ket, rand_model, with_redundant_pointer
 from unimeas.spectral import spectral_decompose
 
 
@@ -59,10 +60,21 @@ class TestButcher:
 
     def test_matches_pinching(self, rng):
         """Deleting cross terms equals conjugating by each pointer projector."""
+        cases = []
         for _ in range(100):
             dim = int(rng.integers(2, 6))
-            model = rand_model(dim, rng)
-            phi = rand_ket(dim, rng)
+            cases.append((rand_model(dim, rng), rand_ket(dim, rng)))
+        # a degenerate observable, a rank-2 F_k from a redundant pointer, joint 256
+        cases.append((rand_model(5, rng, multiplicities=[2, 1, 2]), rand_ket(5, rng)))
+        cases.append((with_redundant_pointer(rand_model(3, rng), 2, rng), rand_ket(3, rng)))
+        cases.append((rand_model(16, rng), rand_ket(16, rng)))
+        # zero weight on the middle outcome, so its branch is dropped
+        model = rand_model(3, rng)
+        e = model.observable.projectors
+        zero_weight = ket((e[0] + e[2]) @ rand_ket(3, rng))
+        assert decompose_final(model, zero_weight).dropped.tolist() == [1]
+        cases.append((model, zero_weight))
+        for model, phi in cases:
             rho = final_density(model, phi)
             pinched = sum(
                 model.lifted_pointer(k) @ rho @ model.lifted_pointer(k)
@@ -106,8 +118,6 @@ class TestWeights:
         np.testing.assert_allclose(dist.weights, [0.3, 0.7], atol=1e-12)
 
     def test_equals_final_amplitudes_squared(self, rng):
-        from unimeas.branches import decompose_final
-
         model = rand_model(4, rng)
         phi = rand_ket(4, rng)
         dist = weights(phi, model.observable)

@@ -1,5 +1,6 @@
 """Property tests over seeded zoo models: both condition checks agree with each other
-and with the construction, and positive models reproduce probabilities and final states.
+and with the construction; positive models reproduce probabilities and final states,
+and butcher equals the pinching of their final state.
 
 The variants follow the benchmark zoo: plain and degenerate canonical models, a
 redundant (uncoupled) pointer factor, a perturbed isometry and a swapped pointer.
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unimeas.branches import check_prc, decompose_final
+from unimeas.collapse import butcher
 from unimeas.measurement import check_calibration, check_dynamical, premeasure
 from unimeas.rand import (
     perturb_model,
@@ -65,3 +67,10 @@ def test_zoo_model_verdicts(dim_a, variant, seed):
     assert check_prc(model, phi, TOL).passed
     final = premeasure(model, phi)
     assert np.linalg.norm(decompose_final(model, phi, TOL).reconstruct() - final) <= TOL
+    # butchering is the pinching sum_k F_k |Phi_f><Phi_f| F_k (F_k Hermitian)
+    rho = np.outer(final, final.conj())
+    pinched = sum(
+        model.apply_pointer(k, model.apply_pointer(k, rho).conj().T).conj().T
+        for k in range(model.outcomes)
+    )
+    assert np.max(np.abs(butcher(model, phi, TOL) - pinched)) <= TOL

@@ -23,7 +23,7 @@ from unimeas.measurement import (
 )
 from unimeas.probability import born_form, expectation_form, forms_triple, trace_form
 from unimeas.rand import rand_ket, rand_model
-from unimeas.spectral import range_basis, spectral_decompose
+from unimeas.spectral import range_basis, refine, spectral_decompose
 
 MODEL = build_canonical_model(spectral_decompose(np.diag([1.0, -1.0])))
 NAN_STATE = np.array([np.nan, 0.0])
@@ -66,6 +66,23 @@ PROBES = {
         "expected leading size 4",
     ),
     "apply_pointer-scalar": (lambda: MODEL.apply_pointer(0, 1.0), "expected leading size 4"),
+    "apply_pointer-negative-index": (
+        lambda: MODEL.apply_pointer(-1, np.zeros(4)),
+        r"^outcome index -1 out of range$",
+    ),
+    "apply_pointer-index-n": (
+        lambda: MODEL.apply_pointer(2, np.zeros(4)),
+        r"^outcome index 2 out of range$",
+    ),
+    "evolve_branch-float-index": (
+        lambda: evolve_branch(MODEL, np.array([1.0, 0.0]), 1.0),
+        r"^outcome index 1\.0 out of range$",
+    ),
+    "refine-bool-index": (
+        lambda: refine(MODEL.observable, True, [P0]),
+        r"^outcome index True out of range$",
+    ),
+    "rank-negative-index": (lambda: MODEL.observable.rank(-1), r"^outcome index -1 out of range$"),
     "uniform_ket-zero": (lambda: uniform_ket(0), r"positive integer, got 0$"),
     "uniform_ket-negative": (lambda: uniform_ket(-1), r"positive integer, got -1$"),
     "uniform_ket-bool": (lambda: uniform_ket(True), r"positive integer, got True$"),
@@ -84,6 +101,16 @@ def test_linear_maps_accept_unnormalized_states():
     final = premeasure(MODEL, UNNORMALIZED)
     assert np.linalg.norm(final) == pytest.approx(5.0, abs=1e-12)
     assert decompose_final(MODEL, UNNORMALIZED).reconstruct() == pytest.approx(final, abs=1e-12)
+
+
+def test_numpy_integer_outcome_index_accepted():
+    final = premeasure(MODEL, np.array([0.6, 0.8]))
+    np.testing.assert_array_equal(MODEL.apply_pointer(np.int64(1), final), MODEL.apply_pointer(1, final))
+    np.testing.assert_array_equal(
+        evolve_branch(MODEL, np.array([0.6, 0.8]), np.uint8(1)),
+        evolve_branch(MODEL, np.array([0.6, 0.8]), 1),
+    )
+    assert MODEL.observable.rank(np.int32(0)) == 1
 
 
 class TestNanUnitaryWitness:

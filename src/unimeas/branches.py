@@ -64,7 +64,7 @@ def decompose_initial(phi, observable: SpectralForm, eps: float = DEFAULT_EPS) -
     """
     validate_tolerance(eps)
     phi = validate_state(phi, observable.dim)
-    return _decompose((np.stack(observable.projectors) @ phi).T, eps)
+    return _decompose((observable.projectors @ phi).T, eps)
 
 
 def check_prc(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> CheckReport:
@@ -81,7 +81,7 @@ def check_prc(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> Check
     phi_a = validate_unit_state(phi_a, model.dim_a, eps)
     final = model.isometry @ phi_a
     pointer_probs = (final.conj() @ model._pointer_branches(final)).real
-    object_probs = np.array([np.vdot(phi_a, p @ phi_a).real for p in model.observable.projectors])
+    object_probs = ((model.observable.projectors @ phi_a) @ phi_a.conj()).real
     residuals = np.abs(pointer_probs - object_probs)
     witness = None
     above = np.flatnonzero(~(residuals <= eps))  # nan counts as above

@@ -63,9 +63,7 @@ def weights(phi_a, observable: SpectralForm, eps: float = DEFAULT_EPS) -> Outcom
     """
     validate_tolerance(eps)
     phi_a = validate_unit_state(phi_a, observable.dim, eps)
-    w = np.array(
-        [np.vdot(phi_a, p @ phi_a).real for p in observable.projectors], dtype=np.float64
-    )
+    w = ((observable.projectors @ phi_a) @ phi_a.conj()).real
     # rounding can leave values a hair below zero
     w = np.maximum(w, 0.0)
     return OutcomeDistribution(np.arange(observable.outcomes), w)

@@ -169,6 +169,8 @@ def validate_hermitian(a, eps: float = DEFAULT_EPS, name: str = "matrix") -> np.
     a = as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if not a.size:
+        raise ValueError(f"{name} must be non-empty")
     _finite(a, name)
     defect = hermiticity_defect(a)
     if defect > eps:
@@ -184,21 +186,56 @@ def validate_projector(p, eps: float = DEFAULT_EPS, name: str = "projector") -> 
     return p
 
 
+def stack_defect(
+    stack: np.ndarray, eps: float, idempotent: bool = False
+) -> tuple[int, str] | None:
+    """(k, defect) for the first matrix k of a (n, d, d) stack that is not a projector.
+
+    Each matrix is checked, in order, to be finite, Hermitian within eps and,
+    with `idempotent`, idempotent within eps; defect completes "<name> ...",
+    as validate_projector words it. None when every matrix passes.
+    """
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    n = len(stack) if finite.all() else int(finite.argmin())
+    head = stack[:n]  # the finite prefix: inf - inf would warn
+    herm = abs(head - head.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = herm > eps
+    if idempotent:
+        bad |= abs(head @ head - head).max(axis=(1, 2)) > eps
+    if bad.any():
+        k = int(bad.argmax())
+        if herm[k] > eps:
+            return k, f"is not Hermitian (defect {herm[k]:.3e})"
+        return k, "is not idempotent"
+    if n < len(stack):
+        return n, "has non-finite entries"
+    return None
+
+
 def validate_projectors(
     projectors: Sequence[np.ndarray], dim: int, eps: float = DEFAULT_EPS, label: str = "projector"
-) -> None:
-    """Raise unless each matrix is a dim x dim projector and every pair is orthogonal.
+) -> np.ndarray:
+    """The matrices as one (n, dim, dim) stack, checked to be pairwise orthogonal projectors.
 
-    Matrix k is named "<label> k" in error messages, a pair "<label>s k and k'".
+    Matrix k is named "<label> k" in error messages, a pair "<label>s k and k'";
+    the first failing matrix, then the first failing pair in (k, k') order, is reported.
     """
-    for k, p in enumerate(projectors):
-        if p.shape != (dim, dim):
-            raise ValueError(f"{label} {k} has shape {p.shape}, expected {(dim, dim)}")
-        validate_projector(p, eps, f"{label} {k}")
-    for k in range(len(projectors)):
-        for kp in range(k + 1, len(projectors)):
-            if np.max(np.abs(projectors[k] @ projectors[kp])) > eps:
-                raise ValueError(f"{label}s {k} and {kp} are not orthogonal")
+    mats = [as_complex(p) for p in projectors]
+    n = next((k for k, p in enumerate(mats) if p.shape != (dim, dim)), len(mats))
+    if n and not dim:
+        raise ValueError(f"{label} 0 must be non-empty")
+    stack = np.array(mats[:n], dtype=np.complex128).reshape(n, dim, dim)
+    bad = stack_defect(stack, eps, idempotent=True)
+    if bad is not None:
+        raise ValueError(f"{label} {bad[0]} {bad[1]}")
+    if n < len(mats):
+        raise ValueError(f"{label} {n} has shape {mats[n].shape}, expected {(dim, dim)}")
+    for k in range(n - 1):
+        overlap = abs(stack[k] @ stack[k + 1 :]).max(axis=(1, 2))
+        if overlap.max() > eps:
+            kp = k + 1 + int(np.argmax(overlap > eps))
+            raise ValueError(f"{label}s {k} and {kp} are not orthogonal")
+    return stack
 
 
 def density_eigh(rho, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -23,13 +23,14 @@ from .linalg import (
     basis_ket,
     frozen,
     orthonormality_defect,
+    stack_defect,
     tensor,
     validate_outcome_index,
     validate_state,
     validate_tolerance,
     validate_unit_state,
 )
-from .spectral import SpectralForm, range_basis
+from .spectral import SpectralForm
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ class MeasurementModel:
 
     def _pointer_branches(self, final: np.ndarray) -> np.ndarray:
         """(dim, outcomes) array of columns _pointer_sector(k, final), for a joint vector."""
-        pieces = np.stack(self.pointer.projectors) @ final.reshape(self.dim_a, self.dim_b).T
+        pieces = self.pointer.projectors @ final.reshape(self.dim_a, self.dim_b).T
         return pieces.transpose(2, 1, 0).reshape(self.dim, self.outcomes)
 
     def lifted_pointer(self, k: int) -> np.ndarray:
@@ -187,21 +188,17 @@ def build_canonical_model(observable: SpectralForm) -> MeasurementModel:
     n_out = observable.outcomes
     dim_b = n_out
 
-    pointer = SpectralForm(
-        np.arange(n_out, dtype=np.float64),
-        tuple(np.outer(basis_ket(dim_b, k), basis_ket(dim_b, k).conj()) for k in range(n_out)),
-    )
-    instrument_state = basis_ket(dim_b, 0)
-
-    # w[a, k, a'] = E_k[a, a']
-    w = np.stack(observable.projectors, axis=1)
+    labels = np.arange(n_out)
+    pointers = np.zeros((n_out, dim_b, dim_b))
+    pointers[labels, labels, labels] = 1.0
     return MeasurementModel(
         dim_a=dim_a,
         dim_b=dim_b,
         observable=observable,
-        pointer=pointer,
-        instrument_state=instrument_state,
-        isometry=w.reshape(dim_a * dim_b, dim_a),
+        pointer=SpectralForm(labels.astype(np.float64), pointers),
+        instrument_state=basis_ket(dim_b, 0),
+        # w[a, k, a'] = E_k[a, a']
+        isometry=observable.projectors.transpose(1, 0, 2).reshape(dim_a * dim_b, dim_a),
     )
 
 
@@ -210,22 +207,25 @@ def premeasure(model: MeasurementModel, phi_a) -> np.ndarray:
     return model.isometry @ validate_state(phi_a, model.dim_a)
 
 
-def _report(column_residuals: list[np.ndarray], eps: float, column: str) -> CheckReport:
-    """Report from per-outcome arrays of per-column residuals.
+def _report(
+    residuals: np.ndarray, eps: float, column: str, columns: np.ndarray | None = None
+) -> CheckReport:
+    """Report from an (outcomes, m) array of per-column residuals.
 
-    An outcome's residual is the largest of its columns; the witness names
-    the first column above eps, or nan, in (outcome, column) order.
+    An outcome's residual is the largest in its row. With `columns`, a
+    boolean array of the same shape, only entries where it is True are
+    columns, numbered from 0 along each row, and the others hold zero. The
+    witness names the first column above eps, or nan, in (outcome, column) order.
     """
-    residuals = np.array([np.max(r, initial=0.0) for r in column_residuals])
+    above = np.argwhere(~(residuals <= eps))
     witness = None
-    for k, r in enumerate(column_residuals):
-        above = np.flatnonzero(~(r <= eps))
-        if above.size:
-            j = int(above[0])
-            witness = f"outcome {k}, {column} {j}: residual {r[j]:.3e}"
-            break
-    max_residual = float(np.max(residuals))
-    return CheckReport(max_residual <= eps, residuals, max_residual, witness)
+    if above.size:
+        k, i = above[0]
+        j = i if columns is None else np.count_nonzero(columns[k, :i])
+        witness = f"outcome {k}, {column} {j}: residual {residuals[k, i]:.3e}"
+    per_outcome = np.max(residuals, axis=1)
+    max_residual = float(np.max(per_outcome))
+    return CheckReport(max_residual <= eps, per_outcome, max_residual, witness)
 
 
 def check_calibration(model: MeasurementModel, eps: float = DEFAULT_EPS) -> CheckReport:
@@ -234,19 +234,27 @@ def check_calibration(model: MeasurementModel, eps: float = DEFAULT_EPS) -> Chec
     For each outcome k and each orthonormal basis vector e of the range of
     the object projector E_k, verifies F_k U(e (x) phi_B) = U(e (x) phi_B),
     i.e. F_k W B_k = W B_k column by column, with B_k the range basis.
+    The range bases come from one batched eigh, as range_basis computes
+    each, and all sum_k rank E_k columns go through W in one product.
+
+    Raises:
+        ValueError: an object projector is non-finite or not Hermitian within eps.
     """
     validate_tolerance(eps)
-    column_residuals = []
-    for k in range(model.outcomes):
-        basis = range_basis(model.observable.projectors[k], eps)
-        if not basis:
-            column_residuals.append(np.zeros(0))
-            continue
-        finals = model.isometry @ np.column_stack(basis)
-        column_residuals.append(
-            np.linalg.norm(model._pointer_sector(k, finals) - finals, axis=0)
-        )
-    return _report(column_residuals, eps, "range basis vector")
+    e = model.observable.projectors
+    bad = stack_defect(e, eps)
+    if bad is not None:
+        raise ValueError(f"projector {bad[1]}")
+    vals, vecs = np.linalg.eigh((e + e.conj().transpose(0, 2, 1)) / 2.0)
+    in_range = vals > 0.5  # (outcomes, dim_a): eigenvector i of E_k spans its range
+    labels = np.nonzero(in_range)[0]
+    # column c is U(b_c (x) phi_B) for range vector b_c of outcome labels[c]
+    finals = model.isometry @ vecs.transpose(0, 2, 1)[in_range].T
+    sectors = finals.reshape(model.dim_a, model.dim_b, labels.size).transpose(2, 1, 0)
+    pointed = (model.pointer.projectors[labels] @ sectors).transpose(2, 1, 0).reshape(finals.shape)
+    residuals = np.zeros(in_range.shape)
+    residuals[in_range] = np.linalg.norm(pointed - finals, axis=0)
+    return _report(residuals, eps, "range basis vector", in_range)
 
 
 def check_dynamical(model: MeasurementModel, eps: float = DEFAULT_EPS) -> CheckReport:
@@ -258,8 +266,8 @@ def check_dynamical(model: MeasurementModel, eps: float = DEFAULT_EPS) -> CheckR
     """
     validate_tolerance(eps)
     w = model.isometry
-    column_residuals = [
+    residuals = np.array([
         np.linalg.norm(model._pointer_sector(k, w) - w @ e_k, axis=0)
         for k, e_k in enumerate(model.observable.projectors)
-    ]
-    return _report(column_residuals, eps, "basis vector")
+    ])
+    return _report(residuals, eps, "basis vector")

@@ -122,7 +122,7 @@ def _real_array_in(node, where: str) -> np.ndarray:
 def _spectral_out(sf: SpectralForm) -> dict:
     return {
         "eigenvalues": sf.eigenvalues.tolist(),
-        "projectors": [_complex_out(p) for p in sf.projectors],
+        "projectors": _complex_out(sf.projectors),
     }
 
 
@@ -145,7 +145,10 @@ def _spectral_in(node, where: str) -> SpectralForm:
         raise ModelFormatError(
             f"{where}: {vals.size} eigenvalues but {len(projs)} projectors"
         )
-    return SpectralForm(vals, projs)
+    try:
+        return SpectralForm(vals, projs)
+    except ValueError as exc:  # projectors of differing shapes
+        raise ModelFormatError(f"{where}: {exc}") from exc
 
 
 def model_to_document(model: MeasurementModel) -> dict:

@@ -96,10 +96,11 @@ def with_redundant_pointer(
     if extra_dim < 1:
         raise ValueError(f"extra_dim must be positive, got {extra_dim}")
     chi = rand_ket(extra_dim, rng)
-    eye = np.eye(extra_dim)
+    n, d = model.pointer.outcomes, model.pointer.dim
+    # row (k, i) of the stacked F_k, tensored with I, gives rows (k, (i, x)) of F_k (x) I
+    lifted = tensor(model.pointer.projectors.reshape(n * d, d), np.eye(extra_dim))
     pointer = SpectralForm(
-        model.pointer.eigenvalues,
-        tuple(tensor(f, eye) for f in model.pointer.projectors),
+        model.pointer.eigenvalues, lifted.reshape(n, d * extra_dim, d * extra_dim)
     )
     return MeasurementModel(
         dim_a=model.dim_a,
@@ -160,9 +161,9 @@ def swap_pointer(model: MeasurementModel) -> MeasurementModel:
     """Exchange the first two pointer projectors, breaking the coindexing."""
     if model.outcomes < 2:
         raise ValueError("pointer swap needs at least two outcomes")
-    projs = list(model.pointer.projectors)
-    projs[0], projs[1] = projs[1], projs[0]
-    pointer = SpectralForm(model.pointer.eigenvalues, tuple(projs))
+    order = np.arange(model.pointer.outcomes)
+    order[:2] = 1, 0
+    pointer = SpectralForm(model.pointer.eigenvalues, model.pointer.projectors[order])
     return MeasurementModel(
         dim_a=model.dim_a,
         dim_b=model.dim_b,

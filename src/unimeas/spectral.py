@@ -24,26 +24,37 @@ DEGENERACY_TOL = 1e-7
 
 @dataclass(frozen=True)
 class SpectralForm:
-    """Pairwise-distinct eigenvalues with coindexed orthogonal projectors."""
+    """Pairwise-distinct eigenvalues with coindexed orthogonal projectors.
+
+    `projectors` is one read-only complex (outcomes, dim, dim) array; a
+    sequence of matrices given to the constructor is stacked into it.
+    """
 
     eigenvalues: np.ndarray
-    projectors: tuple[np.ndarray, ...] = field(repr=False)
+    projectors: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        projs = tuple(frozen(as_complex(p)) for p in self.projectors)
-        object.__setattr__(self, "eigenvalues", frozen(vals))
-        object.__setattr__(self, "projectors", projs)
-        if len(projs) != vals.size:
-            raise ValueError(
-                f"{vals.size} eigenvalues but {len(projs)} projectors"
-            )
+        mats = [as_complex(p) for p in self.projectors]
+        if len(mats) != vals.size:
+            raise ValueError(f"{vals.size} eigenvalues but {len(mats)} projectors")
         if vals.size == 0:
             raise ValueError("spectral form needs at least one outcome")
+        for k, p in enumerate(mats):
+            if p.ndim != 2 or p.shape[0] != p.shape[1] or not p.size:
+                raise ValueError(
+                    f"projector {k} must be a non-empty square matrix, got shape {p.shape}"
+                )
+            if p.shape != mats[0].shape:
+                raise ValueError(f"projector {k} has shape {p.shape}, expected {mats[0].shape}")
+        object.__setattr__(self, "eigenvalues", frozen(vals))
+        stack = np.array(mats)
+        stack.setflags(write=False)
+        object.__setattr__(self, "projectors", stack)
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.projectors.shape[1]
 
     @property
     def outcomes(self) -> int:
@@ -61,18 +72,15 @@ class SpectralForm:
         ok, residual = verify_completeness(self, eps)
         if not ok:
             raise ValueError(f"projectors do not sum to identity (residual {residual:.3e})")
-        vals = self.eigenvalues
-        for k in range(vals.size):
-            for kp in range(k + 1, vals.size):
-                if vals[k] == vals[kp]:
-                    raise ValueError(f"eigenvalues {k} and {kp} are equal ({vals[k]})")
+        vals = self.eigenvalues.reshape(-1)
+        equal = vals[:, None] == vals
+        if equal.sum() > vals.size:  # more than the diagonal
+            k, kp = np.argwhere(np.triu(equal, 1))[0]  # the first pair in (k, k') order
+            raise ValueError(f"eigenvalues {k} and {kp} are equal ({vals[k]})")
 
     def reconstruct(self) -> np.ndarray:
         """Sum of eigenvalue-weighted projectors."""
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for val, p in zip(self.eigenvalues, self.projectors):
-            out = out + val * p
-        return out
+        return np.tensordot(self.eigenvalues, self.projectors, axes=1)
 
 
 def spectral_decompose(h, eps: float = DEFAULT_EPS) -> SpectralForm:
@@ -89,21 +97,15 @@ def spectral_decompose(h, eps: float = DEFAULT_EPS) -> SpectralForm:
     h = validate_hermitian(h, eps, "observable")
     vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
 
-    # group ascending eigenvalues whenever the gap to the previous one is small
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, vals.size):
-        if vals[i] - vals[i - 1] <= DEGENERACY_TOL:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-
-    eigenvalues = []
-    projectors = []
-    for idx in reversed(clusters):
-        block = vecs[:, idx]
-        eigenvalues.append(float(np.mean(vals[idx])))
-        projectors.append(block @ block.conj().T)
-    return SpectralForm(np.array(eigenvalues), tuple(projectors))
+    # a new outcome starts wherever the gap to the previous eigenvalue is large;
+    # outcome j is the ascending eigenvalues cuts[j + 1]:cuts[j]
+    cuts = [vals.size, *(np.flatnonzero(np.diff(vals) > DEGENERACY_TOL) + 1).tolist()[::-1], 0]
+    projectors = np.empty((len(cuts) - 1, vals.size, vals.size), dtype=np.complex128)
+    for j in range(len(cuts) - 1):
+        block = vecs[:, cuts[j + 1] : cuts[j]]
+        np.matmul(block, block.conj().T, out=projectors[j])
+    eigenvalues = [vals[cuts[j + 1] : cuts[j]].mean() for j in range(len(cuts) - 1)]
+    return SpectralForm(np.array(eigenvalues), projectors)
 
 
 def verify_completeness(sf: SpectralForm, eps: float = DEFAULT_EPS) -> tuple[bool, float]:
@@ -135,7 +137,7 @@ def refine(
     subs = [as_complex(p) for p in sub_projectors]
     if not subs:
         raise ValueError("at least one sub-projector is required")
-    validate_projectors(subs, sf.dim, eps, "sub-projector")
+    subs = validate_projectors(subs, sf.dim, eps, "sub-projector")
     defect = sum_defect(subs, sf.projectors[k])
     if not defect <= eps:
         raise ValueError(
@@ -147,17 +149,10 @@ def refine(
     gap = float(vals[k] - np.max(below)) if below.size else 1.0
     m = len(subs)
     labels = [float(vals[k]) - j * (gap / m) for j in range(m)]
-
-    new_vals = []
-    new_projs = []
-    for i in range(sf.outcomes):
-        if i == k:
-            new_vals.extend(labels)
-            new_projs.extend(subs)
-        else:
-            new_vals.append(float(vals[i]))
-            new_projs.append(sf.projectors[i])
-    return SpectralForm(np.array(new_vals), tuple(new_projs))
+    return SpectralForm(
+        np.concatenate([vals[:k], labels, vals[k + 1 :]]),
+        np.concatenate([sf.projectors[:k], subs, sf.projectors[k + 1 :]]),
+    )
 
 
 def range_basis(projector, eps: float = DEFAULT_EPS) -> list[np.ndarray]:

@@ -10,7 +10,14 @@ from unimeas.cli import main
 from unimeas.collapse import butcher
 from unimeas.linalg import uniform_ket
 from unimeas.measurement import build_canonical_model
-from unimeas.modelio import load_model, load_vector, save_matrix, save_model, save_vector
+from unimeas.modelio import (
+    load_model,
+    load_vector,
+    model_to_document,
+    save_matrix,
+    save_model,
+    save_vector,
+)
 from unimeas.rand import perturb_model, rand_ket, rand_model, swap_pointer
 from unimeas.spectral import spectral_decompose
 
@@ -92,6 +99,14 @@ class TestVerify:
         save_vector(uniform_ket(3), phi3)
         assert main(["verify", str(workspace / "model.json"), "--phi", str(phi3)]) == 2
         assert "phi" in capsys.readouterr().err
+
+    def test_wrong_size_pointer_projector_exits_2(self, tmp_path, rng, capsys):
+        doc = model_to_document(rand_model(3, rng))
+        doc["pointer"]["projectors"][1] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", str(bad)]) == 2
+        assert "pointer: projector 1 has shape (2, 2), expected (3, 3)" in capsys.readouterr().err
 
     def test_truncated_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "trunc.json"

@@ -304,6 +304,13 @@ class TestFieldDiagnostics:
         with pytest.raises(ModelFormatError, match="observable"):
             model_from_document(doc)
 
+    def test_wrong_size_pointer_projector_named(self, model):
+        doc = model_to_document(model)
+        doc["pointer"]["projectors"][1] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        message = r"^pointer: projector 1 has shape \(2, 2\), expected \(3, 3\)$"
+        with pytest.raises(ModelFormatError, match=message):
+            model_from_document(doc)
+
     def test_spectral_unknown_key_named(self, model):
         doc = model_to_document(model)
         doc["pointer"]["labels"] = [1]

@@ -314,6 +314,7 @@ class TestModelValidate:
         with pytest.raises(ValueError, match=r"^isometry: shape \(4, 4\), expected \(4, 2\)$"):
             bad.validate(1e-9)
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_isometry_named(self):
         base = z_model()
         w = np.array(base.isometry)

@@ -184,6 +184,7 @@ class TestSpectralFormType:
         with pytest.raises(ValueError, match="are equal"):
             sf.validate(1e-9)
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_projector_named_by_index(self):
         sf = SpectralForm(np.array([1.0, 2.0]), (np.diag([1.0, 0.0]), np.diag([0.0, np.nan])))
         with pytest.raises(ValueError, match="projector 1 has non-finite entries"):

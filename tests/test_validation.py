@@ -14,7 +14,15 @@ import pytest
 
 from unimeas.branches import check_prc, decompose_final, decompose_initial, evolve_branch
 from unimeas.collapse import final_density
-from unimeas.linalg import dag, partial_trace, tensor, uniform_ket
+from unimeas.linalg import (
+    dag,
+    density_eigh,
+    partial_trace,
+    tensor,
+    uniform_ket,
+    validate_projector,
+    validate_projectors,
+)
 from unimeas.measurement import (
     build_canonical_model,
     check_calibration,
@@ -23,7 +31,7 @@ from unimeas.measurement import (
 )
 from unimeas.probability import born_form, expectation_form, forms_triple, trace_form
 from unimeas.rand import rand_ket, rand_model
-from unimeas.spectral import range_basis, refine, spectral_decompose
+from unimeas.spectral import SpectralForm, range_basis, refine, spectral_decompose
 
 MODEL = build_canonical_model(spectral_decompose(np.diag([1.0, -1.0])))
 NAN_STATE = np.array([np.nan, 0.0])
@@ -51,6 +59,23 @@ PROBES = {
     "forms_triple-unnormalized": (lambda: forms_triple(UNNORMALIZED, P0), "norm"),
     "range_basis-nan": (lambda: range_basis(np.full((2, 2), np.nan)), "non-finite"),
     "range_basis-not-square": (lambda: range_basis(np.zeros((2, 3))), "must be square"),
+    "range_basis-empty": (lambda: range_basis(np.zeros((0, 0))), r"^projector must be non-empty$"),
+    "spectral_decompose-empty": (
+        lambda: spectral_decompose(np.zeros((0, 0))),
+        r"^observable must be non-empty$",
+    ),
+    "validate_projector-empty": (
+        lambda: validate_projector(np.zeros((0, 0))),
+        r"^projector must be non-empty$",
+    ),
+    "density_eigh-empty": (
+        lambda: density_eigh(np.zeros((0, 0))),
+        r"^density operator must be non-empty$",
+    ),
+    "validate_projectors-empty": (
+        lambda: validate_projectors([np.zeros((0, 0))], 0),
+        r"^projector 0 must be non-empty$",
+    ),
     "tensor-nan": (lambda: tensor(NAN_STATE, np.array([1.0, 0.0])), "non-finite"),
     "tensor-nan-operator": (lambda: tensor(np.eye(2), np.full((2, 2), np.nan)), "non-finite"),
     "partial_trace-nan": (lambda: partial_trace(np.full((4, 4), np.nan), (2, 2), 0), "non-finite"),
@@ -113,10 +138,12 @@ def test_numpy_integer_outcome_index_accepted():
     assert MODEL.observable.rank(np.int32(0)) == 1
 
 
+@pytest.mark.filterwarnings("error")
 class TestNanUnitaryWitness:
     """A nan residual fails its check and is named, although nan > eps is False.
 
     The nan sits in the interaction on the initial subspace, the model's isometry.
+    No check warns on the way.
     """
 
     @pytest.fixture
@@ -136,4 +163,30 @@ class TestNanUnitaryWitness:
 
     def test_prc(self, model, rng):
         report = check_prc(model, rand_ket(3, rng))
+        assert not report.passed and report.witness is not None
+
+
+def _with_object_entry(model, value):
+    e = np.array(model.observable.projectors)
+    e[1, 0, 2] = value
+    return dataclasses.replace(model, observable=SpectralForm(model.observable.eigenvalues, e))
+
+
+@pytest.mark.filterwarnings("error")
+class TestNanProjector:
+    """A non-finite object projector is named by validate and check_calibration,
+    and fails check_dynamical with a witness, without a numpy warning."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_validate(self, rng, value):
+        with pytest.raises(ValueError, match=r"^observable: projector 1 has non-finite entries$"):
+            _with_object_entry(rand_model(3, rng), value).validate()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_calibration(self, rng, value):
+        with pytest.raises(ValueError, match=r"^projector has non-finite entries$"):
+            check_calibration(_with_object_entry(rand_model(3, rng), value))
+
+    def test_dynamical(self, rng):
+        report = check_dynamical(_with_object_entry(rand_model(3, rng), np.nan))
         assert not report.passed and report.witness is not None

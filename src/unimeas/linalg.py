@@ -165,35 +165,36 @@ def validate_ket(v, eps: float = DEFAULT_EPS) -> None:
 
 
 def validate_hermitian(a, eps: float = DEFAULT_EPS, name: str = "matrix") -> np.ndarray:
-    """a as complex128; raises "<name> ..." unless finite, square and Hermitian within eps."""
+    """a as complex128; raises "<name> ..." unless non-empty, square, finite and Hermitian within eps."""
+    return _validate_matrix(a, eps, name, idempotent=False)
+
+
+def validate_projector(p, eps: float = DEFAULT_EPS, name: str = "projector") -> np.ndarray:
+    """validate_hermitian, and also raise unless p is idempotent within eps."""
+    return _validate_matrix(p, eps, name, idempotent=True)
+
+
+def _validate_matrix(a, eps: float, name: str, idempotent: bool) -> np.ndarray:
     a = as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     if not a.size:
         raise ValueError(f"{name} must be non-empty")
-    _finite(a, name)
-    defect = hermiticity_defect(a)
-    if defect > eps:
-        raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
+    bad = stack_defect(a[None], eps, idempotent)
+    if bad is not None:
+        raise ValueError(f"{name} {bad[1]}")
     return a
-
-
-def validate_projector(p, eps: float = DEFAULT_EPS, name: str = "projector") -> np.ndarray:
-    """Return p as complex128, raising unless it is a finite Hermitian idempotent within eps."""
-    p = validate_hermitian(p, eps, name)
-    if np.max(np.abs(p @ p - p)) > eps:
-        raise ValueError(f"{name} is not idempotent")
-    return p
 
 
 def stack_defect(
     stack: np.ndarray, eps: float, idempotent: bool = False
 ) -> tuple[int, str] | None:
-    """(k, defect) for the first matrix k of a (n, d, d) stack that is not a projector.
+    """(k, defect) for the first matrix k of a complex (n, d, d) stack that fails.
 
     Each matrix is checked, in order, to be finite, Hermitian within eps and,
-    with `idempotent`, idempotent within eps; defect completes "<name> ...",
-    as validate_projector words it. None when every matrix passes.
+    with `idempotent`, idempotent within eps; defect completes "<name> ...".
+    None when every matrix passes. The one rule behind validate_hermitian,
+    validate_projector and validate_projector_stack.
     """
     finite = np.isfinite(stack).all(axis=(1, 2))
     n = len(stack) if finite.all() else int(finite.argmin())
@@ -212,29 +213,45 @@ def stack_defect(
     return None
 
 
-def validate_projectors(
-    projectors: Sequence[np.ndarray], dim: int, eps: float = DEFAULT_EPS, label: str = "projector"
-) -> np.ndarray:
-    """The matrices as one (n, dim, dim) stack, checked to be pairwise orthogonal projectors.
+def _refuse_non_projector(stack: np.ndarray, eps: float, label: str) -> None:
+    bad = stack_defect(stack, eps, idempotent=True)
+    if bad is not None:
+        raise ValueError(f"{label} {bad[0]} {bad[1]}")
+
+
+def validate_projector_stack(
+    stack: np.ndarray, eps: float = DEFAULT_EPS, label: str = "projector"
+) -> None:
+    """Raise unless a complex (n, d, d) stack holds pairwise orthogonal projectors.
 
     Matrix k is named "<label> k" in error messages, a pair "<label>s k and k'";
     the first failing matrix, then the first failing pair in (k, k') order, is reported.
+    """
+    _refuse_non_projector(stack, eps, label)
+    for k in range(len(stack) - 1):
+        overlap = abs(stack[k] @ stack[k + 1 :]).max(axis=(1, 2))
+        if overlap.max() > eps:
+            kp = k + 1 + int(np.argmax(overlap > eps))
+            raise ValueError(f"{label}s {k} and {kp} are not orthogonal")
+
+
+def validate_projectors(
+    projectors: Sequence[np.ndarray], dim: int, eps: float = DEFAULT_EPS, label: str = "projector"
+) -> np.ndarray:
+    """Matrices of any shapes as one (n, dim, dim) stack, checked by validate_projector_stack.
+
+    A matrix whose shape is not (dim, dim) is refused after the defects of
+    the matrices before it and before any pair is checked.
     """
     mats = [as_complex(p) for p in projectors]
     n = next((k for k, p in enumerate(mats) if p.shape != (dim, dim)), len(mats))
     if n and not dim:
         raise ValueError(f"{label} 0 must be non-empty")
     stack = np.array(mats[:n], dtype=np.complex128).reshape(n, dim, dim)
-    bad = stack_defect(stack, eps, idempotent=True)
-    if bad is not None:
-        raise ValueError(f"{label} {bad[0]} {bad[1]}")
     if n < len(mats):
+        _refuse_non_projector(stack, eps, label)
         raise ValueError(f"{label} {n} has shape {mats[n].shape}, expected {(dim, dim)}")
-    for k in range(n - 1):
-        overlap = abs(stack[k] @ stack[k + 1 :]).max(axis=(1, 2))
-        if overlap.max() > eps:
-            kp = k + 1 + int(np.argmax(overlap > eps))
-            raise ValueError(f"{label}s {k} and {kp} are not orthogonal")
+    validate_projector_stack(stack, eps, label)
     return stack
 
 

@@ -235,7 +235,8 @@ def check_calibration(model: MeasurementModel, eps: float = DEFAULT_EPS) -> Chec
     the object projector E_k, verifies F_k U(e (x) phi_B) = U(e (x) phi_B),
     i.e. F_k W B_k = W B_k column by column, with B_k the range basis.
     The range bases come from one batched eigh, as range_basis computes
-    each, and all sum_k rank E_k columns go through W in one product.
+    each, all sum_k rank E_k columns go through W in one product, and F_k
+    acts on outcome k's part of that product in one more.
 
     Raises:
         ValueError: an object projector is non-finite or not Hermitian within eps.
@@ -247,13 +248,17 @@ def check_calibration(model: MeasurementModel, eps: float = DEFAULT_EPS) -> Chec
         raise ValueError(f"projector {bad[1]}")
     vals, vecs = np.linalg.eigh((e + e.conj().transpose(0, 2, 1)) / 2.0)
     in_range = vals > 0.5  # (outcomes, dim_a): eigenvector i of E_k spans its range
-    labels = np.nonzero(in_range)[0]
-    # column c is U(b_c (x) phi_B) for range vector b_c of outcome labels[c]
-    finals = model.isometry @ vecs.transpose(0, 2, 1)[in_range].T
-    sectors = finals.reshape(model.dim_a, model.dim_b, labels.size).transpose(2, 1, 0)
-    pointed = (model.pointer.projectors[labels] @ sectors).transpose(2, 1, 0).reshape(finals.shape)
+    # row c is U(b_c (x) phi_B) for range vector b_c, so each outcome's rows are contiguous
+    finals = vecs.transpose(0, 2, 1)[in_range] @ model.isometry.T
+    pointed = np.empty_like(finals)
+    ends = np.cumsum(in_range.sum(axis=1)).tolist()
+    for f_k, start, end in zip(model.pointer.projectors, [0] + ends, ends):
+        # F_k on the instrument axis: one GEMM over the (row, i_a) pairs of outcome k
+        rows = finals[start:end].reshape(-1, model.dim_b)
+        np.matmul(rows, f_k.T, out=pointed[start:end].reshape(rows.shape))
+    pointed -= finals
     residuals = np.zeros(in_range.shape)
-    residuals[in_range] = np.linalg.norm(pointed - finals, axis=0)
+    residuals[in_range] = np.linalg.norm(pointed, axis=1)
     return _report(residuals, eps, "range basis vector", in_range)
 
 

@@ -126,7 +126,9 @@ def _spectral_out(sf: SpectralForm) -> dict:
     }
 
 
-def _spectral_in(node, where: str) -> SpectralForm:
+def _spectral_in(node, where: str, dim: int | None = None) -> SpectralForm:
+    """The spectral form in node; among projectors of differing shapes, the
+    first that is not dim x dim is named."""
     if not isinstance(node, dict):
         raise ModelFormatError(f"{where}: expected an object with eigenvalues and projectors")
     extra = set(node) - {"eigenvalues", "projectors"}
@@ -145,9 +147,14 @@ def _spectral_in(node, where: str) -> SpectralForm:
         raise ModelFormatError(
             f"{where}: {vals.size} eigenvalues but {len(projs)} projectors"
         )
+    if dim is not None and len({p.shape for p in projs}) > 1:
+        k = next(k for k, p in enumerate(projs) if p.shape != (dim, dim))
+        raise ModelFormatError(
+            f"{where}: projector {k} has shape {projs[k].shape}, expected {(dim, dim)}"
+        )
     try:
         return SpectralForm(vals, projs)
-    except ValueError as exc:  # projectors of differing shapes
+    except ValueError as exc:  # a projector that is not square, or differs in shape
         raise ModelFormatError(f"{where}: {exc}") from exc
 
 
@@ -187,8 +194,8 @@ def model_from_document(doc, eps: float = DEFAULT_EPS) -> MeasurementModel:
     for name in ("dim_a", "dim_b"):
         if not isinstance(doc[name], int) or isinstance(doc[name], bool) or doc[name] < 1:
             raise ModelFormatError(f"{name}: expected a positive integer, got {doc[name]!r}")
-    observable = _spectral_in(doc["observable"], "observable")
-    pointer = _spectral_in(doc["pointer"], "pointer")
+    observable = _spectral_in(doc["observable"], "observable", doc["dim_a"])
+    pointer = _spectral_in(doc["pointer"], "pointer", doc["dim_b"])
     instrument_state = _vector_in(doc["instrument_state"], "instrument_state")
     if legacy:
         unitary = _matrix_in(doc["unitary"], "unitary")

@@ -14,6 +14,7 @@ from .linalg import (
     sum_defect,
     validate_hermitian,
     validate_outcome_index,
+    validate_projector_stack,
     validate_projectors,
     validate_tolerance,
 )
@@ -68,7 +69,7 @@ class SpectralForm:
         validate_tolerance(eps)
         if not np.all(np.isfinite(self.eigenvalues)):
             raise ValueError("eigenvalues must be finite")
-        validate_projectors(self.projectors, self.dim, eps)
+        validate_projector_stack(self.projectors, eps)
         ok, residual = verify_completeness(self, eps)
         if not ok:
             raise ValueError(f"projectors do not sum to identity (residual {residual:.3e})")

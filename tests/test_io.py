@@ -311,6 +311,23 @@ class TestFieldDiagnostics:
         with pytest.raises(ModelFormatError, match=message):
             model_from_document(doc)
 
+    def test_wrong_size_pointer_projector_0_named(self, model):
+        doc = model_to_document(model)
+        doc["pointer"]["projectors"][0] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        message = r"^pointer: projector 0 has shape \(2, 2\), expected \(3, 3\)$"
+        with pytest.raises(ModelFormatError, match=message):
+            model_from_document(doc)
+
+    def test_uniformly_wrong_size_pointer_named_by_dimension(self, model):
+        doc = model_to_document(model)
+        doc["pointer"]["projectors"] = [
+            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+            [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        ]
+        with pytest.raises(ModelFormatError, match=r"^pointer dimension 2 != dim_b 3$"):
+            model_from_document(doc)
+
     def test_spectral_unknown_key_named(self, model):
         doc = model_to_document(model)
         doc["pointer"]["labels"] = [1]

@@ -10,6 +10,7 @@ rounding of the same products taken in a different grouping.
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from unimeas.rand import (
     perturb_model,
     rand_hermitian,
     rand_model,
+    rand_unitary,
     swap_pointer,
     with_redundant_pointer,
 )
@@ -79,6 +81,18 @@ def zoo_model(variant: str, dim: int, rng: np.random.Generator) -> MeasurementMo
     return model
 
 
+def rotated_instrument(model: MeasurementModel, rng: np.random.Generator) -> MeasurementModel:
+    """The model in a random complex instrument basis V: F_k -> V F_k V^dag, W -> (I (x) V) W."""
+    v = rand_unitary(model.dim_b, rng)
+    w = v @ model.isometry.reshape(model.dim_a, model.dim_b, model.dim_a)
+    return dataclasses.replace(
+        model,
+        pointer=SpectralForm(model.pointer.eigenvalues, v @ model.pointer.projectors @ v.conj().T),
+        instrument_state=v @ model.instrument_state,
+        isometry=w.reshape(model.dim, model.dim_a),
+    )
+
+
 ZOO = [(v, d, seed) for v in VARIANTS for d in DIMS for seed in range(2)]
 
 
@@ -130,7 +144,8 @@ class TestLoopParity:
         assert check_calibration(model).passed == (variant in ("plain", "degenerate", "redundant"))
         w = np.array(model.isometry)
         w[dim // 2, 0] = np.nan
-        for m in (model, dataclasses.replace(model, isometry=w)):
+        rotated = rotated_instrument(model, np.random.default_rng([dim, seed]))
+        for m in (model, dataclasses.replace(model, isometry=w), rotated):
             report = check_calibration(m)
             residuals, witness = loop_calibration(m)
             assert report.witness == witness
@@ -150,6 +165,23 @@ class TestLoopParity:
         with pytest.raises(ValueError) as loop:
             loop_calibration(bad)
         assert str(batched.value) == str(loop.value)
+
+
+class TestCalibrationMemory:
+    def test_peak_is_a_few_isometries(self):
+        """A degenerate observable and a large pointer: F_k is applied per outcome, not gathered
+        per range vector (that would be dim_a * dim_b^2 entries, here 32 MB)."""
+        rng = np.random.default_rng(5)
+        model = with_redundant_pointer(rand_model(32, rng, [16, 16]), 128, rng)
+        assert model.dim_b == 256
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            check_calibration(model)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (model.isometry.nbytes + model.pointer.projectors.nbytes)
 
 
 class TestFirstFailure:

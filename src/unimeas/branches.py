@@ -20,7 +20,7 @@ from .measurement import CheckReport, MeasurementModel
 from .spectral import SpectralForm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BranchDecomposition:
     """Per-outcome weights and normalized branch states (one per row) of a decomposed ket.
 

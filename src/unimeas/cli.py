@@ -11,14 +11,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .branches import check_prc, decompose_final
 from .collapse import sample, weights
 from .linalg import DEFAULT_EPS, uniform_ket, validate_tolerance, validate_unit_state
-from .measurement import build_canonical_model, check_calibration, check_dynamical, premeasure
+from .measurement import CheckReport, build_canonical_model, check_calibration, check_dynamical
+from .measurement import premeasure
 from .modelio import (
     ModelFormatError,
     load_matrix,
@@ -30,53 +30,34 @@ from .modelio import (
 from .probability import forms_triple
 
 
-@dataclass(frozen=True)
-class CheckEntry:
-    name: str
-    passed: bool
-    max_residual: float
-    elapsed_s: float
-    witness: str | None = None
-
-
-@dataclass(frozen=True)
-class SuiteReport:
-    checks: tuple[CheckEntry, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.passed else 1
-
-
-def _print_suite(report: SuiteReport, as_json: bool) -> None:
+def _print_suite(rows: list[tuple[str, CheckReport, float]], as_json: bool) -> int:
+    """Print (name, report, seconds) rows; the exit code, 0 iff every check passed."""
+    passed = all(report.passed for _, report, _ in rows)
     if as_json:
         doc = {
             "checks": [
                 {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "max_residual": c.max_residual,
-                    "elapsed_s": c.elapsed_s,
-                    "witness": c.witness,
+                    "name": name,
+                    "passed": bool(report.passed),
+                    "max_residual": float(report.max_residual),
+                    "elapsed_s": elapsed,
+                    "witness": report.witness,
                 }
-                for c in report.checks
+                for name, report, elapsed in rows
             ],
-            "passed": report.passed,
+            "passed": passed,
         }
         print(json.dumps(doc, indent=2))
-        return
-    name_width = max(len(c.name) for c in report.checks)
-    print(f"{'check':<{name_width}}  passed  max_residual  time")
-    for c in report.checks:
-        flag = "yes" if c.passed else "NO"
-        print(f"{c.name:<{name_width}}  {flag:<6}  {c.max_residual:<12.3e}  {c.elapsed_s:.3f}s")
-        if c.witness is not None:
-            print(f"  {c.name}: {c.witness}")
-    print(f"overall: {'PASS' if report.passed else 'FAIL'}")
+    else:
+        name_width = max(len(name) for name, _, _ in rows)
+        print(f"{'check':<{name_width}}  passed  max_residual  time")
+        for name, report, elapsed in rows:
+            flag = "yes" if report.passed else "NO"
+            print(f"{name:<{name_width}}  {flag:<6}  {report.max_residual:<12.3e}  {elapsed:.3f}s")
+            if report.witness is not None:
+                print(f"  {name}: {report.witness}")
+        print(f"overall: {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 1
 
 
 def _cmd_build(args) -> int:
@@ -99,17 +80,10 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _timed(name: str, fn) -> CheckEntry:
+def _timed(name: str, fn) -> tuple[str, CheckReport, float]:
     start = time.perf_counter()
     report = fn()
-    elapsed = time.perf_counter() - start
-    return CheckEntry(
-        name=name,
-        passed=bool(report.passed),
-        max_residual=float(report.max_residual),
-        elapsed_s=elapsed,
-        witness=report.witness,
-    )
+    return name, report, time.perf_counter() - start
 
 
 def _load_phi(path, model, tol: float) -> np.ndarray:
@@ -126,28 +100,20 @@ def _cmd_verify(args) -> int:
     model = load_model(args.model, tol)
     phi = uniform_ket(model.dim_a) if args.phi is None else _load_phi(args.phi, model, tol)
 
-    entries = [
-        _timed("calibration", lambda: check_calibration(model, tol)),
-        _timed("dynamical", lambda: check_dynamical(model, tol)),
-        _timed("prc", lambda: check_prc(model, phi, tol)),
-    ]
+    def reconstruction() -> CheckReport:
+        final = premeasure(model, phi)
+        residual = float(np.linalg.norm(decompose_final(model, phi, tol).reconstruct() - final))
+        return CheckReport(residual <= tol, [residual], residual)
 
-    start = time.perf_counter()
-    final = premeasure(model, phi)
-    dec = decompose_final(model, phi, tol)
-    residual = float(np.linalg.norm(dec.reconstruct() - final))
-    entries.append(
-        CheckEntry(
-            name="final-reconstruction",
-            passed=residual <= tol,
-            max_residual=residual,
-            elapsed_s=time.perf_counter() - start,
-        )
+    return _print_suite(
+        [
+            _timed("calibration", lambda: check_calibration(model, tol)),
+            _timed("dynamical", lambda: check_dynamical(model, tol)),
+            _timed("prc", lambda: check_prc(model, phi, tol)),
+            _timed("final-reconstruction", reconstruction),
+        ],
+        args.json,
     )
-
-    report = SuiteReport(tuple(entries))
-    _print_suite(report, args.json)
-    return report.exit_code
 
 
 def _cmd_collapse(args) -> int:

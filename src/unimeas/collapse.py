@@ -22,7 +22,7 @@ from .spectral import SpectralForm
 GENERATOR = "pcg64"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Finite nonnegative outcome weights; sample() renormalizes them over its support."""
 
@@ -40,7 +40,7 @@ class OutcomeDistribution:
             raise ValueError("weights must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleReport:
     """Counts from seeded sampling, coindexed with the distribution outcomes."""
 

@@ -213,10 +213,24 @@ def stack_defect(
     return None
 
 
-def _refuse_non_projector(stack: np.ndarray, eps: float, label: str) -> None:
-    bad = stack_defect(stack, eps, idempotent=True)
-    if bad is not None:
-        raise ValueError(f"{label} {bad[0]} {bad[1]}")
+def projector_stack(
+    projectors: Sequence[np.ndarray], label: str = "projector", dim: int | None = None
+) -> np.ndarray:
+    """Matrices as one complex (n, d, d) stack, d being dim or else matrix 0's size.
+
+    The one shape rule for projector stacks: the first matrix k that is not a
+    non-empty square matrix, or is not d x d, is named "<label> k".
+    """
+    mats = [as_complex(p) for p in projectors]
+    if not mats:
+        raise ValueError(f"at least one {label} is required")
+    for k, p in enumerate(mats):
+        if p.ndim != 2 or p.shape[0] != p.shape[1] or not p.size:
+            raise ValueError(f"{label} {k} must be a non-empty square matrix, got shape {p.shape}")
+        dim = p.shape[0] if dim is None else dim
+        if p.shape != (dim, dim):
+            raise ValueError(f"{label} {k} has shape {p.shape}, expected {(dim, dim)}")
+    return np.array(mats)
 
 
 def validate_projector_stack(
@@ -227,32 +241,14 @@ def validate_projector_stack(
     Matrix k is named "<label> k" in error messages, a pair "<label>s k and k'";
     the first failing matrix, then the first failing pair in (k, k') order, is reported.
     """
-    _refuse_non_projector(stack, eps, label)
+    bad = stack_defect(stack, eps, idempotent=True)
+    if bad is not None:
+        raise ValueError(f"{label} {bad[0]} {bad[1]}")
     for k in range(len(stack) - 1):
         overlap = abs(stack[k] @ stack[k + 1 :]).max(axis=(1, 2))
         if overlap.max() > eps:
             kp = k + 1 + int(np.argmax(overlap > eps))
             raise ValueError(f"{label}s {k} and {kp} are not orthogonal")
-
-
-def validate_projectors(
-    projectors: Sequence[np.ndarray], dim: int, eps: float = DEFAULT_EPS, label: str = "projector"
-) -> np.ndarray:
-    """Matrices of any shapes as one (n, dim, dim) stack, checked by validate_projector_stack.
-
-    A matrix whose shape is not (dim, dim) is refused after the defects of
-    the matrices before it and before any pair is checked.
-    """
-    mats = [as_complex(p) for p in projectors]
-    n = next((k for k, p in enumerate(mats) if p.shape != (dim, dim)), len(mats))
-    if n and not dim:
-        raise ValueError(f"{label} 0 must be non-empty")
-    stack = np.array(mats[:n], dtype=np.complex128).reshape(n, dim, dim)
-    if n < len(mats):
-        _refuse_non_projector(stack, eps, label)
-        raise ValueError(f"{label} {n} has shape {mats[n].shape}, expected {(dim, dim)}")
-    validate_projector_stack(stack, eps, label)
-    return stack
 
 
 def density_eigh(rho, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -30,10 +30,10 @@ from .linalg import (
     validate_tolerance,
     validate_unit_state,
 )
-from .spectral import SpectralForm
+from .spectral import SpectralForm, _ranges
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CheckReport:
     """Outcome of a condition check; passed iff max_residual <= tolerance."""
 
@@ -50,16 +50,15 @@ class CheckReport:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementModel:
     """Object observable, pointer observable, instrument state, and isometry.
 
     The isometry W = U(I_A (x) phi_B), shape (dim, dim_a), is the interaction
-    on the initial subspace: column i is U(e_i (x) phi_B).
+    on the initial subspace: column i is U(e_i (x) phi_B). The dimensions are
+    read from the spectral forms: dim_a is the observable's, dim_b the pointer's.
     """
 
-    dim_a: int
-    dim_b: int
     observable: SpectralForm
     pointer: SpectralForm
     instrument_state: np.ndarray = field(repr=False)
@@ -68,6 +67,14 @@ class MeasurementModel:
     def __post_init__(self):
         object.__setattr__(self, "instrument_state", frozen(as_complex(self.instrument_state)))
         object.__setattr__(self, "isometry", frozen(as_complex(self.isometry)))
+
+    @property
+    def dim_a(self) -> int:
+        return self.observable.dim
+
+    @property
+    def dim_b(self) -> int:
+        return self.pointer.dim
 
     @property
     def dim(self) -> int:
@@ -96,13 +103,16 @@ class MeasurementModel:
 
     def _pointer_sector(self, k: int, states: np.ndarray) -> np.ndarray:
         """apply_pointer on a complex array the caller has checked or computed from W."""
-        sectors = states.reshape(self.dim_a, self.dim_b, -1)
-        return (self.pointer.projectors[k] @ sectors).reshape(states.shape)
+        f_k = self.pointer.projectors[k]
+        dim_b = len(f_k)
+        sectors = states.reshape(len(states) // dim_b, dim_b, -1)
+        return (f_k @ sectors).reshape(states.shape)
 
     def _pointer_branches(self, final: np.ndarray) -> np.ndarray:
         """(dim, outcomes) array of columns _pointer_sector(k, final), for a joint vector."""
-        pieces = self.pointer.projectors @ final.reshape(self.dim_a, self.dim_b).T
-        return pieces.transpose(2, 1, 0).reshape(self.dim, self.outcomes)
+        f = self.pointer.projectors
+        pieces = f @ final.reshape(-1, f.shape[1]).T
+        return pieces.transpose(2, 1, 0).reshape(len(final), len(f))
 
     def lifted_pointer(self, k: int) -> np.ndarray:
         """Dense pointer projector k on the joint space, I_A (x) F_k.
@@ -116,14 +126,6 @@ class MeasurementModel:
     def validate(self, eps: float = DEFAULT_EPS) -> None:
         """Check coindexing, both spectral forms, and W^dag W = I in O(dim dim_a^2)."""
         validate_tolerance(eps)
-        if self.observable.dim != self.dim_a:
-            raise ValueError(
-                f"observable dimension {self.observable.dim} != dim_a {self.dim_a}"
-            )
-        if self.pointer.dim != self.dim_b:
-            raise ValueError(
-                f"pointer dimension {self.pointer.dim} != dim_b {self.dim_b}"
-            )
         if self.observable.outcomes != self.pointer.outcomes:
             raise ValueError(
                 f"observable has {self.observable.outcomes} outcomes, "
@@ -192,8 +194,6 @@ def build_canonical_model(observable: SpectralForm) -> MeasurementModel:
     pointers = np.zeros((n_out, dim_b, dim_b))
     pointers[labels, labels, labels] = 1.0
     return MeasurementModel(
-        dim_a=dim_a,
-        dim_b=dim_b,
         observable=observable,
         pointer=SpectralForm(labels.astype(np.float64), pointers),
         instrument_state=basis_ket(dim_b, 0),
@@ -246,8 +246,7 @@ def check_calibration(model: MeasurementModel, eps: float = DEFAULT_EPS) -> Chec
     bad = stack_defect(e, eps)
     if bad is not None:
         raise ValueError(f"projector {bad[1]}")
-    vals, vecs = np.linalg.eigh((e + e.conj().transpose(0, 2, 1)) / 2.0)
-    in_range = vals > 0.5  # (outcomes, dim_a): eigenvector i of E_k spans its range
+    in_range, vecs = _ranges(e)  # (outcomes, dim_a): eigenvector i of E_k spans its range
     # row c is U(b_c (x) phi_B) for range vector b_c, so each outcome's rows are contiguous
     finals = vecs.transpose(0, 2, 1)[in_range] @ model.isometry.T
     pointed = np.empty_like(finals)

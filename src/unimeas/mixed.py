@@ -26,7 +26,7 @@ from .linalg import (
 EIGENVALUE_CUTOFF = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Purification:
     """Pure state on system (x) ancilla whose reduction is `source`."""
 

@@ -12,6 +12,10 @@ A model file stores the interaction on the initial subspace, the isometry
 W = U(I (x) phi_B), as a (dim_a*dim_b) x dim_a matrix. Files of earlier
 versions store the dense unitary U under "unitary" instead; they still load,
 their U checked as a whole and reduced to W, and are saved again with W.
+The file's dim_a and dim_b must be positive ints. A model reads its
+dimensions from its spectral forms, so they reach it through the shape rule
+(linalg.projector_stack): every observable projector must be dim_a x dim_a
+and every pointer projector dim_b x dim_b.
 
 Encoding and decoding are array operations. Decoding checks each complex
 array as a whole first; when that check fails, a per-element walk finds
@@ -25,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS
+from .linalg import DEFAULT_EPS, projector_stack
 from .measurement import MeasurementModel, isometry_from_unitary
 from .spectral import SpectralForm, spectral_decompose
 
@@ -127,8 +131,7 @@ def _spectral_out(sf: SpectralForm) -> dict:
 
 
 def _spectral_in(node, where: str, dim: int | None = None) -> SpectralForm:
-    """The spectral form in node; among projectors of differing shapes, the
-    first that is not dim x dim is named."""
+    """The spectral form in node; the first projector that is not dim x dim is named."""
     if not isinstance(node, dict):
         raise ModelFormatError(f"{where}: expected an object with eigenvalues and projectors")
     extra = set(node) - {"eigenvalues", "projectors"}
@@ -147,14 +150,9 @@ def _spectral_in(node, where: str, dim: int | None = None) -> SpectralForm:
         raise ModelFormatError(
             f"{where}: {vals.size} eigenvalues but {len(projs)} projectors"
         )
-    if dim is not None and len({p.shape for p in projs}) > 1:
-        k = next(k for k, p in enumerate(projs) if p.shape != (dim, dim))
-        raise ModelFormatError(
-            f"{where}: projector {k} has shape {projs[k].shape}, expected {(dim, dim)}"
-        )
     try:
-        return SpectralForm(vals, projs)
-    except ValueError as exc:  # a projector that is not square, or differs in shape
+        return SpectralForm(vals, projector_stack(projs, dim=dim))
+    except ValueError as exc:  # a projector that is not square, or not dim x dim
         raise ModelFormatError(f"{where}: {exc}") from exc
 
 
@@ -208,8 +206,6 @@ def model_from_document(doc, eps: float = DEFAULT_EPS) -> MeasurementModel:
     else:
         isometry = _matrix_in(doc["isometry"], "isometry")
     model = MeasurementModel(
-        dim_a=doc["dim_a"],
-        dim_b=doc["dim_b"],
         observable=observable,
         pointer=pointer,
         instrument_state=instrument_state,

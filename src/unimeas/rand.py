@@ -103,8 +103,6 @@ def with_redundant_pointer(
         model.pointer.eigenvalues, lifted.reshape(n, d * extra_dim, d * extra_dim)
     )
     return MeasurementModel(
-        dim_a=model.dim_a,
-        dim_b=model.dim_b * extra_dim,
         observable=model.observable,
         pointer=pointer,
         instrument_state=tensor(model.instrument_state, chi),
@@ -148,8 +146,6 @@ def perturb_model(
     perturbed = np.array(w)
     perturbed[:, a] = np.cos(theta) * w[:, a] + np.sin(theta) * v
     return MeasurementModel(
-        dim_a=model.dim_a,
-        dim_b=model.dim_b,
         observable=model.observable,
         pointer=model.pointer,
         instrument_state=model.instrument_state,
@@ -165,8 +161,6 @@ def swap_pointer(model: MeasurementModel) -> MeasurementModel:
     order[:2] = 1, 0
     pointer = SpectralForm(model.pointer.eigenvalues, model.pointer.projectors[order])
     return MeasurementModel(
-        dim_a=model.dim_a,
-        dim_b=model.dim_b,
         observable=model.observable,
         pointer=pointer,
         instrument_state=model.instrument_state,

@@ -9,13 +9,12 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_EPS,
-    as_complex,
     frozen,
+    projector_stack,
     sum_defect,
     validate_hermitian,
     validate_outcome_index,
     validate_projector_stack,
-    validate_projectors,
     validate_tolerance,
 )
 
@@ -23,12 +22,13 @@ from .linalg import (
 DEGENERACY_TOL = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralForm:
     """Pairwise-distinct eigenvalues with coindexed orthogonal projectors.
 
     `projectors` is one read-only complex (outcomes, dim, dim) array; a
-    sequence of matrices given to the constructor is stacked into it.
+    sequence of matrices given to the constructor is stacked into it by
+    linalg.projector_stack. Records compare and hash by identity.
     """
 
     eigenvalues: np.ndarray
@@ -36,20 +36,12 @@ class SpectralForm:
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        mats = [as_complex(p) for p in self.projectors]
-        if len(mats) != vals.size:
-            raise ValueError(f"{vals.size} eigenvalues but {len(mats)} projectors")
+        if len(self.projectors) != vals.size:
+            raise ValueError(f"{vals.size} eigenvalues but {len(self.projectors)} projectors")
         if vals.size == 0:
             raise ValueError("spectral form needs at least one outcome")
-        for k, p in enumerate(mats):
-            if p.ndim != 2 or p.shape[0] != p.shape[1] or not p.size:
-                raise ValueError(
-                    f"projector {k} must be a non-empty square matrix, got shape {p.shape}"
-                )
-            if p.shape != mats[0].shape:
-                raise ValueError(f"projector {k} has shape {p.shape}, expected {mats[0].shape}")
         object.__setattr__(self, "eigenvalues", frozen(vals))
-        stack = np.array(mats)
+        stack = projector_stack(self.projectors)
         stack.setflags(write=False)
         object.__setattr__(self, "projectors", stack)
 
@@ -135,10 +127,8 @@ def refine(
     """
     validate_tolerance(eps)
     k = validate_outcome_index(k, sf.outcomes)
-    subs = [as_complex(p) for p in sub_projectors]
-    if not subs:
-        raise ValueError("at least one sub-projector is required")
-    subs = validate_projectors(subs, sf.dim, eps, "sub-projector")
+    subs = projector_stack(sub_projectors, "sub-projector", sf.dim)
+    validate_projector_stack(subs, eps, "sub-projector")
     defect = sum_defect(subs, sf.projectors[k])
     if not defect <= eps:
         raise ValueError(
@@ -167,5 +157,16 @@ def range_basis(projector, eps: float = DEFAULT_EPS) -> list[np.ndarray]:
 
 def _range_vectors(p: np.ndarray) -> list[np.ndarray]:
     """range_basis of a matrix the caller has already validated."""
-    vals, vecs = np.linalg.eigh((p + p.conj().T) / 2.0)
-    return [vecs[:, i] for i in range(vals.size) if vals[i] > 0.5]
+    in_range, vecs = _ranges(p[None])
+    return [vecs[0][:, i] for i in np.flatnonzero(in_range[0])]
+
+
+def _ranges(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(in_range, vecs) for a complex (n, d, d) stack, from one batched eigh of its Hermitian parts.
+
+    vecs[k][:, i] is an eigenvector of matrix k, and in_range[k, i] (eigenvalue
+    above 1/2) says it belongs to the range basis. The one range rule behind
+    range_basis and check_calibration.
+    """
+    vals, vecs = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2.0)
+    return vals > 0.5, vecs

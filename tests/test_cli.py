@@ -108,6 +108,14 @@ class TestVerify:
         assert main(["verify", str(bad)]) == 2
         assert "pointer: projector 1 has shape (2, 2), expected (3, 3)" in capsys.readouterr().err
 
+    def test_uniformly_wrong_size_observable_exits_2(self, tmp_path, rng, capsys):
+        doc = model_to_document(rand_model(3, rng))
+        doc["observable"]["projectors"] = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]] * 3
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", str(bad)]) == 2
+        assert "observable: projector 0 has shape (2, 2), expected (3, 3)" in capsys.readouterr().err
+
     def test_truncated_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "trunc.json"
         bad.write_text('{"dim_a": 2,')

@@ -325,7 +325,19 @@ class TestFieldDiagnostics:
             [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
             [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
         ]
-        with pytest.raises(ModelFormatError, match=r"^pointer dimension 2 != dim_b 3$"):
+        message = r"^pointer: projector 0 has shape \(2, 2\), expected \(3, 3\)$"
+        with pytest.raises(ModelFormatError, match=message):
+            model_from_document(doc)
+
+    def test_uniformly_wrong_size_observable_named_by_dimension(self, model):
+        doc = model_to_document(model)
+        doc["observable"]["projectors"] = [
+            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+            [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        ]
+        message = r"^observable: projector 0 has shape \(2, 2\), expected \(3, 3\)$"
+        with pytest.raises(ModelFormatError, match=message):
             model_from_document(doc)
 
     def test_spectral_unknown_key_named(self, model):

@@ -119,8 +119,6 @@ class TestCheckCalibration:
     def test_identity_unitary_fails(self):
         base = z_model()
         model = MeasurementModel(
-            dim_a=2,
-            dim_b=2,
             observable=base.observable,
             pointer=base.pointer,
             instrument_state=base.instrument_state,
@@ -294,8 +292,6 @@ class TestModelValidate:
     def test_field_named_in_error(self):
         base = z_model()
         bad = MeasurementModel(
-            dim_a=2,
-            dim_b=2,
             observable=base.observable,
             pointer=base.pointer,
             instrument_state=np.array([1.0, 1.0]),
@@ -344,8 +340,6 @@ class TestModelValidate:
         base = z_model()
         three = build_canonical_model(spectral_decompose(np.diag([1.0, 2.0, 3.0])))
         bad = MeasurementModel(
-            dim_a=2,
-            dim_b=3,
             observable=base.observable,
             pointer=three.pointer,
             instrument_state=three.instrument_state,
@@ -364,3 +358,36 @@ class TestModelValidate:
         assert model.isometry.shape == (model.dim, model.dim_a)
         for f in model.pointer.projectors:
             assert f.shape == (model.dim_b, model.dim_b)
+
+
+class TestDerivedDims:
+    @pytest.mark.parametrize("variant", ["plain", "degenerate", "redundant", "perturbed", "swapped"])
+    def test_dims_are_the_forms_dims(self, variant, rng):
+        if variant == "degenerate":
+            model = rand_model(5, rng, [2, 3])
+        else:
+            model = rand_model(4, rng)
+        if variant == "redundant":
+            model = with_redundant_pointer(model, 3, rng)
+        elif variant == "perturbed":
+            model = perturb_model(model, rng)
+        elif variant == "swapped":
+            model = swap_pointer(model)
+        assert model.dim_a == model.observable.dim
+        assert model.dim_b == model.pointer.dim
+        assert model.dim == model.observable.dim * model.pointer.dim
+        assert model.isometry.shape == (model.dim, model.dim_a)
+
+    def test_replace_pointer_follows_its_dimension(self, rng):
+        model = rand_model(3, rng)
+        wider = with_redundant_pointer(model, 2, rng)
+        replaced = dataclasses.replace(model, pointer=wider.pointer)
+        assert (replaced.dim_a, replaced.dim_b, replaced.dim) == (3, 6, 18)
+        # the old instrument state and isometry no longer fit the wider instrument
+        with pytest.raises(ValueError, match=r"^instrument_state has shape \(3,\), expected \(6,\)$"):
+            replaced.validate(1e-9)
+
+    def test_models_usable_as_dict_keys(self):
+        a, b = z_model(), z_model()
+        assert a == a and not a == b
+        assert {a: "a", b: "b"}[b] == "b"

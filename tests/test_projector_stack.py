@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from unimeas.linalg import validate_projector, validate_projectors
+from unimeas.linalg import projector_stack, validate_projector, validate_projector_stack
 from unimeas.measurement import MeasurementModel, check_calibration
 from unimeas.rand import (
     perturb_model,
@@ -33,10 +33,12 @@ DIMS = (2, 3, 4, 5, 6, 7, 8, 16, 32)
 
 
 def loop_validate_projectors(projectors, dim, eps=1e-9, label="projector"):
-    """validate_projectors as one check per projector, then one product per pair."""
+    """projector_stack and validate_projector_stack as one check per projector, then one
+    product per pair; every shape is checked before any content."""
     for k, p in enumerate(projectors):
         if p.shape != (dim, dim):
             raise ValueError(f"{label} {k} has shape {p.shape}, expected {(dim, dim)}")
+    for k, p in enumerate(projectors):
         validate_projector(p, eps, f"{label} {k}")
     for k in range(len(projectors)):
         for kp in range(k + 1, len(projectors)):
@@ -135,7 +137,9 @@ class TestLoopParity:
         rng = np.random.default_rng([dim, seed])
         for sf in (model.observable, model.pointer):
             for mats in _corruptions(list(sf.projectors), rng):
-                batched = _outcome(lambda: validate_projectors(mats, sf.dim))
+                batched = _outcome(
+                    lambda: validate_projector_stack(projector_stack(mats, dim=sf.dim))
+                )
                 assert batched == _outcome(lambda: loop_validate_projectors(mats, sf.dim))
 
     @pytest.mark.parametrize("variant,dim,seed", ZOO)
@@ -192,7 +196,7 @@ class TestFirstFailure:
         p1 = np.diag([0.0, 1.0, 0.0])
         p1[0, 2] = 1.0
         with pytest.raises(ValueError, match=r"^projector 0 is not idempotent$"):
-            validate_projectors([p0, p1, np.eye(3)], 3)
+            validate_projector_stack(projector_stack([p0, p1, np.eye(3)], dim=3))
 
     @pytest.mark.parametrize(
         "diagonals,pair",
@@ -204,7 +208,7 @@ class TestFirstFailure:
     def test_first_non_orthogonal_pair(self, diagonals, pair):
         projectors = [np.diag(np.array(d, dtype=float)) for d in diagonals]
         with pytest.raises(ValueError, match=rf"^projectors {pair} are not orthogonal$"):
-            validate_projectors(projectors, 3)
+            validate_projector_stack(projector_stack(projectors, dim=3))
 
     def test_first_equal_eigenvalue_pair(self):
         sf = SpectralForm(np.array([1.0, 2.0, 1.0, 2.0]), np.eye(4)[:, None] * np.eye(4)[:, :, None])
@@ -212,7 +216,8 @@ class TestFirstFailure:
             sf.validate()
 
     def test_defect_before_later_wrong_shape(self):
-        with pytest.raises(ValueError, match=r"^sub-projector 0 is not idempotent$"):
+        """Every sub-projector's shape is checked before any content."""
+        with pytest.raises(ValueError, match=r"^sub-projector 1 has shape \(3, 3\), expected \(2, 2\)$"):
             refine(spectral_decompose(np.eye(2)), 0, [np.eye(2) * 0.5, np.eye(3)])
 
 

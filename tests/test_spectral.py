@@ -190,6 +190,14 @@ class TestSpectralFormType:
         with pytest.raises(ValueError, match="projector 1 has non-finite entries"):
             sf.validate(1e-9)
 
+    def test_equality_and_hash_by_identity(self):
+        a = spectral_decompose(np.diag([1.0, 2.0]))
+        b = spectral_decompose(np.diag([1.0, 2.0]))
+        assert not a == b and a != b  # equal arrays, distinct records: no ambiguity error
+        assert a == a
+        assert hash(a) == hash(a)
+        assert {a: 1, b: 2}[a] == 1
+
     def test_projectors_read_only(self):
         sf = spectral_decompose(np.diag([1.0, -1.0]))
         with pytest.raises(ValueError):

@@ -18,10 +18,10 @@ from unimeas.linalg import (
     dag,
     density_eigh,
     partial_trace,
+    projector_stack,
     tensor,
     uniform_ket,
     validate_projector,
-    validate_projectors,
 )
 from unimeas.measurement import (
     build_canonical_model,
@@ -73,8 +73,8 @@ PROBES = {
         r"^density operator must be non-empty$",
     ),
     "validate_projectors-empty": (
-        lambda: validate_projectors([np.zeros((0, 0))], 0),
-        r"^projector 0 must be non-empty$",
+        lambda: projector_stack([np.zeros((0, 0))], dim=0),
+        r"^projector 0 must be a non-empty square matrix, got shape \(0, 0\)$",
     ),
     "tensor-nan": (lambda: tensor(NAN_STATE, np.array([1.0, 0.0])), "non-finite"),
     "tensor-nan-operator": (lambda: tensor(np.eye(2), np.full((2, 2), np.nan)), "non-finite"),

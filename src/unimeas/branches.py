@@ -80,7 +80,10 @@ def check_prc(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> Check
     validate_tolerance(eps)
     phi_a = validate_unit_state(phi_a, model.dim_a, eps)
     final = model.isometry @ phi_a
-    pointer_probs = (final.conj() @ model._pointer_branches(final)).real
+    # columns F_k final in C order, as in decompose_final: that layout fixes the
+    # order of the sums over the joint index, so reported residuals stay bit-stable
+    branches = np.ascontiguousarray(model._pointer_sector(slice(None), final).T)
+    pointer_probs = (final.conj() @ branches).real
     object_probs = ((model.observable.projectors @ phi_a) @ phi_a.conj()).real
     residuals = np.abs(pointer_probs - object_probs)
     witness = None
@@ -103,7 +106,7 @@ def decompose_final(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) ->
     """
     validate_tolerance(eps)
     final = model.isometry @ validate_state(phi_a, model.dim_a)
-    return _decompose(model._pointer_branches(final), eps)
+    return _decompose(np.ascontiguousarray(model._pointer_sector(slice(None), final).T), eps)
 
 
 def evolve_branch(model: MeasurementModel, phi_a, k: int) -> np.ndarray:

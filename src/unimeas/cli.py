@@ -1,8 +1,9 @@
 """Command-line surface: build models, verify them, collapse, evaluate forms.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 unreadable or invalid
-input. With --json every report is a single machine-readable document with
-the same content as the text output.
+input. Each command's handler returns one report document and its exit
+code; --json prints that document, and otherwise its text renderer turns the
+same document into lines, so both modes carry the same content.
 """
 
 from __future__ import annotations
@@ -30,60 +31,18 @@ from .modelio import (
 from .probability import forms_triple
 
 
-def _print_suite(rows: list[tuple[str, CheckReport, float]], as_json: bool) -> int:
-    """Print (name, report, seconds) rows; the exit code, 0 iff every check passed."""
-    passed = all(report.passed for _, report, _ in rows)
-    if as_json:
-        doc = {
-            "checks": [
-                {
-                    "name": name,
-                    "passed": bool(report.passed),
-                    "max_residual": float(report.max_residual),
-                    "elapsed_s": elapsed,
-                    "witness": report.witness,
-                }
-                for name, report, elapsed in rows
-            ],
-            "passed": passed,
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        name_width = max(len(name) for name, _, _ in rows)
-        print(f"{'check':<{name_width}}  passed  max_residual  time")
-        for name, report, elapsed in rows:
-            flag = "yes" if report.passed else "NO"
-            print(f"{name:<{name_width}}  {flag:<6}  {report.max_residual:<12.3e}  {elapsed:.3f}s")
-            if report.witness is not None:
-                print(f"  {name}: {report.witness}")
-        print(f"overall: {'PASS' if passed else 'FAIL'}")
-    return 0 if passed else 1
-
-
-def _cmd_build(args) -> int:
-    observable = load_observable(args.observable, args.tol)
-    model = build_canonical_model(observable)
-    save_model(model, args.out)
-    if args.json:
-        doc = {
-            "out": str(args.out),
-            "dim_a": model.dim_a,
-            "dim_b": model.dim_b,
-            "outcomes": model.outcomes,
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        print(
-            f"wrote model with {model.outcomes} outcomes "
-            f"(dim_a={model.dim_a}, dim_b={model.dim_b}) to {args.out}"
-        )
-    return 0
-
-
-def _timed(name: str, fn) -> tuple[str, CheckReport, float]:
+def _timed(name: str, fn) -> dict:
+    """The verify report row of the check fn, which returns a CheckReport."""
     start = time.perf_counter()
     report = fn()
-    return name, report, time.perf_counter() - start
+    elapsed = time.perf_counter() - start
+    return {
+        "name": name,
+        "passed": bool(report.passed),
+        "max_residual": float(report.max_residual),
+        "elapsed_s": elapsed,
+        "witness": report.witness,
+    }
 
 
 def _load_phi(path, model, tol: float) -> np.ndarray:
@@ -95,7 +54,26 @@ def _load_phi(path, model, tol: float) -> np.ndarray:
         raise ModelFormatError(f"phi: {exc}") from exc
 
 
-def _cmd_verify(args) -> int:
+def _cmd_build(args) -> tuple[dict, int]:
+    observable = load_observable(args.observable, args.tol)
+    model = build_canonical_model(observable)
+    save_model(model, args.out)
+    return {
+        "out": str(args.out),
+        "dim_a": model.dim_a,
+        "dim_b": model.dim_b,
+        "outcomes": model.outcomes,
+    }, 0
+
+
+def _text_build(doc: dict) -> list[str]:
+    return [
+        f"wrote model with {doc['outcomes']} outcomes "
+        f"(dim_a={doc['dim_a']}, dim_b={doc['dim_b']}) to {doc['out']}"
+    ]
+
+
+def _cmd_verify(args) -> tuple[dict, int]:
     tol = args.tol
     model = load_model(args.model, tol)
     phi = uniform_ket(model.dim_a) if args.phi is None else _load_phi(args.phi, model, tol)
@@ -105,18 +83,29 @@ def _cmd_verify(args) -> int:
         residual = float(np.linalg.norm(decompose_final(model, phi, tol).reconstruct() - final))
         return CheckReport(residual <= tol, [residual], residual)
 
-    return _print_suite(
-        [
-            _timed("calibration", lambda: check_calibration(model, tol)),
-            _timed("dynamical", lambda: check_dynamical(model, tol)),
-            _timed("prc", lambda: check_prc(model, phi, tol)),
-            _timed("final-reconstruction", reconstruction),
-        ],
-        args.json,
-    )
+    checks = [
+        _timed("calibration", lambda: check_calibration(model, tol)),
+        _timed("dynamical", lambda: check_dynamical(model, tol)),
+        _timed("prc", lambda: check_prc(model, phi, tol)),
+        _timed("final-reconstruction", reconstruction),
+    ]
+    passed = all(row["passed"] for row in checks)
+    return {"checks": checks, "passed": passed}, 0 if passed else 1
 
 
-def _cmd_collapse(args) -> int:
+def _text_verify(doc: dict) -> list[str]:
+    width = max(len(row["name"]) for row in doc["checks"])
+    lines = [f"{'check':<{width}}  passed  max_residual  time"]
+    for row in doc["checks"]:
+        name, flag = row["name"], "yes" if row["passed"] else "NO"
+        residual, elapsed = row["max_residual"], row["elapsed_s"]
+        lines.append(f"{name:<{width}}  {flag:<6}  {residual:<12.3e}  {elapsed:.3f}s")
+        if row["witness"] is not None:
+            lines.append(f"  {name}: {row['witness']}")
+    return lines + [f"overall: {'PASS' if doc['passed'] else 'FAIL'}"]
+
+
+def _cmd_collapse(args) -> tuple[dict, int]:
     tol = args.tol
     model = load_model(args.model, tol)
     phi = _load_phi(args.phi, model, tol)
@@ -125,44 +114,40 @@ def _cmd_collapse(args) -> int:
     norms = np.linalg.norm(dec.branch_states, axis=1) ** 2
     trace_residual = abs(float(dist.weights[dec.outcomes] @ norms) - 1.0)
     report = sample(dist, args.n, args.seed)
-
-    if args.json:
-        doc = {
-            "outcomes": [int(k) for k in dist.outcomes],
-            "weights": [float(w) for w in dist.weights],
-            "counts": [int(c) for c in report.counts],
-            "butcher_trace_residual": trace_residual,
-            "total": report.total,
-            "seed": report.seed,
-            "generator": report.generator,
-        }
-        print(json.dumps(doc, indent=2))
-        return 0
-    print("outcome  weight                  count")
-    for k, w, c in zip(dist.outcomes, dist.weights, report.counts):
-        print(f"{int(k):<7d}  {float(w)!r:<22}  {int(c)}")
-    print(f"butchered trace residual: {trace_residual:.3e}")
-    print(f"total: {report.total}  seed: {report.seed}  generator: {report.generator}")
-    return 0
+    return {
+        "outcomes": [int(k) for k in dist.outcomes],
+        "weights": [float(w) for w in dist.weights],
+        "counts": [int(c) for c in report.counts],
+        "butcher_trace_residual": trace_residual,
+        "total": report.total,
+        "seed": report.seed,
+        "generator": report.generator,
+    }, 0
 
 
-def _cmd_forms(args) -> int:
-    tol = args.tol
-    triple = forms_triple(load_vector(args.psi), load_matrix(args.projector), tol)
-    if args.json:
-        doc = {
-            "expectation_form": triple.expectation_form,
-            "born_form": triple.born_form,
-            "trace_form": triple.trace_form,
-            "max_pairwise_diff": triple.max_pairwise_diff,
-        }
-        print(json.dumps(doc, indent=2))
-        return 0
-    print(f"expectation_form: {triple.expectation_form!r}")
-    print(f"born_form: {triple.born_form!r}")
-    print(f"trace_form: {triple.trace_form!r}")
-    print(f"max pairwise difference: {triple.max_pairwise_diff:.3e}")
-    return 0
+def _text_collapse(doc: dict) -> list[str]:
+    lines = ["outcome  weight                  count"]
+    for k, w, c in zip(doc["outcomes"], doc["weights"], doc["counts"]):
+        lines.append(f"{k:<7d}  {w!r:<22}  {c}")
+    return lines + [
+        f"butchered trace residual: {doc['butcher_trace_residual']:.3e}",
+        f"total: {doc['total']}  seed: {doc['seed']}  generator: {doc['generator']}",
+    ]
+
+
+def _cmd_forms(args) -> tuple[dict, int]:
+    triple = forms_triple(load_vector(args.psi), load_matrix(args.projector), args.tol)
+    return {
+        "expectation_form": triple.expectation_form,
+        "born_form": triple.born_form,
+        "trace_form": triple.trace_form,
+        "max_pairwise_diff": triple.max_pairwise_diff,
+    }, 0
+
+
+def _text_forms(doc: dict) -> list[str]:
+    forms = [f"{key}: {doc[key]!r}" for key in ("expectation_form", "born_form", "trace_form")]
+    return forms + [f"max pairwise difference: {doc['max_pairwise_diff']:.3e}"]
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, top: bool) -> None:
@@ -194,7 +179,7 @@ def _parser() -> argparse.ArgumentParser:
     p_build.add_argument("observable", help="JSON file: Hermitian matrix or spectral form")
     p_build.add_argument("--out", required=True, help="path for the model file")
     _add_common_flags(p_build, top=False)
-    p_build.set_defaults(handler=_cmd_build)
+    p_build.set_defaults(handler=_cmd_build, render=_text_build)
 
     p_verify = sub.add_parser("verify", help="run the condition checks on a model file")
     p_verify.add_argument("model", help="JSON model file")
@@ -202,7 +187,7 @@ def _parser() -> argparse.ArgumentParser:
         "--phi", default=None, help="object state file (default: uniform superposition)"
     )
     _add_common_flags(p_verify, top=False)
-    p_verify.set_defaults(handler=_cmd_verify)
+    p_verify.set_defaults(handler=_cmd_verify, render=_text_verify)
 
     p_collapse = sub.add_parser("collapse", help="weights, butchered state, sampled counts")
     p_collapse.add_argument("model", help="JSON model file")
@@ -210,13 +195,13 @@ def _parser() -> argparse.ArgumentParser:
     p_collapse.add_argument("--n", type=int, default=100000, help="number of draws")
     p_collapse.add_argument("--seed", type=int, default=0, help="sampling seed (uint64)")
     _add_common_flags(p_collapse, top=False)
-    p_collapse.set_defaults(handler=_cmd_collapse)
+    p_collapse.set_defaults(handler=_cmd_collapse, render=_text_collapse)
 
     p_forms = sub.add_parser("forms", help="evaluate the three probability forms")
     p_forms.add_argument("psi", help="state vector file")
     p_forms.add_argument("projector", help="projector matrix file")
     _add_common_flags(p_forms, top=False)
-    p_forms.set_defaults(handler=_cmd_forms)
+    p_forms.set_defaults(handler=_cmd_forms, render=_text_forms)
 
     return parser
 
@@ -225,10 +210,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         validate_tolerance(args.tol)
-        return args.handler(args)
+        doc, code = args.handler(args)
+        print(json.dumps(doc, indent=2) if args.json else "\n".join(args.render(doc)))
     except (ModelFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

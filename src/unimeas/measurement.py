@@ -101,18 +101,15 @@ class MeasurementModel:
             raise ValueError("states contain non-finite amplitudes")
         return self._pointer_sector(validate_outcome_index(k, self.outcomes), states)
 
-    def _pointer_sector(self, k: int, states: np.ndarray) -> np.ndarray:
-        """apply_pointer on a complex array the caller has checked or computed from W."""
-        f_k = self.pointer.projectors[k]
-        dim_b = len(f_k)
-        sectors = states.reshape(len(states) // dim_b, dim_b, -1)
-        return (f_k @ sectors).reshape(states.shape)
+    def _pointer_sector(self, k: int | slice, states: np.ndarray) -> np.ndarray:
+        """apply_pointer on a complex array the caller has checked or computed from W.
 
-    def _pointer_branches(self, final: np.ndarray) -> np.ndarray:
-        """(dim, outcomes) array of columns _pointer_sector(k, final), for a joint vector."""
-        f = self.pointer.projectors
-        pieces = f @ final.reshape(-1, f.shape[1]).T
-        return pieces.transpose(2, 1, 0).reshape(len(final), len(f))
+        With a slice of outcomes, the result gains a leading outcome axis.
+        """
+        f_k = self.pointer.projectors[k]
+        dim_b = f_k.shape[-1]
+        sectors = states.reshape(len(states) // dim_b, dim_b, -1)
+        return (f_k[..., None, :, :] @ sectors).reshape(f_k.shape[:-2] + states.shape)
 
     def lifted_pointer(self, k: int) -> np.ndarray:
         """Dense pointer projector k on the joint space, I_A (x) F_k.
@@ -235,8 +232,8 @@ def check_calibration(model: MeasurementModel, eps: float = DEFAULT_EPS) -> Chec
     the object projector E_k, verifies F_k U(e (x) phi_B) = U(e (x) phi_B),
     i.e. F_k W B_k = W B_k column by column, with B_k the range basis.
     The range bases come from one batched eigh, as range_basis computes
-    each, all sum_k rank E_k columns go through W in one product, and F_k
-    acts on outcome k's part of that product in one more.
+    each, all sum_k rank E_k columns go through W in one product, and
+    F_k acts on outcome k's part of that product in one _pointer_sector call.
 
     Raises:
         ValueError: an object projector is non-finite or not Hermitian within eps.
@@ -249,15 +246,13 @@ def check_calibration(model: MeasurementModel, eps: float = DEFAULT_EPS) -> Chec
     in_range, vecs = _ranges(e)  # (outcomes, dim_a): eigenvector i of E_k spans its range
     # row c is U(b_c (x) phi_B) for range vector b_c, so each outcome's rows are contiguous
     finals = vecs.transpose(0, 2, 1)[in_range] @ model.isometry.T
-    pointed = np.empty_like(finals)
     ends = np.cumsum(in_range.sum(axis=1)).tolist()
-    for f_k, start, end in zip(model.pointer.projectors, [0] + ends, ends):
-        # F_k on the instrument axis: one GEMM over the (row, i_a) pairs of outcome k
-        rows = finals[start:end].reshape(-1, model.dim_b)
-        np.matmul(rows, f_k.T, out=pointed[start:end].reshape(rows.shape))
-    pointed -= finals
+    pointed = np.concatenate([
+        model._pointer_sector(k, finals[start:end].T).T
+        for k, (start, end) in enumerate(zip([0] + ends, ends))
+    ])
     residuals = np.zeros(in_range.shape)
-    residuals[in_range] = np.linalg.norm(pointed, axis=1)
+    residuals[in_range] = np.linalg.norm(pointed - finals, axis=1)
     return _report(residuals, eps, "range basis vector", in_range)
 
 

@@ -31,9 +31,9 @@ def rand_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def rand_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def rand_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * (z + z.conj().T) / 2.0
+    return (z + z.conj().T) / 2.0
 
 
 def rand_density(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -110,14 +110,11 @@ def with_redundant_pointer(
     )
 
 
-def perturb_model(
-    model: MeasurementModel,
-    rng: np.random.Generator,
-    theta_range: tuple[float, float] = (0.1, 1.0),
-) -> MeasurementModel:
+def perturb_model(model: MeasurementModel, rng: np.random.Generator) -> MeasurementModel:
     """Rotate one column of the isometry out of its range to break the conditions.
 
-    Column a of W becomes cos(theta) W e_a + sin(theta) v, with v a
+    Column a of W becomes cos(theta) W e_a + sin(theta) v, theta uniform in
+    [0.1, 1.0) and a uniform over the object basis, with v a
     deterministic unit vector orthogonal to range(W): v = (I - W W^dag) x
     normalised, where x = (I (x) S) W e_a and S|j> = |j+1 mod dim_b> shifts
     the instrument basis. For a canonical model x is U(e_a (x) |1>), already
@@ -130,7 +127,7 @@ def perturb_model(
     """
     if model.dim_b < 2:
         raise ValueError("perturbation needs an instrument of dimension >= 2")
-    theta = rng.uniform(*theta_range)
+    theta = rng.uniform(0.1, 1.0)
     a = int(rng.integers(model.dim_a))
 
     w = model.isometry

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from unimeas.collapse import butcher
 from unimeas.linalg import uniform_ket
 from unimeas.measurement import build_canonical_model
 from unimeas.modelio import (
+    ModelFormatError,
     load_model,
     load_vector,
     model_to_document,
@@ -107,6 +109,20 @@ class TestVerify:
         bad.write_text(json.dumps(doc))
         assert main(["verify", str(bad)]) == 2
         assert "pointer: projector 1 has shape (2, 2), expected (3, 3)" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_pointer_projector_exits_2_quietly(self, tmp_path, rng, capsys):
+        """A finite entry of 1e300 overflows the idempotency product; no numpy warning leaks."""
+        doc = model_to_document(rand_model(3, rng))
+        doc["pointer"]["projectors"][1][0][0] = [1e300, 0.0]
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="^pointer: projector 1 is not idempotent$"):
+            load_model(bad)
+        assert main(["verify", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: pointer: projector 1 is not idempotent\n"
+        assert captured.out == ""
 
     def test_uniformly_wrong_size_observable_exits_2(self, tmp_path, rng, capsys):
         doc = model_to_document(rand_model(3, rng))
@@ -293,3 +309,109 @@ class TestForms:
         save_matrix(np.diag([2.0, 0.0]), proj)
         assert main(["forms", str(psi), str(proj)]) == 2
         assert "idempotent" in capsys.readouterr().err
+
+    def test_projector_whose_square_is_nan_exits_2(self, tmp_path, capsys):
+        """Finite entries whose square overflows to nan are refused, not reported as forms."""
+        psi = tmp_path / "psi.json"
+        save_vector(np.array([1.0, 0.0], dtype=complex), psi)
+        proj = tmp_path / "proj.json"
+        x = 1e300 + 1e300j
+        save_matrix(np.array([[1e300, x], [np.conj(x), -1e300]]), proj)
+        assert main(["forms", str(psi), str(proj)]) == 2
+        assert capsys.readouterr().err == "error: projector is not idempotent\n"
+
+
+def _check_row_json(name, passed, residual, witness):
+    """One check row of a verify --json report, as printed, elapsed_s masked as T."""
+    return (
+        f'    {{\n      "name": "{name}",\n      "passed": {passed},\n'
+        f'      "max_residual": {residual},\n      "elapsed_s": T,\n'
+        f'      "witness": {witness}\n    }}'
+    )
+
+
+_VERIFY_PASS_JSON = (
+    '{\n  "checks": [\n'
+    + ",\n".join(
+        _check_row_json(name, "true", "0.0", "null")
+        for name in ("calibration", "dynamical", "prc", "final-reconstruction")
+    )
+    + '\n  ],\n  "passed": true\n}\n'
+)
+_VERIFY_SWAPPED_JSON = (
+    '{\n  "checks": [\n'
+    + ",\n".join([
+        _check_row_json(
+            "calibration", "false", "1.0",
+            '"outcome 0, range basis vector 0: residual 1.000e+00"',
+        ),
+        _check_row_json("dynamical", "false", "1.0", '"outcome 0, basis vector 0: residual 1.000e+00"'),
+        _check_row_json("prc", "true", "0.0", "null"),
+        _check_row_json("final-reconstruction", "true", "0.0", "null"),
+    ])
+    + '\n  ],\n  "passed": false\n}\n'
+)
+
+# (argv, exit code, exact stdout with the time column and elapsed_s masked as T)
+EXACT_OUTPUT = {
+    "build": (["build", "obs.json", "--out", "built.json"], 0,
+              "wrote model with 2 outcomes (dim_a=2, dim_b=2) to built.json\n"),
+    "build-json": (["--json", "build", "obs.json", "--out", "built.json"], 0,
+                   '{\n  "out": "built.json",\n  "dim_a": 2,\n  "dim_b": 2,\n  "outcomes": 2\n}\n'),
+    "verify": (["verify", "model.json"], 0,
+               "check                 passed  max_residual  time\n"
+               "calibration           yes     0.000e+00     T\n"
+               "dynamical             yes     0.000e+00     T\n"
+               "prc                   yes     0.000e+00     T\n"
+               "final-reconstruction  yes     0.000e+00     T\n"
+               "overall: PASS\n"),
+    "verify-json": (["verify", "model.json", "--json"], 0, _VERIFY_PASS_JSON),
+    "verify-swapped": (["verify", "swapped.json"], 1,
+                       "check                 passed  max_residual  time\n"
+                       "calibration           NO      1.000e+00     T\n"
+                       "  calibration: outcome 0, range basis vector 0: residual 1.000e+00\n"
+                       "dynamical             NO      1.000e+00     T\n"
+                       "  dynamical: outcome 0, basis vector 0: residual 1.000e+00\n"
+                       "prc                   yes     0.000e+00     T\n"
+                       "final-reconstruction  yes     0.000e+00     T\n"
+                       "overall: FAIL\n"),
+    "verify-swapped-json": (["--json", "verify", "swapped.json"], 1, _VERIFY_SWAPPED_JSON),
+    "collapse": (["collapse", "model.json", "phi68.json", "--n", "1000", "--seed", "7"], 0,
+                 "outcome  weight                  count\n"
+                 "0        0.36                    361\n"
+                 "1        0.6400000000000001      639\n"
+                 "butchered trace residual: 0.000e+00\n"
+                 "total: 1000  seed: 7  generator: pcg64\n"),
+    "collapse-json": (["--json", "collapse", "model.json", "phi68.json", "--n", "1000", "--seed", "7"],
+                      0,
+                      '{\n  "outcomes": [\n    0,\n    1\n  ],\n'
+                      '  "weights": [\n    0.36,\n    0.6400000000000001\n  ],\n'
+                      '  "counts": [\n    361,\n    639\n  ],\n'
+                      '  "butcher_trace_residual": 0.0,\n  "total": 1000,\n'
+                      '  "seed": 7,\n  "generator": "pcg64"\n}\n'),
+    "forms": (["forms", "phi68.json", "proj.json"], 0,
+              "expectation_form: 0.36\nborn_form: 0.36\ntrace_form: 0.36\n"
+              "max pairwise difference: 0.000e+00\n"),
+    "forms-json": (["--json", "forms", "phi68.json", "proj.json"], 0,
+                   '{\n  "expectation_form": 0.36,\n  "born_form": 0.36,\n'
+                   '  "trace_form": 0.36,\n  "max_pairwise_diff": 0.0\n}\n'),
+}
+
+
+@pytest.mark.parametrize("run", sorted(EXACT_OUTPUT))
+def test_exact_output(run, workspace, monkeypatch, capsys):
+    """Every byte of stdout, text and --json, with only the timings masked.
+
+    The inputs keep the arithmetic exact or nearly so: a qubit Z model, its
+    pointer-swapped negative, phi = (0.6, 0.8) and the projector |0><0|.
+    """
+    monkeypatch.chdir(workspace)
+    save_vector(np.array([0.6, 0.8], dtype=complex), "phi68.json")
+    save_matrix(np.diag([1.0, 0.0]), "proj.json")
+    argv, code, expected = EXACT_OUTPUT[run]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    out = re.sub(r"\d+\.\d{3}s$", "T", captured.out, flags=re.MULTILINE)
+    out = re.sub(r'"elapsed_s": [-+.e\d]+', '"elapsed_s": T', out)
+    assert out == expected
+    assert captured.err == ""

@@ -8,8 +8,6 @@ import pytest
 from unimeas.linalg import (
     basis_ket,
     dag,
-    hermiticity_defect,
-    is_hermitian,
     ket,
     orthonormality_defect,
     partial_trace,
@@ -155,10 +153,6 @@ class TestPartialTrace:
 
 
 class TestValidators:
-    def test_hermiticity_defect(self):
-        assert hermiticity_defect(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(1.0)
-        assert is_hermitian(np.diag([1.0, 2.0]))
-
     def test_validate_ket_accepts_unit_vector(self):
         validate_ket(uniform_ket(4))
 
@@ -186,6 +180,15 @@ class TestValidators:
     def test_validate_projector_rejects_non_finite(self):
         with pytest.raises(ValueError, match="projector has non-finite entries"):
             validate_projector(np.full((2, 2), np.nan))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("off_diagonal", [0.0, 1e300 + 1e300j])
+    def test_validate_projector_refuses_overflowing_square(self, off_diagonal):
+        """Finite Hermitian entries so large that P @ P overflows: to inf, or with
+        the complex off-diagonal to nan in every entry. Both are refused, silently."""
+        p = np.array([[1e300, off_diagonal], [np.conj(off_diagonal), -1e300]])
+        with pytest.raises(ValueError, match="^projector is not idempotent$"):
+            validate_projector(p)
 
     def test_validate_density(self, rng):
         validate_density(rand_density(3, rng))

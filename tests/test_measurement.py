@@ -19,10 +19,11 @@ from unimeas.rand import (
     rand_ket,
     rand_model,
     rand_observable,
+    rand_unitary,
     swap_pointer,
     with_redundant_pointer,
 )
-from unimeas.spectral import spectral_decompose
+from unimeas.spectral import SpectralForm, spectral_decompose
 
 
 def z_model():
@@ -231,6 +232,22 @@ class TestCanonicalAtScale:
             np.testing.assert_allclose(
                 model.apply_pointer(k, states[:, 0]), dense @ states[:, 0], atol=1e-12
             )
+
+    def test_pointer_sector_over_a_slice_of_outcomes(self, dim_a):
+        """A slice of outcomes adds a leading outcome axis: row k is I (x) F_k applied."""
+        rng = np.random.default_rng(dim_a)
+        model = with_redundant_pointer(rand_model(dim_a, rng), 2, rng)
+        v = rand_unitary(model.dim_b, rng)  # complex pointer projectors V F_k V^dag
+        pointer = SpectralForm(model.pointer.eigenvalues, v @ model.pointer.projectors @ dag(v))
+        model = dataclasses.replace(model, pointer=pointer)
+        states = rng.normal(size=(model.dim, 3)) + 1j * rng.normal(size=(model.dim, 3))
+        for outcomes in (slice(None), slice(1, None)):
+            ks = range(model.outcomes)[outcomes]
+            for s in (states, states[:, 0]):
+                dense = np.array([model.lifted_pointer(k) @ s for k in ks])
+                got = model._pointer_sector(outcomes, s)
+                assert got.shape == (len(ks),) + s.shape
+                np.testing.assert_allclose(got, dense, atol=1e-12)
 
     def test_perturbed_is_a_dense_rotation_of_the_unitary(self, dim_a, controlled_shift):
         """On the initial subspace perturb_model equals U R, R rotating e_a|0> toward e_a|1>."""

@@ -67,10 +67,10 @@ from .probability import (
 from .spectral import (
     DEGENERACY_TOL,
     SpectralForm,
+    from_projectors,
     range_basis,
     refine,
     spectral_decompose,
-    verify_completeness,
 )
 
 __all__ = [
@@ -100,6 +100,7 @@ __all__ = [
     "expectation_form",
     "final_density",
     "forms_triple",
+    "from_projectors",
     "ket",
     "load_matrix",
     "load_model",
@@ -122,7 +123,6 @@ __all__ = [
     "tensor",
     "trace_form",
     "uniform_ket",
-    "verify_completeness",
     "weights",
 ]
 

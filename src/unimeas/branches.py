@@ -60,11 +60,12 @@ def decompose_initial(phi, observable: SpectralForm, eps: float = DEFAULT_EPS) -
     """Split an object state over the observable's eigenprojectors.
 
     Amplitude k is ||E_k phi||, equal to <phi|E_k|phi>**(1/2) by projector
-    idempotency; branch states keep the phase inherited from E_k phi.
+    idempotency; branch states keep the phase inherited from E_k phi = V_k V_k^dag phi.
     """
     validate_tolerance(eps)
     phi = validate_state(phi, observable.dim)
-    return _decompose((observable.projectors @ phi).T, eps)
+    v, ranks = observable.basis, observable.ranks
+    return _decompose(np.add.reduceat(v * (v.conj().T @ phi), np.cumsum(ranks) - ranks, axis=1), eps)
 
 
 def check_prc(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> CheckReport:
@@ -79,12 +80,9 @@ def check_prc(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> Check
     """
     validate_tolerance(eps)
     phi_a = validate_unit_state(phi_a, model.dim_a, eps)
-    final = model.isometry @ phi_a
-    # columns F_k final in C order, as in decompose_final: that layout fixes the
-    # order of the sums over the joint index, so reported residuals stay bit-stable
-    branches = np.ascontiguousarray(model._pointer_sector(slice(None), final).T)
-    pointer_probs = (final.conj() @ branches).real
-    object_probs = ((model.observable.projectors @ phi_a) @ phi_a.conj()).real
+    sectors = (model.isometry @ phi_a).reshape(model.dim_a, model.dim_b)
+    pointer_probs = model.pointer.probabilities(sectors.T).sum(axis=1)
+    object_probs = model.observable.probabilities(phi_a)
     residuals = np.abs(pointer_probs - object_probs)
     witness = None
     above = np.flatnonzero(~(residuals <= eps))  # nan counts as above
@@ -117,5 +115,5 @@ def evolve_branch(model: MeasurementModel, phi_a, k: int) -> np.ndarray:
     when E_k annihilates phi.
     """
     phi_a = validate_state(phi_a, model.dim_a)
-    k = validate_outcome_index(k, model.outcomes)
-    return model.isometry @ (model.observable.projectors[k] @ phi_a)
+    v = model.observable.blocks[validate_outcome_index(k, model.outcomes)]
+    return model.isometry @ (v @ (v.conj().T @ phi_a))

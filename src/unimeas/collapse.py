@@ -56,17 +56,14 @@ class SampleReport:
 
 
 def weights(phi_a, observable: SpectralForm, eps: float = DEFAULT_EPS) -> OutcomeDistribution:
-    """Statistical weights w_k = <phi|E_k|phi> of the collapse mixture.
+    """Statistical weights w_k = <phi|E_k|phi> = ||V_k^dag phi||^2 of the collapse mixture.
 
     Raises:
         ValueError: phi_a has the wrong shape or is not a finite unit vector within eps.
     """
     validate_tolerance(eps)
     phi_a = validate_unit_state(phi_a, observable.dim, eps)
-    w = ((observable.projectors @ phi_a) @ phi_a.conj()).real
-    # rounding can leave values a hair below zero
-    w = np.maximum(w, 0.0)
-    return OutcomeDistribution(np.arange(observable.outcomes), w)
+    return OutcomeDistribution(np.arange(observable.outcomes), observable.probabilities(phi_a))
 
 
 def final_density(model: MeasurementModel, phi_a) -> np.ndarray:

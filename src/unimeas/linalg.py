@@ -106,9 +106,10 @@ def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
 
 
 def orthonormality_defect(q) -> float:
-    """max |Q^dag Q - I| over the columns of q; nan when q is non-finite."""
+    """max |Q^dag Q - I| over the columns of q; nan when q is non-finite, inf when Q^dag Q overflows."""
     q = as_complex(q)
-    return float(np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1]))))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge finite entries overflow
+        return float(np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1]))))
 
 
 def sum_defect(matrices: Sequence[np.ndarray], target) -> float:
@@ -177,15 +178,13 @@ def _validate_matrix(a, eps: float, name: str, idempotent: bool) -> np.ndarray:
     return a
 
 
-def stack_defect(
-    stack: np.ndarray, eps: float, idempotent: bool = False
-) -> tuple[int, str] | None:
+def stack_defect(stack: np.ndarray, eps: float, idempotent: bool = False) -> tuple[int, str] | None:
     """(k, defect) for the first matrix k of a complex (n, d, d) stack that fails.
 
     Each matrix is checked, in order, to be finite, Hermitian within eps and,
     with `idempotent`, idempotent within eps; defect completes "<name> ...".
     None when every matrix passes. The one rule behind validate_hermitian,
-    validate_projector and validate_projector_stack.
+    validate_projector and spectral.from_projectors.
     """
     finite = np.isfinite(stack).all(axis=(1, 2))
     n = len(stack) if finite.all() else int(finite.argmin())
@@ -223,24 +222,6 @@ def projector_stack(
         if p.shape != (dim, dim):
             raise ValueError(f"{label} {k} has shape {p.shape}, expected {(dim, dim)}")
     return np.array(mats)
-
-
-def validate_projector_stack(
-    stack: np.ndarray, eps: float = DEFAULT_EPS, label: str = "projector"
-) -> None:
-    """Raise unless a complex (n, d, d) stack holds pairwise orthogonal projectors.
-
-    Matrix k is named "<label> k" in error messages, a pair "<label>s k and k'";
-    the first failing matrix, then the first failing pair in (k, k') order, is reported.
-    """
-    bad = stack_defect(stack, eps, idempotent=True)
-    if bad is not None:
-        raise ValueError(f"{label} {bad[0]} {bad[1]}")
-    for k in range(len(stack) - 1):
-        overlap = abs(stack[k] @ stack[k + 1 :]).max(axis=(1, 2))
-        if overlap.max() > eps:
-            kp = k + 1 + int(np.argmax(overlap > eps))
-            raise ValueError(f"{label}s {k} and {kp} are not orthogonal")
 
 
 def density_eigh(rho, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,6 +9,8 @@ projector end up as eigenstates of the coindexed pointer projector; the
 dynamical check asks that the pointer projector commutes past the unitary
 into the object projector on the initial subspace. Both quantify over
 basis vectors only, which linearity extends to arbitrary object states.
+Both spectral forms hold range bases, E_k = V_k V_k^dag: calibration takes the
+columns of V_k as object eigenstates, and F_k acts through its basis block.
 """
 
 from __future__ import annotations
@@ -23,14 +25,13 @@ from .linalg import (
     basis_ket,
     frozen,
     orthonormality_defect,
-    stack_defect,
     tensor,
     validate_outcome_index,
     validate_state,
     validate_tolerance,
     validate_unit_state,
 )
-from .spectral import SpectralForm, _ranges
+from .spectral import SpectralForm
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,20 +105,18 @@ class MeasurementModel:
     def _pointer_sector(self, k: int | slice, states: np.ndarray) -> np.ndarray:
         """apply_pointer on a complex array the caller has checked or computed from W.
 
-        With a slice of outcomes, the result gains a leading outcome axis.
+        F_k = V_k V_k^dag acts through its basis block, dim_b * rank F_k per column
+        and sector. With a slice of outcomes, the result gains a leading outcome axis.
         """
-        f_k = self.pointer.projectors[k]
-        dim_b = f_k.shape[-1]
-        sectors = states.reshape(len(states) // dim_b, dim_b, -1)
-        return (f_k[..., None, :, :] @ sectors).reshape(f_k.shape[:-2] + states.shape)
+        if isinstance(k, slice):
+            ks = range(self.pointer.outcomes)[k]
+            return np.stack([self._pointer_sector(j, states) for j in ks])
+        v = self.pointer.blocks[k]
+        sectors = states.reshape(len(states) // len(v), len(v), -1)
+        return (v @ (v.conj().T @ sectors)).reshape(states.shape)
 
     def lifted_pointer(self, k: int) -> np.ndarray:
-        """Dense pointer projector k on the joint space, I_A (x) F_k.
-
-        Costs dim^2 memory per call; the library applies F_k sector by
-        sector instead, and this stays as the dense reference that tests
-        compare against.
-        """
+        """Dense I_A (x) F_k, dim^2 memory per call: the reference tests compare apply_pointer with."""
         return tensor(np.eye(self.dim_a), self.pointer.projectors[k])
 
     def validate(self, eps: float = DEFAULT_EPS) -> None:
@@ -183,18 +182,11 @@ def build_canonical_model(observable: SpectralForm) -> MeasurementModel:
 
     The model stores only that initial-subspace part, W[(a, k), a'] = E_k[a, a'].
     """
-    dim_a = observable.dim
-    n_out = observable.outcomes
-    dim_b = n_out
-
-    labels = np.arange(n_out)
-    pointers = np.zeros((n_out, dim_b, dim_b))
-    pointers[labels, labels, labels] = 1.0
+    dim_a, dim_b = observable.dim, observable.outcomes
     return MeasurementModel(
         observable=observable,
-        pointer=SpectralForm(labels.astype(np.float64), pointers),
+        pointer=SpectralForm(np.arange(dim_b, dtype=float), np.ones(dim_b, int), np.eye(dim_b)),
         instrument_state=basis_ket(dim_b, 0),
-        # w[a, k, a'] = E_k[a, a']
         isometry=observable.projectors.transpose(1, 0, 2).reshape(dim_a * dim_b, dim_a),
     )
 
@@ -204,22 +196,17 @@ def premeasure(model: MeasurementModel, phi_a) -> np.ndarray:
     return model.isometry @ validate_state(phi_a, model.dim_a)
 
 
-def _report(
-    residuals: np.ndarray, eps: float, column: str, columns: np.ndarray | None = None
-) -> CheckReport:
-    """Report from an (outcomes, m) array of per-column residuals.
+def _report(residuals: np.ndarray, eps: float, column: str) -> CheckReport:
+    """Report from an (outcomes, m) array of per-column residuals, zero-padded on the right.
 
-    An outcome's residual is the largest in its row. With `columns`, a
-    boolean array of the same shape, only entries where it is True are
-    columns, numbered from 0 along each row, and the others hold zero. The
-    witness names the first column above eps, or nan, in (outcome, column) order.
+    An outcome's residual is the largest in its row. The witness names the
+    first column above eps, or nan, in (outcome, column) order.
     """
     above = np.argwhere(~(residuals <= eps))
     witness = None
     if above.size:
-        k, i = above[0]
-        j = i if columns is None else np.count_nonzero(columns[k, :i])
-        witness = f"outcome {k}, {column} {j}: residual {residuals[k, i]:.3e}"
+        k, j = above[0]
+        witness = f"outcome {k}, {column} {j}: residual {residuals[k, j]:.3e}"
     per_outcome = np.max(residuals, axis=1)
     max_residual = float(np.max(per_outcome))
     return CheckReport(max_residual <= eps, per_outcome, max_residual, witness)
@@ -230,30 +217,15 @@ def check_calibration(model: MeasurementModel, eps: float = DEFAULT_EPS) -> Chec
 
     For each outcome k and each orthonormal basis vector e of the range of
     the object projector E_k, verifies F_k U(e (x) phi_B) = U(e (x) phi_B),
-    i.e. F_k W B_k = W B_k column by column, with B_k the range basis.
-    The range bases come from one batched eigh, as range_basis computes
-    each, all sum_k rank E_k columns go through W in one product, and
-    F_k acts on outcome k's part of that product in one _pointer_sector call.
-
-    Raises:
-        ValueError: an object projector is non-finite or not Hermitian within eps.
+    i.e. F_k W V_k = W V_k column by column, V_k being the range basis.
     """
     validate_tolerance(eps)
-    e = model.observable.projectors
-    bad = stack_defect(e, eps)
-    if bad is not None:
-        raise ValueError(f"projector {bad[1]}")
-    in_range, vecs = _ranges(e)  # (outcomes, dim_a): eigenvector i of E_k spans its range
-    # row c is U(b_c (x) phi_B) for range vector b_c, so each outcome's rows are contiguous
-    finals = vecs.transpose(0, 2, 1)[in_range] @ model.isometry.T
-    ends = np.cumsum(in_range.sum(axis=1)).tolist()
-    pointed = np.concatenate([
-        model._pointer_sector(k, finals[start:end].T).T
-        for k, (start, end) in enumerate(zip([0] + ends, ends))
-    ])
-    residuals = np.zeros(in_range.shape)
-    residuals[in_range] = np.linalg.norm(pointed - finals, axis=1)
-    return _report(residuals, eps, "range basis vector", in_range)
+    blocks = model.observable.blocks
+    residuals = np.zeros((len(blocks), max(len(v.T) for v in blocks)))
+    for k, v in enumerate(blocks):
+        finals = model.isometry @ v  # column i is U(b_i (x) phi_B)
+        residuals[k, : len(v.T)] = np.linalg.norm(model._pointer_sector(k, finals) - finals, axis=0)
+    return _report(residuals, eps, "range basis vector")
 
 
 def check_dynamical(model: MeasurementModel, eps: float = DEFAULT_EPS) -> CheckReport:
@@ -261,12 +233,12 @@ def check_dynamical(model: MeasurementModel, eps: float = DEFAULT_EPS) -> CheckR
 
     For each outcome k and each canonical basis vector e of the object
     space, verifies F_k U(e (x) phi_B) = U((E_k e) (x) phi_B), i.e.
-    F_k W = W E_k column by column.
+    F_k W = W E_k column by column, with W E_k = (W V_k) V_k^dag.
     """
     validate_tolerance(eps)
     w = model.isometry
     residuals = np.array([
-        np.linalg.norm(model._pointer_sector(k, w) - w @ e_k, axis=0)
-        for k, e_k in enumerate(model.observable.projectors)
+        np.linalg.norm(model._pointer_sector(k, w) - (w @ v) @ v.conj().T, axis=0)
+        for k, v in enumerate(model.observable.blocks)
     ])
     return _report(residuals, eps, "basis vector")

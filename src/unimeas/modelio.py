@@ -12,10 +12,10 @@ A model file stores the interaction on the initial subspace, the isometry
 W = U(I (x) phi_B), as a (dim_a*dim_b) x dim_a matrix. Files of earlier
 versions store the dense unitary U under "unitary" instead; they still load,
 their U checked as a whole and reduced to W, and are saved again with W.
-The file's dim_a and dim_b must be positive ints. A model reads its
-dimensions from its spectral forms, so they reach it through the shape rule
-(linalg.projector_stack): every observable projector must be dim_a x dim_a
-and every pointer projector dim_b x dim_b.
+The file's dim_a and dim_b must be positive ints. Spectral forms are stored as
+held, {"eigenvalues", "ranks" (ints), "basis"}; dense {"eigenvalues", "projectors"},
+from earlier versions or observable files, go through spectral.from_projectors and
+are saved with a basis. Observable matrices are dim_a square, pointer ones dim_b.
 
 Encoding and decoding are array operations. Decoding checks each complex
 array as a whole first; when that check fails, a per-element walk finds
@@ -25,13 +25,14 @@ the offending entry and names its field path in the error.
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, projector_stack
+from .linalg import DEFAULT_EPS
 from .measurement import MeasurementModel, isometry_from_unitary
-from .spectral import SpectralForm, spectral_decompose
+from .spectral import SpectralForm, from_projectors, spectral_decompose
 
 
 class ModelFormatError(ValueError):
@@ -41,6 +42,8 @@ class ModelFormatError(ValueError):
 # every model field but the interaction, which is "isometry" or, in files of
 # earlier versions, "unitary"
 _MODEL_FIELDS = ("dim_a", "dim_b", "observable", "pointer", "instrument_state")
+# the keys of a spectral form: a basis with ranks, or the dense form of earlier versions
+_SPECTRAL_KEYS = ({"eigenvalues", "ranks", "basis"}, {"eigenvalues", "projectors"})
 
 
 def _complex_out(a: np.ndarray) -> list:
@@ -126,33 +129,34 @@ def _real_array_in(node, where: str) -> np.ndarray:
 def _spectral_out(sf: SpectralForm) -> dict:
     return {
         "eigenvalues": sf.eigenvalues.tolist(),
-        "projectors": _complex_out(sf.projectors),
+        "ranks": sf.ranks.tolist(),
+        "basis": _complex_out(sf.basis),
     }
 
 
-def _spectral_in(node, where: str, dim: int | None = None) -> SpectralForm:
-    """The spectral form in node; the first projector that is not dim x dim is named."""
-    if not isinstance(node, dict):
-        raise ModelFormatError(f"{where}: expected an object with eigenvalues and projectors")
-    extra = set(node) - {"eigenvalues", "projectors"}
-    if extra:
-        raise ModelFormatError(f"{where}: unknown keys {sorted(extra)}")
-    if "eigenvalues" not in node or "projectors" not in node:
-        raise ModelFormatError(f"{where}: missing eigenvalues or projectors")
+def _spectral_in(node, where: str, dim: int | None, eps: float) -> SpectralForm:
+    """The spectral form in node; a basis or projector that is not dim x dim is named."""
+    if not isinstance(node, dict) or set(node) not in _SPECTRAL_KEYS:
+        keys = " or ".join(str(sorted(k)) for k in _SPECTRAL_KEYS)
+        raise ModelFormatError(f"{where}: expected an object with keys {keys}")
     vals = _real_array_in(node["eigenvalues"], f"{where}.eigenvalues")
-    projs_node = node["projectors"]
-    if not isinstance(projs_node, list) or not projs_node:
-        raise ModelFormatError(f"{where}.projectors: expected a non-empty array of matrices")
-    projs = tuple(
-        _matrix_in(p, f"{where}.projectors[{k}]") for k, p in enumerate(projs_node)
-    )
-    if vals.size != len(projs):
-        raise ModelFormatError(
-            f"{where}: {vals.size} eigenvalues but {len(projs)} projectors"
-        )
+    if "projectors" in node:
+        projs = node["projectors"]
+        if not isinstance(projs, list) or not projs:
+            raise ModelFormatError(f"{where}.projectors: expected a non-empty array of matrices")
+        projs = [_matrix_in(p, f"{where}.projectors[{k}]") for k, p in enumerate(projs)]
+        build = partial(from_projectors, vals, projs, eps, dim)
+    else:
+        basis = _matrix_in(node["basis"], f"{where}.basis")
+        ranks = node["ranks"]
+        if not isinstance(ranks, list) or not all(type(r) is int for r in ranks):
+            raise ModelFormatError(f"{where}.ranks: expected an array of integers")
+        if dim is not None and basis.shape != (dim, dim):
+            raise ModelFormatError(f"{where}: basis has shape {basis.shape}, expected {(dim, dim)}")
+        build = partial(SpectralForm, vals, ranks, basis)
     try:
-        return SpectralForm(vals, projector_stack(projs, dim=dim))
-    except ValueError as exc:  # a projector that is not square, or not dim x dim
+        return build()
+    except ValueError as exc:
         raise ModelFormatError(f"{where}: {exc}") from exc
 
 
@@ -192,8 +196,8 @@ def model_from_document(doc, eps: float = DEFAULT_EPS) -> MeasurementModel:
     for name in ("dim_a", "dim_b"):
         if not isinstance(doc[name], int) or isinstance(doc[name], bool) or doc[name] < 1:
             raise ModelFormatError(f"{name}: expected a positive integer, got {doc[name]!r}")
-    observable = _spectral_in(doc["observable"], "observable", doc["dim_a"])
-    pointer = _spectral_in(doc["pointer"], "pointer", doc["dim_b"])
+    observable = _spectral_in(doc["observable"], "observable", doc["dim_a"], eps)
+    pointer = _spectral_in(doc["pointer"], "pointer", doc["dim_b"], eps)
     instrument_state = _vector_in(doc["instrument_state"], "instrument_state")
     if legacy:
         unitary = _matrix_in(doc["unitary"], "unitary")
@@ -264,7 +268,8 @@ def load_matrix(path) -> np.ndarray:
 
 
 def load_observable(path, eps: float = DEFAULT_EPS) -> SpectralForm:
-    """Read an observable file: a Hermitian matrix or an explicit spectral form.
+    """Read an observable file: a Hermitian matrix or an explicit spectral form,
+    given by a basis with ranks or by dense projectors.
 
     Raises:
         ModelFormatError: malformed file, non-Hermitian matrix, or invalid
@@ -272,7 +277,7 @@ def load_observable(path, eps: float = DEFAULT_EPS) -> SpectralForm:
     """
     doc = _parse(path)
     if isinstance(doc, dict):
-        sf = _spectral_in(doc, "observable")
+        sf = _spectral_in(doc, "observable", None, eps)
         try:
             sf.validate(eps)
         except ValueError as exc:

@@ -21,7 +21,7 @@ from .linalg import (
     validate_tolerance,
     validate_unit_state,
 )
-from .spectral import _range_vectors
+from .spectral import range_basis
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,6 @@ def forms_triple(psi, p, eps: float = DEFAULT_EPS) -> ProbabilityTriple:
     psi, p = as_complex(psi), as_complex(p)
     return ProbabilityTriple(
         expectation_form=expectation,
-        born_form=_born(psi, _range_vectors(p)),  # 0.0 for the empty range of P = 0
+        born_form=_born(psi, range_basis(p, eps)),  # 0.0 for the empty range of P = 0
         trace_form=_trace(psi, p),
     )

@@ -89,19 +89,15 @@ def with_redundant_pointer(
     """Enlarge the instrument by an uncoupled factor of dimension extra_dim.
 
     Pointer projectors become F_k (x) I, so every pointer outcome gains
-    rank, while the measurement conditions are inherited unchanged. The
-    interaction becomes U (x) I and the instrument state phi_B (x) chi, so the
-    isometry becomes W (x) chi.
+    rank (the basis becomes V (x) I), while the measurement conditions are
+    inherited unchanged. The interaction becomes U (x) I and the instrument
+    state phi_B (x) chi, so the isometry becomes W (x) chi.
     """
     if extra_dim < 1:
         raise ValueError(f"extra_dim must be positive, got {extra_dim}")
     chi = rand_ket(extra_dim, rng)
-    n, d = model.pointer.outcomes, model.pointer.dim
-    # row (k, i) of the stacked F_k, tensored with I, gives rows (k, (i, x)) of F_k (x) I
-    lifted = tensor(model.pointer.projectors.reshape(n * d, d), np.eye(extra_dim))
-    pointer = SpectralForm(
-        model.pointer.eigenvalues, lifted.reshape(n, d * extra_dim, d * extra_dim)
-    )
+    p = model.pointer
+    pointer = SpectralForm(p.eigenvalues, p.ranks * extra_dim, tensor(p.basis, np.eye(extra_dim)))
     return MeasurementModel(
         observable=model.observable,
         pointer=pointer,
@@ -151,12 +147,12 @@ def perturb_model(model: MeasurementModel, rng: np.random.Generator) -> Measurem
 
 
 def swap_pointer(model: MeasurementModel) -> MeasurementModel:
-    """Exchange the first two pointer projectors, breaking the coindexing."""
+    """Exchange the first two pointer projectors (basis blocks), breaking the coindexing."""
     if model.outcomes < 2:
         raise ValueError("pointer swap needs at least two outcomes")
-    order = np.arange(model.pointer.outcomes)
-    order[:2] = 1, 0
-    pointer = SpectralForm(model.pointer.eigenvalues, model.pointer.projectors[order])
+    p = model.pointer
+    blocks = (p.blocks[1], p.blocks[0], *p.blocks[2:])
+    pointer = SpectralForm(p.eigenvalues, [len(v.T) for v in blocks], np.hstack(blocks))
     return MeasurementModel(
         observable=model.observable,
         pointer=pointer,

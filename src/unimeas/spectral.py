@@ -1,20 +1,28 @@
-"""Unique spectral forms of Hermitian observables and projector refinement."""
+"""Unique spectral forms of Hermitian observables and projector refinement.
+
+A form holds one range basis V with its columns grouped by outcome, E_k = V_k V_k^dag;
+one defect, max |V^dag V - I|, says that the E_k are Hermitian, idempotent,
+pairwise orthogonal and complete. Dense projectors enter through from_projectors.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_EPS,
+    as_complex,
     frozen,
+    orthonormality_defect,
     projector_stack,
+    stack_defect,
     sum_defect,
     validate_hermitian,
     validate_outcome_index,
-    validate_projector_stack,
     validate_tolerance,
 )
 
@@ -24,63 +32,82 @@ DEGENERACY_TOL = 1e-7
 
 @dataclass(frozen=True, eq=False)
 class SpectralForm:
-    """Pairwise-distinct eigenvalues with coindexed orthogonal projectors.
+    """Pairwise-distinct eigenvalues with coindexed orthogonal projectors, held as one range basis.
 
-    `projectors` is one read-only complex (outcomes, dim, dim) array; a
-    sequence of matrices given to the constructor is stacked into it by
-    linalg.projector_stack. Records compare and hash by identity.
+    `basis` is read-only, complex and (dim, dim); its first ranks[0] columns span outcome 0's
+    range, and so on. The constructor checks shapes, finiteness and ranks, validate the values.
+    Records compare and hash by identity.
     """
 
     eigenvalues: np.ndarray
-    projectors: np.ndarray = field(repr=False)
+    ranks: np.ndarray
+    basis: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        if len(self.projectors) != vals.size:
-            raise ValueError(f"{vals.size} eigenvalues but {len(self.projectors)} projectors")
-        if vals.size == 0:
-            raise ValueError("spectral form needs at least one outcome")
+        vals = np.asarray(self.eigenvalues, dtype=np.float64).reshape(-1)
+        ranks, basis = np.asarray(self.ranks), as_complex(self.basis)
+        if basis.ndim != 2 or basis.shape[0] != basis.shape[1] or not basis.size:
+            raise ValueError(f"basis must be a non-empty square matrix, got shape {basis.shape}")
+        if not np.isfinite(basis).all():
+            raise ValueError("basis has non-finite entries")
+        if ranks.ndim != 1 or ranks.size != vals.size:
+            raise ValueError(f"{vals.size} eigenvalues but {ranks.size} ranks")
+        dim = len(basis)  # ranks in 1..dim first: their int64 sum cannot wrap
+        if ranks.dtype.kind not in "iu" or not np.all((ranks >= 1) & (ranks <= dim)) or ranks.sum() != dim:
+            raise ValueError(f"ranks must be positive integers adding up to {dim}, got {ranks.tolist()}")
         object.__setattr__(self, "eigenvalues", frozen(vals))
-        stack = projector_stack(self.projectors)
-        stack.setflags(write=False)
-        object.__setattr__(self, "projectors", stack)
+        object.__setattr__(self, "ranks", frozen(ranks.astype(np.int64)))
+        object.__setattr__(self, "basis", frozen(np.ascontiguousarray(basis)))
 
     @property
     def dim(self) -> int:
-        return self.projectors.shape[1]
+        return len(self.basis)
 
     @property
     def outcomes(self) -> int:
-        return len(self.projectors)
+        return len(self.ranks)
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The V_k, as read-only views of the basis."""
+        return tuple(np.split(self.basis, np.cumsum(self.ranks)[:-1], axis=1))
+
+    @property
+    def projectors(self) -> np.ndarray:
+        """Read-only (outcomes, dim, dim) stack of the E_k, built on each call for dense consumers."""
+        return frozen(np.array([v @ v.conj().T for v in self.blocks]))
 
     def rank(self, k: int) -> int:
-        return int(round(np.trace(self.projectors[validate_outcome_index(k, self.outcomes)]).real))
+        return int(self.ranks[validate_outcome_index(k, self.outcomes)])
+
+    def probabilities(self, phi: np.ndarray) -> np.ndarray:
+        """<phi|E_k|phi> = ||V_k^dag phi||^2 for each outcome k (rows of a matrix phi), never negative."""
+        return np.add.reduceat(abs(self.basis.conj().T @ phi) ** 2, np.cumsum(self.ranks) - self.ranks)
 
     def validate(self, eps: float = DEFAULT_EPS) -> None:
-        """Check finiteness, idempotency, orthogonality, completeness, and distinctness."""
+        """Check finite, pairwise-distinct eigenvalues and a basis unitary within eps."""
         validate_tolerance(eps)
         if not np.all(np.isfinite(self.eigenvalues)):
             raise ValueError("eigenvalues must be finite")
-        validate_projector_stack(self.projectors, eps)
-        ok, residual = verify_completeness(self, eps)
-        if not ok:
-            raise ValueError(f"projectors do not sum to identity (residual {residual:.3e})")
-        vals = self.eigenvalues.reshape(-1)
+        defect = orthonormality_defect(self.basis)
+        if not defect <= eps:
+            raise ValueError(f"basis: unitarity defect {defect:.3e} exceeds {eps}")
+        vals = self.eigenvalues
         equal = vals[:, None] == vals
         if equal.sum() > vals.size:  # more than the diagonal
             k, kp = np.argwhere(np.triu(equal, 1))[0]  # the first pair in (k, k') order
             raise ValueError(f"eigenvalues {k} and {kp} are equal ({vals[k]})")
 
     def reconstruct(self) -> np.ndarray:
-        """Sum of eigenvalue-weighted projectors."""
-        return np.tensordot(self.eigenvalues, self.projectors, axes=1)
+        """Sum of eigenvalue-weighted projectors, as one product V diag(...) V^dag."""
+        return (self.basis * np.repeat(self.eigenvalues, self.ranks)) @ self.basis.conj().T
 
 
 def spectral_decompose(h, eps: float = DEFAULT_EPS) -> SpectralForm:
     """Unique spectral form of a Hermitian operator.
 
     Eigenvalues closer than DEGENERACY_TOL are merged into one outcome whose
-    projector spans the joint eigenspace. Outcomes are sorted by descending
+    basis block holds their eigenvectors. Outcomes are sorted by descending
     eigenvalue so indexing is deterministic.
 
     Raises:
@@ -89,23 +116,55 @@ def spectral_decompose(h, eps: float = DEFAULT_EPS) -> SpectralForm:
     validate_tolerance(eps)
     h = validate_hermitian(h, eps, "observable")
     vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
-
-    # a new outcome starts wherever the gap to the previous eigenvalue is large;
-    # outcome j is the ascending eigenvalues cuts[j + 1]:cuts[j]
-    cuts = [vals.size, *(np.flatnonzero(np.diff(vals) > DEGENERACY_TOL) + 1).tolist()[::-1], 0]
-    projectors = np.empty((len(cuts) - 1, vals.size, vals.size), dtype=np.complex128)
-    for j in range(len(cuts) - 1):
-        block = vecs[:, cuts[j + 1] : cuts[j]]
-        np.matmul(block, block.conj().T, out=projectors[j])
-    eigenvalues = [vals[cuts[j + 1] : cuts[j]].mean() for j in range(len(cuts) - 1)]
-    return SpectralForm(np.array(eigenvalues), projectors)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    # a new outcome starts wherever the gap to the previous eigenvalue is large
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(vals) < -DEGENERACY_TOL) + 1))
+    ranks = np.diff(np.append(starts, vals.size))
+    return SpectralForm(np.add.reduceat(vals, starts) / ranks, ranks, vecs)
 
 
-def verify_completeness(sf: SpectralForm, eps: float = DEFAULT_EPS) -> tuple[bool, float]:
-    """Whether the projectors sum to the identity; returns (ok, max residual)."""
+def from_projectors(
+    eigenvalues, projectors: Sequence[np.ndarray], eps: float = DEFAULT_EPS, dim: int | None = None
+) -> SpectralForm:
+    """Spectral form of dense coindexed projectors, each dim x dim (or else projector 0's size).
+
+    _dense_basis checks the projectors as given; their ranks must then add up to
+    dim, so that they sum to the identity. validate checks the eigenvalues.
+    """
     validate_tolerance(eps)
-    residual = sum_defect(sf.projectors, np.eye(sf.dim))
-    return residual <= eps, residual
+    vals = np.asarray(eigenvalues, dtype=np.float64).reshape(-1)
+    if vals.size != len(projectors):
+        raise ValueError(f"{vals.size} eigenvalues but {len(projectors)} projectors")
+    basis, ranks = _dense_basis(projector_stack(projectors, dim=dim), eps, "projector")
+    d, total = basis.shape
+    if total != d:
+        raise ValueError(f"projectors do not sum to identity (ranks add up to {total}, not {d})")
+    return SpectralForm(vals, ranks, basis)
+
+
+def _dense_basis(stack: np.ndarray, eps: float, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """(basis, ranks) of a complex (n, d, d) stack of orthogonal projectors, checked as given.
+
+    The first matrix that stack_defect refuses (with idempotency), or that is zero, is named
+    "<label> k"; then "<label>s k and k'", the first pair in (k, k') order whose block of the
+    Gram matrix V^dag V has an entry above eps. Block k of V is matrix k's range basis.
+    """
+    bad = stack_defect(stack, eps, idempotent=True)
+    if bad is not None:
+        raise ValueError(f"{label} {bad[0]} {bad[1]}")
+    in_range, vecs = _ranges(stack)
+    ranks = in_range.sum(axis=1)
+    if not ranks.all():
+        raise ValueError(f"{label} {int(np.argmin(ranks))} is zero")
+    basis = vecs.transpose(0, 2, 1)[in_range].T
+    ends = np.cumsum(ranks)
+    # one block row of the Gram matrix at a time: memory stays within the stack's
+    for k in range(len(ranks) - 1):
+        row = abs(basis[:, ends[k] - ranks[k] : ends[k]].conj().T @ basis[:, ends[k] :]).max(axis=0)
+        above = np.maximum.reduceat(row, ends[k:-1] - ends[k]) > eps
+        if above.any():
+            raise ValueError(f"{label}s {k} and {k + 1 + int(above.argmax())} are not orthogonal")
+    return basis, ranks
 
 
 def refine(
@@ -116,33 +175,29 @@ def refine(
 ) -> SpectralForm:
     """Split outcome k into finer orthogonal sub-outcomes (overmeasurement).
 
-    The sub-projectors must be orthogonal idempotents summing to the
-    outcome's projector. Fresh eigenvalue labels are assigned below the
-    original one, inside the gap to the next smaller eigenvalue; they are
-    labels only and carry no numeric meaning.
-
-    Raises:
-        ValueError: k is not an outcome index, or the sub-projectors are
-            invalid or do not sum to projector k.
+    The sub-projectors must be nonzero orthogonal idempotents summing to the
+    outcome's projector; their range bases replace outcome k's basis block.
+    Fresh eigenvalue labels, labels only, are spread below the original one
+    inside the gap to the next smaller eigenvalue, or 1/m (at least one float
+    spacing) apart below the smallest; a gap too narrow for m floats raises.
     """
     validate_tolerance(eps)
     k = validate_outcome_index(k, sf.outcomes)
     subs = projector_stack(sub_projectors, "sub-projector", sf.dim)
-    validate_projector_stack(subs, eps, "sub-projector")
+    sub_basis, sub_ranks = _dense_basis(subs, eps, "sub-projector")
     defect = sum_defect(subs, sf.projectors[k])
     if not defect <= eps:
-        raise ValueError(
-            f"sub-projectors do not sum to projector {k} (defect {defect:.3e})"
-        )
-
-    vals = sf.eigenvalues
-    below = vals[vals < vals[k]]
-    gap = float(vals[k] - np.max(below)) if below.size else 1.0
-    m = len(subs)
-    labels = [float(vals[k]) - j * (gap / m) for j in range(m)]
+        raise ValueError(f"sub-projectors do not sum to projector {k} (defect {defect:.3e})")
+    vals, m = sf.eigenvalues, len(subs)
+    lower = np.max(vals[vals < vals[k]], initial=-np.inf)
+    step = (vals[k] - lower) / m if np.isfinite(lower) else max(1.0 / m, np.spacing(abs(vals[k])))
+    labels = vals[k] - step * np.arange(m)
+    if not (np.all(np.diff(labels) < 0) and labels[-1] > lower):
+        raise ValueError(f"outcome {k}: no room for {m} distinct labels below eigenvalue {vals[k]!r}")
     return SpectralForm(
         np.concatenate([vals[:k], labels, vals[k + 1 :]]),
-        np.concatenate([sf.projectors[:k], subs, sf.projectors[k + 1 :]]),
+        np.concatenate([sf.ranks[:k], sub_ranks, sf.ranks[k + 1 :]]),
+        np.hstack([*sf.blocks[:k], sub_basis, *sf.blocks[k + 1 :]]),
     )
 
 
@@ -152,12 +207,7 @@ def range_basis(projector, eps: float = DEFAULT_EPS) -> list[np.ndarray]:
     Raises:
         ValueError: projector is non-finite, not square, or not Hermitian within eps.
     """
-    return _range_vectors(validate_hermitian(projector, eps, "projector"))
-
-
-def _range_vectors(p: np.ndarray) -> list[np.ndarray]:
-    """range_basis of a matrix the caller has already validated."""
-    in_range, vecs = _ranges(p[None])
+    in_range, vecs = _ranges(validate_hermitian(projector, eps, "projector")[None])
     return [vecs[0][:, i] for i in np.flatnonzero(in_range[0])]
 
 
@@ -166,7 +216,7 @@ def _ranges(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     vecs[k][:, i] is an eigenvector of matrix k, and in_range[k, i] (eigenvalue
     above 1/2) says it belongs to the range basis. The one range rule behind
-    range_basis and check_calibration.
+    range_basis and from_projectors.
     """
     vals, vecs = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2.0)
     return vals > 0.5, vecs

@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from unimeas.modelio import model_to_document
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
@@ -23,5 +25,23 @@ def controlled_shift():
             np.kron(e_k, np.linalg.matrix_power(shift, k))
             for k, e_k in enumerate(observable.projectors)
         )
+
+    return build
+
+
+@pytest.fixture
+def dense_document():
+    """model -> its document with each spectral form as dense projectors, as earlier versions wrote it."""
+
+    def build(model) -> dict:
+        doc = model_to_document(model)
+        for name in ("observable", "pointer"):
+            sf = getattr(model, name)
+            e = sf.projectors
+            doc[name] = {
+                "eigenvalues": sf.eigenvalues.tolist(),
+                "projectors": np.stack([e.real, e.imag], -1).tolist(),
+            }
+        return doc
 
     return build

@@ -102,8 +102,8 @@ class TestVerify:
         assert main(["verify", str(workspace / "model.json"), "--phi", str(phi3)]) == 2
         assert "phi" in capsys.readouterr().err
 
-    def test_wrong_size_pointer_projector_exits_2(self, tmp_path, rng, capsys):
-        doc = model_to_document(rand_model(3, rng))
+    def test_wrong_size_pointer_projector_exits_2(self, tmp_path, rng, capsys, dense_document):
+        doc = dense_document(rand_model(3, rng))
         doc["pointer"]["projectors"][1] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         bad = tmp_path / "model.json"
         bad.write_text(json.dumps(doc))
@@ -111,9 +111,9 @@ class TestVerify:
         assert "pointer: projector 1 has shape (2, 2), expected (3, 3)" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_pointer_projector_exits_2_quietly(self, tmp_path, rng, capsys):
+    def test_overflowing_pointer_projector_exits_2_quietly(self, tmp_path, rng, capsys, dense_document):
         """A finite entry of 1e300 overflows the idempotency product; no numpy warning leaks."""
-        doc = model_to_document(rand_model(3, rng))
+        doc = dense_document(rand_model(3, rng))
         doc["pointer"]["projectors"][1][0][0] = [1e300, 0.0]
         bad = tmp_path / "model.json"
         bad.write_text(json.dumps(doc))
@@ -124,8 +124,8 @@ class TestVerify:
         assert captured.err == "error: pointer: projector 1 is not idempotent\n"
         assert captured.out == ""
 
-    def test_uniformly_wrong_size_observable_exits_2(self, tmp_path, rng, capsys):
-        doc = model_to_document(rand_model(3, rng))
+    def test_uniformly_wrong_size_observable_exits_2(self, tmp_path, rng, capsys, dense_document):
+        doc = dense_document(rand_model(3, rng))
         doc["observable"]["projectors"] = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]] * 3
         bad = tmp_path / "model.json"
         bad.write_text(json.dumps(doc))

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from unimeas.cli import main
 from unimeas.measurement import build_canonical_model
 from unimeas.modelio import (
     ModelFormatError,
@@ -239,9 +240,9 @@ class TestMalformedArrays:
     """Every malformed complex array is rejected with the offending field path."""
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
-    def test_rejected_with_field_path(self, tmp_path, model, case):
+    def test_rejected_with_field_path(self, tmp_path, model, case, dense_document):
         where, value, message = MALFORMED[case]
-        doc = model_to_document(model)
+        doc = (dense_document if "projectors" in where else model_to_document)(model)
         _set(doc, where, value)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
@@ -304,22 +305,22 @@ class TestFieldDiagnostics:
         with pytest.raises(ModelFormatError, match="observable"):
             model_from_document(doc)
 
-    def test_wrong_size_pointer_projector_named(self, model):
-        doc = model_to_document(model)
+    def test_wrong_size_pointer_projector_named(self, model, dense_document):
+        doc = dense_document(model)
         doc["pointer"]["projectors"][1] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         message = r"^pointer: projector 1 has shape \(2, 2\), expected \(3, 3\)$"
         with pytest.raises(ModelFormatError, match=message):
             model_from_document(doc)
 
-    def test_wrong_size_pointer_projector_0_named(self, model):
-        doc = model_to_document(model)
+    def test_wrong_size_pointer_projector_0_named(self, model, dense_document):
+        doc = dense_document(model)
         doc["pointer"]["projectors"][0] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         message = r"^pointer: projector 0 has shape \(2, 2\), expected \(3, 3\)$"
         with pytest.raises(ModelFormatError, match=message):
             model_from_document(doc)
 
-    def test_uniformly_wrong_size_pointer_named_by_dimension(self, model):
-        doc = model_to_document(model)
+    def test_uniformly_wrong_size_pointer_named_by_dimension(self, model, dense_document):
+        doc = dense_document(model)
         doc["pointer"]["projectors"] = [
             [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
             [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
@@ -329,8 +330,8 @@ class TestFieldDiagnostics:
         with pytest.raises(ModelFormatError, match=message):
             model_from_document(doc)
 
-    def test_uniformly_wrong_size_observable_named_by_dimension(self, model):
-        doc = model_to_document(model)
+    def test_uniformly_wrong_size_observable_named_by_dimension(self, model, dense_document):
+        doc = dense_document(model)
         doc["observable"]["projectors"] = [
             [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
             [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
@@ -380,6 +381,95 @@ class TestFieldDiagnostics:
 
     def test_error_type_is_value_error(self):
         assert issubclass(ModelFormatError, ValueError)
+
+
+# case: (change to the observable of a basis document, message the loader must give)
+BASIS_FIELD_FAULTS = {
+    "basis-nan": (
+        lambda sf: sf["basis"][0].__setitem__(1, [float("nan"), 0.0]),
+        r"^observable\.basis\[0\]\[1\]: non-finite value \[nan, 0\.0\]$",
+    ),
+    "basis-inf": (
+        lambda sf: sf["basis"][2].__setitem__(0, [0.0, float("-inf")]),
+        r"^observable\.basis\[2\]\[0\]: non-finite value \[0\.0, -inf\]$",
+    ),
+    "basis-not-square": (
+        lambda sf: sf.__setitem__("basis", sf["basis"][:2]),
+        r"^observable: basis has shape \(2, 3\), expected \(3, 3\)$",
+    ),
+    "basis-wrong-dim": (
+        lambda sf: sf.__setitem__("basis", [row[:2] for row in sf["basis"][:2]]),
+        r"^observable: basis has shape \(2, 2\), expected \(3, 3\)$",
+    ),
+    "basis-not-unitary": (
+        lambda sf: sf["basis"][0].__setitem__(0, [5.0, 0.0]),
+        r"^observable: basis: unitarity defect [0-9.e+]+ exceeds 1e-09$",
+    ),
+    "basis-overflowing": (
+        lambda sf: sf["basis"][0].__setitem__(0, [1e300, 0.0]),
+        r"^observable: basis: unitarity defect inf exceeds 1e-09$",
+    ),
+    "rank-zero": (
+        lambda sf: sf.__setitem__("ranks", [0, 2, 1]),
+        r"^observable: ranks must be positive integers adding up to 3, got \[0, 2, 1\]$",
+    ),
+    "rank-negative": (
+        lambda sf: sf.__setitem__("ranks", [-1, 3, 1]),
+        r"^observable: ranks must be positive integers adding up to 3, got \[-1, 3, 1\]$",
+    ),
+    "rank-huge": (
+        lambda sf: sf.__setitem__("ranks", [10**30, 1, 1]),
+        r"^observable: ranks must be positive integers adding up to 3",
+    ),
+    "rank-wrapping": (
+        lambda sf: sf.__setitem__("ranks", [2**63 - 1, 2**63 - 1, 5]),  # int64 sum wraps to 3
+        r"^observable: ranks must be positive integers adding up to 3",
+    ),
+    "rank-bool": (
+        lambda sf: sf.__setitem__("ranks", [True, 1, 1]),
+        r"^observable\.ranks: expected an array of integers$",
+    ),
+    "rank-float": (
+        lambda sf: sf.__setitem__("ranks", [1.0, 1, 1]),
+        r"^observable\.ranks: expected an array of integers$",
+    ),
+    "ranks-not-a-list": (
+        lambda sf: sf.__setitem__("ranks", 3),
+        r"^observable\.ranks: expected an array of integers$",
+    ),
+    "ranks-sum": (
+        lambda sf: sf.__setitem__("ranks", [1, 1, 2]),
+        r"^observable: ranks must be positive integers adding up to 3, got \[1, 1, 2\]$",
+    ),
+    "counts-differ": (
+        lambda sf: sf.__setitem__("ranks", [1, 2]),
+        r"^observable: 3 eigenvalues but 2 ranks$",
+    ),
+    "basis-and-projectors": (
+        lambda sf: sf.__setitem__("projectors", [np.eye(3).tolist()]),
+        r"^observable: expected an object with keys \['basis', 'eigenvalues', 'ranks'\] or "
+        r"\['eigenvalues', 'projectors'\]$",
+    ),
+    "neither": (
+        lambda sf: (sf.pop("basis"), sf.pop("ranks")),
+        r"^observable: expected an object with keys",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(BASIS_FIELD_FAULTS))
+def test_basis_field_faults_rejected(tmp_path, model, case, capsys):
+    """Each fault in the fields of a stored spectral form is named, and the CLI exits 2."""
+    change, message = BASIS_FIELD_FAULTS[case]
+    doc = model_to_document(model)
+    change(doc["observable"])
+    with pytest.raises(ModelFormatError, match=message):
+        model_from_document(json.loads(json.dumps(doc)))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: observable")
 
 
 class TestObservableFiles:

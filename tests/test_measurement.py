@@ -238,7 +238,7 @@ class TestCanonicalAtScale:
         rng = np.random.default_rng(dim_a)
         model = with_redundant_pointer(rand_model(dim_a, rng), 2, rng)
         v = rand_unitary(model.dim_b, rng)  # complex pointer projectors V F_k V^dag
-        pointer = SpectralForm(model.pointer.eigenvalues, v @ model.pointer.projectors @ dag(v))
+        pointer = SpectralForm(model.pointer.eigenvalues, model.pointer.ranks, v @ model.pointer.basis)
         model = dataclasses.replace(model, pointer=pointer)
         states = rng.normal(size=(model.dim, 3)) + 1j * rng.normal(size=(model.dim, 3))
         for outcomes in (slice(None), slice(1, None)):

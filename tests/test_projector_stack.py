@@ -1,7 +1,7 @@
-"""Projectors as one (outcomes, dim, dim) stack: construction, batched checks, parity.
+"""Dense projector stacks: the checks from_projectors makes on them, and parity.
 
-The batched validators and the batched calibration check are compared with
-the per-projector loops they replaced, kept here as references (as
+from_projectors and the basis-block calibration check are compared with
+per-projector loops kept here as references (as
 lifted_pointer is kept for apply_pointer): equal verdicts, equal witness
 and error strings, and residuals within 1e-14, a bound set by complex128
 rounding of the same products taken in a different grouping.
@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from unimeas.linalg import projector_stack, validate_projector, validate_projector_stack
+from unimeas.linalg import validate_projector
 from unimeas.measurement import MeasurementModel, check_calibration
 from unimeas.rand import (
     perturb_model,
@@ -25,7 +25,7 @@ from unimeas.rand import (
     swap_pointer,
     with_redundant_pointer,
 )
-from unimeas.spectral import SpectralForm, range_basis, refine, spectral_decompose
+from unimeas.spectral import SpectralForm, from_projectors, range_basis, refine, spectral_decompose
 
 RESIDUAL_TOL = 1e-14
 VARIANTS = ("plain", "degenerate", "redundant", "perturbed", "swapped")
@@ -33,16 +33,26 @@ DIMS = (2, 3, 4, 5, 6, 7, 8, 16, 32)
 
 
 def loop_validate_projectors(projectors, dim, eps=1e-9, label="projector"):
-    """projector_stack and validate_projector_stack as one check per projector, then one
-    product per pair; every shape is checked before any content."""
+    """The projector checks of from_projectors as one check per projector, then one
+    product of range bases per pair; every shape is checked before any content.
+
+    Pairs are compared through their range bases, max |B_k^dag B_k'|, as
+    from_projectors reads them from the Gram matrix. Earlier versions took
+    max |E_k E_k'|, which differs from it near eps when a projector is only
+    idempotent within about eps (the "scale" corruption).
+    """
     for k, p in enumerate(projectors):
         if p.shape != (dim, dim):
             raise ValueError(f"{label} {k} has shape {p.shape}, expected {(dim, dim)}")
     for k, p in enumerate(projectors):
         validate_projector(p, eps, f"{label} {k}")
-    for k in range(len(projectors)):
-        for kp in range(k + 1, len(projectors)):
-            if np.max(np.abs(projectors[k] @ projectors[kp])) > eps:
+    bases = [range_basis(p, eps) for p in projectors]
+    for k, basis in enumerate(bases):
+        if not basis:
+            raise ValueError(f"{label} {k} is zero")
+    for k in range(len(bases)):
+        for kp in range(k + 1, len(bases)):
+            if np.max(np.abs(np.column_stack(bases[k]).conj().T @ np.column_stack(bases[kp]))) > eps:
                 raise ValueError(f"{label}s {k} and {kp} are not orthogonal")
 
 
@@ -87,9 +97,10 @@ def rotated_instrument(model: MeasurementModel, rng: np.random.Generator) -> Mea
     """The model in a random complex instrument basis V: F_k -> V F_k V^dag, W -> (I (x) V) W."""
     v = rand_unitary(model.dim_b, rng)
     w = v @ model.isometry.reshape(model.dim_a, model.dim_b, model.dim_a)
+    p = model.pointer
     return dataclasses.replace(
         model,
-        pointer=SpectralForm(model.pointer.eigenvalues, v @ model.pointer.projectors @ v.conj().T),
+        pointer=SpectralForm(p.eigenvalues, p.ranks, v @ p.basis),
         instrument_state=v @ model.instrument_state,
         isometry=w.reshape(model.dim, model.dim_a),
     )
@@ -137,9 +148,7 @@ class TestLoopParity:
         rng = np.random.default_rng([dim, seed])
         for sf in (model.observable, model.pointer):
             for mats in _corruptions(list(sf.projectors), rng):
-                batched = _outcome(
-                    lambda: validate_projector_stack(projector_stack(mats, dim=sf.dim))
-                )
+                batched = _outcome(lambda: from_projectors(sf.eigenvalues, mats, dim=sf.dim))
                 assert batched == _outcome(lambda: loop_validate_projectors(mats, sf.dim))
 
     @pytest.mark.parametrize("variant,dim,seed", ZOO)
@@ -159,15 +168,16 @@ class TestLoopParity:
 
     @pytest.mark.parametrize("mutate", ["nan", "hermitian"])
     def test_calibration_errors(self, mutate):
+        """Object projectors that check_calibration refused when forms held dense stacks
+        cannot reach it: from_projectors names the first defect, as the loop does."""
         model = _zoo("plain", 4, 0)
         e = np.array(model.observable.projectors)
         e[2, 0, 1] = np.nan if mutate == "nan" else 1e-3
         e[3, 1, 0] = np.nan  # a later defect is not the one reported
-        bad = dataclasses.replace(model, observable=SpectralForm(model.observable.eigenvalues, e))
         with pytest.raises(ValueError) as batched:
-            check_calibration(bad)
+            from_projectors(model.observable.eigenvalues, e)
         with pytest.raises(ValueError) as loop:
-            loop_calibration(bad)
+            loop_validate_projectors(e, 4)
         assert str(batched.value) == str(loop.value)
 
 
@@ -196,7 +206,7 @@ class TestFirstFailure:
         p1 = np.diag([0.0, 1.0, 0.0])
         p1[0, 2] = 1.0
         with pytest.raises(ValueError, match=r"^projector 0 is not idempotent$"):
-            validate_projector_stack(projector_stack([p0, p1, np.eye(3)], dim=3))
+            from_projectors(np.arange(3.0), [p0, p1, np.eye(3)])
 
     @pytest.mark.parametrize(
         "diagonals,pair",
@@ -208,10 +218,10 @@ class TestFirstFailure:
     def test_first_non_orthogonal_pair(self, diagonals, pair):
         projectors = [np.diag(np.array(d, dtype=float)) for d in diagonals]
         with pytest.raises(ValueError, match=rf"^projectors {pair} are not orthogonal$"):
-            validate_projector_stack(projector_stack(projectors, dim=3))
+            from_projectors(np.arange(3.0), projectors)
 
     def test_first_equal_eigenvalue_pair(self):
-        sf = SpectralForm(np.array([1.0, 2.0, 1.0, 2.0]), np.eye(4)[:, None] * np.eye(4)[:, :, None])
+        sf = from_projectors(np.array([1.0, 2.0, 1.0, 2.0]), np.eye(4)[:, None] * np.eye(4)[:, :, None])
         with pytest.raises(ValueError, match=r"^eigenvalues 0 and 2 are equal \(1\.0\)$"):
             sf.validate()
 
@@ -232,13 +242,13 @@ class TestStackConstruction:
 
     def test_tuple_and_stack_give_equal_forms(self):
         mats = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        a = SpectralForm(np.array([1.0, -1.0]), mats)
-        b = SpectralForm(np.array([1.0, -1.0]), np.stack(mats))
+        a = from_projectors(np.array([1.0, -1.0]), mats)
+        b = from_projectors(np.array([1.0, -1.0]), np.stack(mats))
         np.testing.assert_array_equal(a.projectors, b.projectors)
 
     def test_stack_is_a_copy(self):
         mats = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
-        sf = SpectralForm(np.array([1.0, -1.0]), mats)
+        sf = from_projectors(np.array([1.0, -1.0]), mats)
         mats[0, 0, 0] = 5.0
         assert sf.projectors[0, 0, 0] == 1.0
 
@@ -254,10 +264,10 @@ class TestStackConstruction:
     )
     def test_malformed_refused_naming_index(self, projectors, message):
         with pytest.raises(ValueError, match=message):
-            SpectralForm(np.arange(len(projectors), dtype=float), projectors)
+            from_projectors(np.arange(len(projectors), dtype=float), projectors)
 
     def test_scalar_eigenvalue_validates(self):
-        SpectralForm(np.float64(1.0), (np.eye(2),)).validate()
+        from_projectors(np.float64(1.0), (np.eye(2),)).validate()
 
     def test_reconstruct_matches_weighted_sum(self, rng):
         h = rand_hermitian(6, rng)

@@ -8,10 +8,10 @@ from unimeas.measurement import build_canonical_model
 from unimeas.rand import rand_hermitian, rand_ket, rand_observable
 from unimeas.spectral import (
     SpectralForm,
+    from_projectors,
     range_basis,
     refine,
     spectral_decompose,
-    verify_completeness,
 )
 
 
@@ -71,21 +71,22 @@ class TestSpectralDecompose:
 
 
 class TestVerifyCompleteness:
+    """A form's ranks add up to dim and its basis is unitary, so its projectors sum to I."""
+
     def test_decompose_output_complete(self, rng):
-        ok, residual = verify_completeness(spectral_decompose(rand_hermitian(4, rng)))
-        assert ok
-        assert residual <= 1e-9
+        sf = spectral_decompose(rand_hermitian(4, rng))
+        assert sf.ranks.sum() == sf.dim
+        assert np.max(np.abs(sf.projectors.sum(axis=0) - np.eye(4))) <= 1e-9
 
     def test_removed_projector_detected(self):
-        sf = SpectralForm(np.array([1.0]), (np.diag([1.0, 0.0]),))
-        ok, residual = verify_completeness(sf)
-        assert not ok
-        assert residual == pytest.approx(1.0)
+        with pytest.raises(ValueError, match=r"^projectors do not sum to identity \(ranks add up to 1, not 2\)$"):
+            from_projectors(np.array([1.0]), (np.diag([1.0, 0.0]),))
+        with pytest.raises(ValueError, match=r"^ranks must be positive integers adding up to 2, got \[1\]$"):
+            SpectralForm(np.array([1.0]), [1], np.eye(2))
 
     def test_canonical_pointer_complete(self, rng):
         model = build_canonical_model(rand_observable(3, rng))
-        ok, _ = verify_completeness(model.pointer)
-        assert ok
+        np.testing.assert_array_equal(model.pointer.projectors.sum(axis=0), np.eye(model.dim_b))
 
 
 class TestRefine:
@@ -128,6 +129,28 @@ class TestRefine:
         fine = refine(sf, k, subs)
         assert fine.outcomes == sf.outcomes + 2
         fine.validate(1e-9)
+
+    def test_lowest_outcome_labels_step_at_least_one_float_spacing(self):
+        """1/m is below the float spacing of 1e17: the labels would collide."""
+        sf = spectral_decompose(np.diag([1e17, 1e17]))
+        fine = refine(sf, 0, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        assert fine.eigenvalues[0] == 1e17 > fine.eigenvalues[1]
+        fine.validate()
+
+    @pytest.mark.parametrize("ulps,m", [(1, 2), (2, 3), (3, 4)])
+    def test_gap_too_narrow_for_distinct_labels_rejected(self, ulps, m):
+        top = 1.0 + 2**-52 * ulps
+        sf = SpectralForm(np.array([top, 1.0]), [m, 1], np.eye(m + 1))
+        subs = [np.diag(np.eye(m + 1)[j]) for j in range(m)]
+        with pytest.raises(ValueError, match=rf"^outcome 0: no room for {m} distinct labels below eigenvalue"):
+            refine(sf, 0, subs)
+
+    def test_gap_of_a_few_floats_holds_as_many_labels(self):
+        top = 1.0 + 2**-52 * 3
+        sf = SpectralForm(np.array([top, 1.0]), [3, 1], np.eye(4))
+        fine = refine(sf, 0, [np.diag(np.eye(4)[j]) for j in range(3)])
+        assert np.all(np.diff(fine.eigenvalues) < 0)
+        fine.validate()
 
     def test_bad_sum_rejected(self):
         sf = spectral_decompose(np.diag([1.0, -1.0]))
@@ -172,23 +195,26 @@ class TestRangeBasis:
 
 class TestSpectralFormType:
     def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError, match="eigenvalues but"):
-            SpectralForm(np.array([1.0, 2.0]), (np.eye(2),))
+        with pytest.raises(ValueError, match="^2 eigenvalues but 1 projectors$"):
+            from_projectors(np.array([1.0, 2.0]), (np.eye(2),))
+        with pytest.raises(ValueError, match="^2 eigenvalues but 1 ranks$"):
+            SpectralForm(np.array([1.0, 2.0]), [2], np.eye(2))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one outcome"):
-            SpectralForm(np.array([]), ())
+        with pytest.raises(ValueError, match="^at least one projector is required$"):
+            from_projectors(np.array([]), ())
+        with pytest.raises(ValueError, match=r"^ranks must be positive integers adding up to 2, got \[\]$"):
+            SpectralForm(np.array([]), np.array([], dtype=int), np.eye(2))
 
     def test_equal_eigenvalues_rejected_by_validate(self):
-        sf = SpectralForm(np.array([1.0, 1.0]), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        sf = from_projectors(np.array([1.0, 1.0]), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
         with pytest.raises(ValueError, match="are equal"):
             sf.validate(1e-9)
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_projector_named_by_index(self):
-        sf = SpectralForm(np.array([1.0, 2.0]), (np.diag([1.0, 0.0]), np.diag([0.0, np.nan])))
-        with pytest.raises(ValueError, match="projector 1 has non-finite entries"):
-            sf.validate(1e-9)
+        with pytest.raises(ValueError, match="^projector 1 has non-finite entries$"):
+            from_projectors(np.array([1.0, 2.0]), (np.diag([1.0, 0.0]), np.diag([0.0, np.nan])))
 
     def test_equality_and_hash_by_identity(self):
         a = spectral_decompose(np.diag([1.0, 2.0]))

@@ -31,7 +31,7 @@ from unimeas.measurement import (
 )
 from unimeas.probability import born_form, expectation_form, forms_triple, trace_form
 from unimeas.rand import rand_ket, rand_model
-from unimeas.spectral import SpectralForm, range_basis, refine, spectral_decompose
+from unimeas.spectral import SpectralForm, from_projectors, range_basis, refine, spectral_decompose
 
 MODEL = build_canonical_model(spectral_decompose(np.diag([1.0, -1.0])))
 NAN_STATE = np.array([np.nan, 0.0])
@@ -166,27 +166,36 @@ class TestNanUnitaryWitness:
         assert not report.passed and report.witness is not None
 
 
-def _with_object_entry(model, value):
-    e = np.array(model.observable.projectors)
-    e[1, 0, 2] = value
-    return dataclasses.replace(model, observable=SpectralForm(model.observable.eigenvalues, e))
-
-
 @pytest.mark.filterwarnings("error")
 class TestNanProjector:
-    """A non-finite object projector is named by validate and check_calibration,
-    and fails check_dynamical with a witness, without a numpy warning."""
+    """A non-finite object projector never reaches a model: from_projectors names the
+    dense one, and a form refuses a non-finite basis entry, without a numpy warning.
+    A finite basis that is not unitary fails the checks with a witness."""
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_validate(self, rng, value):
-        with pytest.raises(ValueError, match=r"^observable: projector 1 has non-finite entries$"):
-            _with_object_entry(rand_model(3, rng), value).validate()
+        sf = rand_model(3, rng).observable
+        e = np.array(sf.projectors)
+        e[1, 0, 2] = value
+        with pytest.raises(ValueError, match=r"^projector 1 has non-finite entries$"):
+            from_projectors(sf.eigenvalues, e)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_calibration(self, rng, value):
-        with pytest.raises(ValueError, match=r"^projector has non-finite entries$"):
-            check_calibration(_with_object_entry(rand_model(3, rng), value))
+        sf = rand_model(3, rng).observable
+        v = np.array(sf.basis)
+        v[0, 2] = value
+        with pytest.raises(ValueError, match=r"^basis has non-finite entries$"):
+            SpectralForm(sf.eigenvalues, sf.ranks, v)
 
     def test_dynamical(self, rng):
-        report = check_dynamical(_with_object_entry(rand_model(3, rng), np.nan))
-        assert not report.passed and report.witness is not None
+        model = rand_model(3, rng)
+        v = np.array(model.observable.basis)
+        v[0, 2] = 2.0
+        bad = dataclasses.replace(
+            model, observable=SpectralForm(model.observable.eigenvalues, model.observable.ranks, v)
+        )
+        with pytest.raises(ValueError, match=r"^observable: basis: unitarity defect"):
+            bad.validate()
+        for report in (check_dynamical(bad), check_calibration(bad)):
+            assert not report.passed and report.witness is not None

@@ -116,8 +116,9 @@ class MeasurementModel:
         return (v @ (v.conj().T @ sectors)).reshape(states.shape)
 
     def lifted_pointer(self, k: int) -> np.ndarray:
-        """Dense I_A (x) F_k, dim^2 memory per call: the reference tests compare apply_pointer with."""
-        return tensor(np.eye(self.dim_a), self.pointer.projectors[k])
+        """Dense I_A (x) F_k for an outcome index k, dim^2 memory per call: apply_pointer's reference."""
+        v = self.pointer.blocks[validate_outcome_index(k, self.pointer.outcomes)]
+        return tensor(np.eye(self.dim_a), v @ v.conj().T)
 
     def validate(self, eps: float = DEFAULT_EPS) -> None:
         """Check coindexing, both spectral forms, and W^dag W = I in O(dim dim_a^2)."""

@@ -17,9 +17,9 @@ held, {"eigenvalues", "ranks" (ints), "basis"}; dense {"eigenvalues", "projector
 from earlier versions or observable files, go through spectral.from_projectors and
 are saved with a basis. Observable matrices are dim_a square, pointer ones dim_b.
 
-Encoding and decoding are array operations. Decoding checks each complex
-array as a whole first; when that check fails, a per-element walk finds
-the offending entry and names its field path in the error.
+Encoding and decoding are array operations. One decoder reads every complex
+array, as a whole; when it refuses one, a per-element walk only names the
+first offending entry, with its field path, and builds nothing.
 """
 
 from __future__ import annotations
@@ -51,66 +51,50 @@ def _complex_out(a: np.ndarray) -> list:
     return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _pairs_fast(node, ndim: int) -> np.ndarray | None:
-    """Complex array of ndim dimensions from nested [re, im] pairs, or None.
+def _complex_in(node, ndim: int, where: str) -> np.ndarray:
+    """Complex array of ndim dimensions (1 or 2) from nested [re, im] pairs.
 
-    None means the node is not a regular, finite, list-nested array of
-    int/float pairs, and the caller's per-element walk must diagnose it.
+    The node is decoded as a whole; when it is not a regular, finite array of
+    int/float pairs, _diagnose raises at its first bad entry.
     """
-    rows = node if ndim == 2 else [node]
-    if type(node) is not list or not all(type(row) is list for row in rows):
-        return None
     try:
         a = np.array(node, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
-        return None
-    if a.ndim != ndim + 1 or a.shape[-1] != 2 or not np.isfinite(a).all():
-        return None
-    # np.array converts true/false and numeric strings to floats
-    if not all(type(x) is float or type(x) is int for row in rows for pair in row for x in pair):
-        return None
-    # a view keeps every bit, signed zeros included, as complex(re, im) does
-    return a.view(np.complex128)[..., 0]
-
-
-def _complex_in(node, where: str) -> complex:
-    if (
-        not isinstance(node, (list, tuple))
-        or len(node) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)
+        a = np.empty(0)  # 1-D: refused below
+    rows = node if ndim == 2 else [node]
+    # np.array converts true/false and numeric strings to floats, so the types are scanned too
+    if a.ndim == ndim + 1 and a.shape[-1] == 2 and np.isfinite(a).all() and all(
+        type(x) is float or type(x) is int for row in rows for pair in row for x in pair
     ):
-        raise ModelFormatError(f"{where}: expected a [re, im] pair, got {node!r}")
-    try:
-        z = complex(node[0], node[1])
-    except OverflowError:
-        raise ModelFormatError(f"{where}: non-finite value {node!r}") from None
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise ModelFormatError(f"{where}: non-finite value {node!r}")
-    return z
+        # a view keeps every bit, signed zeros included
+        return a.view(np.complex128)[..., 0]
+    _diagnose(node, ndim, where)
+    # every entry is a finite pair, so only the row lengths can differ
+    raise ModelFormatError(f"{where}: rows have inconsistent lengths")
 
 
-def _vector_in(node, where: str) -> np.ndarray:
-    fast = _pairs_fast(node, 1)
-    if fast is not None:
-        return fast
+def _diagnose(node, ndim: int, where: str) -> None:
+    """Raise at node's first entry, in document order, that is not a finite [re, im] pair
+    or a non-empty array of its kind; return when there is none."""
+    if ndim == 0:
+        if (
+            not isinstance(node, (list, tuple))
+            or len(node) != 2
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)
+        ):
+            raise ModelFormatError(f"{where}: expected a [re, im] pair, got {node!r}")
+        try:
+            finite = np.isfinite(complex(node[0], node[1]))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ModelFormatError(f"{where}: non-finite value {node!r}")
+        return
     if not isinstance(node, list) or not node:
-        raise ModelFormatError(f"{where}: expected a non-empty array of complex scalars")
-    return np.array(
-        [_complex_in(z, f"{where}[{i}]") for i, z in enumerate(node)], dtype=np.complex128
-    )
-
-
-def _matrix_in(node, where: str) -> np.ndarray:
-    fast = _pairs_fast(node, 2)
-    if fast is not None:
-        return fast
-    if not isinstance(node, list) or not node:
-        raise ModelFormatError(f"{where}: expected a non-empty array of rows")
-    rows = [_vector_in(row, f"{where}[{i}]") for i, row in enumerate(node)]
-    width = rows[0].size
-    if any(r.size != width for r in rows):
-        raise ModelFormatError(f"{where}: rows have inconsistent lengths")
-    return np.vstack(rows)
+        items = "rows" if ndim == 2 else "complex scalars"
+        raise ModelFormatError(f"{where}: expected a non-empty array of {items}")
+    for i, entry in enumerate(node):
+        _diagnose(entry, ndim - 1, f"{where}[{i}]")
 
 
 def _real_array_in(node, where: str) -> np.ndarray:
@@ -144,10 +128,10 @@ def _spectral_in(node, where: str, dim: int | None, eps: float) -> SpectralForm:
         projs = node["projectors"]
         if not isinstance(projs, list) or not projs:
             raise ModelFormatError(f"{where}.projectors: expected a non-empty array of matrices")
-        projs = [_matrix_in(p, f"{where}.projectors[{k}]") for k, p in enumerate(projs)]
+        projs = [_complex_in(p, 2, f"{where}.projectors[{k}]") for k, p in enumerate(projs)]
         build = partial(from_projectors, vals, projs, eps, dim)
     else:
-        basis = _matrix_in(node["basis"], f"{where}.basis")
+        basis = _complex_in(node["basis"], 2, f"{where}.basis")
         ranks = node["ranks"]
         if not isinstance(ranks, list) or not all(type(r) is int for r in ranks):
             raise ModelFormatError(f"{where}.ranks: expected an array of integers")
@@ -198,9 +182,9 @@ def model_from_document(doc, eps: float = DEFAULT_EPS) -> MeasurementModel:
             raise ModelFormatError(f"{name}: expected a positive integer, got {doc[name]!r}")
     observable = _spectral_in(doc["observable"], "observable", doc["dim_a"], eps)
     pointer = _spectral_in(doc["pointer"], "pointer", doc["dim_b"], eps)
-    instrument_state = _vector_in(doc["instrument_state"], "instrument_state")
+    instrument_state = _complex_in(doc["instrument_state"], 1, "instrument_state")
     if legacy:
-        unitary = _matrix_in(doc["unitary"], "unitary")
+        unitary = _complex_in(doc["unitary"], 2, "unitary")
         try:
             isometry = isometry_from_unitary(
                 unitary, doc["dim_a"], doc["dim_b"], instrument_state, eps
@@ -208,7 +192,7 @@ def model_from_document(doc, eps: float = DEFAULT_EPS) -> MeasurementModel:
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from exc
     else:
-        isometry = _matrix_in(doc["isometry"], "isometry")
+        isometry = _complex_in(doc["isometry"], 2, "isometry")
     model = MeasurementModel(
         observable=observable,
         pointer=pointer,
@@ -253,7 +237,7 @@ def save_vector(v: np.ndarray, path) -> None:
 
 
 def load_vector(path) -> np.ndarray:
-    return _vector_in(_parse(path), "vector")
+    return _complex_in(_parse(path), 1, "vector")
 
 
 def save_matrix(m: np.ndarray, path) -> None:
@@ -264,7 +248,7 @@ def save_matrix(m: np.ndarray, path) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    return _matrix_in(_parse(path), "matrix")
+    return _complex_in(_parse(path), 2, "matrix")
 
 
 def load_observable(path, eps: float = DEFAULT_EPS) -> SpectralForm:
@@ -283,7 +267,7 @@ def load_observable(path, eps: float = DEFAULT_EPS) -> SpectralForm:
         except ValueError as exc:
             raise ModelFormatError(f"observable: {exc}") from exc
         return sf
-    matrix = _matrix_in(doc, "observable")
+    matrix = _complex_in(doc, 2, "observable")
     try:
         return spectral_decompose(matrix, eps)
     except ValueError as exc:

@@ -185,7 +185,7 @@ def refine(
     k = validate_outcome_index(k, sf.outcomes)
     subs = projector_stack(sub_projectors, "sub-projector", sf.dim)
     sub_basis, sub_ranks = _dense_basis(subs, eps, "sub-projector")
-    defect = sum_defect(subs, sf.projectors[k])
+    defect = sum_defect(subs, sf.blocks[k] @ sf.blocks[k].conj().T)  # E_k alone, not the stack
     if not defect <= eps:
         raise ValueError(f"sub-projectors do not sum to projector {k} (defect {defect:.3e})")
     vals, m = sf.eigenvalues, len(subs)

@@ -233,11 +233,28 @@ MALFORMED = {
     "projector-depth": (
         ("pointer", "projectors", 1), [[1.0, 0.0]], rf"^pointer\.projectors\[1\]\[0\]\[0\]: {PAIR}"
     ),
+    "number-for-matrix": (("isometry",), 5, r"^isometry: expected a non-empty array of rows$"),
+    "object-for-vector": (
+        ("instrument_state",), {"a": 1}, r"^instrument_state: expected a non-empty array of complex scalars$"
+    ),
+    "empty-eigenvalues": (
+        ("observable", "eigenvalues"),
+        [],
+        r"^observable\.eigenvalues: expected a non-empty array of real numbers$",
+    ),
+    "bool-eigenvalue": (
+        ("observable", "eigenvalues"),
+        [True, 1.0],
+        r"^observable\.eigenvalues: expected a non-empty array of real numbers$",
+    ),
+    "empty-projectors": (
+        ("observable", "projectors"), [], r"^observable\.projectors: expected a non-empty array of matrices$"
+    ),
 }
 
 
 class TestMalformedArrays:
-    """Every malformed complex array is rejected with the offending field path."""
+    """Every malformed array is rejected with the offending field path."""
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_rejected_with_field_path(self, tmp_path, model, case, dense_document):
@@ -499,6 +516,25 @@ class TestObservableFiles:
         save_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), path)
         with pytest.raises(ModelFormatError, match="observable"):
             load_observable(path)
+
+    @pytest.mark.parametrize(
+        "eigenvalues,basis,message",
+        [
+            ([1.0, 1.0], np.eye(2), r"^observable: eigenvalues 0 and 1 are equal \(1\.0\)$"),
+            ([1.0, -1.0], [[1.0, 1.0], [0.0, 1.0]], r"^observable: basis: unitarity defect "),
+        ],
+        ids=["equal-eigenvalues", "non-unitary-basis"],
+    )
+    def test_basis_form_failing_validate_rejected(self, tmp_path, capsys, eigenvalues, basis, message):
+        b = np.asarray(basis, dtype=np.complex128)
+        doc = {"eigenvalues": eigenvalues, "ranks": [1, 1], "basis": np.stack([b.real, b.imag], -1).tolist()}
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=message):
+            load_observable(path)
+        assert main(["build", str(path), "--out", str(tmp_path / "model.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: observable: ")
+        assert not (tmp_path / "model.json").exists()
 
     def test_incomplete_spectral_form_rejected(self, tmp_path):
         doc = {"eigenvalues": [1.0], "projectors": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}

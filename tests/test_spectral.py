@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,23 @@ class TestRefine:
         sf = SpectralForm(np.array([top, 1.0]), [3, 1], np.eye(4))
         fine = refine(sf, 0, [np.diag(np.eye(4)[j]) for j in range(3)])
         assert np.all(np.diff(fine.eigenvalues) < 0)
+        fine.validate()
+
+    def test_one_outcome_of_many_read_alone(self):
+        """Outcome 0 of 255 is compared with its sub-projectors as V_0 V_0^dag: the dense
+        (outcomes, dim, dim) stack would take 268 MB here."""
+        basis = np.linalg.qr(np.random.default_rng(7).normal(size=(256, 256)))[0]
+        sf = SpectralForm(np.arange(255.0, 0.0, -1.0), [2] + [1] * 254, basis)
+        subs = [np.outer(basis[:, j], basis[:, j]) for j in range(2)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fine = refine(sf, 0, subs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert fine.outcomes == 256
         fine.validate()
 
     def test_bad_sum_rejected(self):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from unimeas.branches import check_prc, decompose_final, decompose_initial, evolve_branch
-from unimeas.collapse import final_density
+from unimeas.collapse import OutcomeDistribution, SampleReport, final_density, sample
 from unimeas.linalg import (
     dag,
     density_eigh,
@@ -30,10 +30,19 @@ from unimeas.measurement import (
     premeasure,
 )
 from unimeas.probability import born_form, expectation_form, forms_triple, trace_form
-from unimeas.rand import rand_ket, rand_model
+from unimeas.rand import (
+    perturb_model,
+    rand_ket,
+    rand_model,
+    rand_observable,
+    rand_projector,
+    swap_pointer,
+    with_redundant_pointer,
+)
 from unimeas.spectral import SpectralForm, from_projectors, range_basis, refine, spectral_decompose
 
 MODEL = build_canonical_model(spectral_decompose(np.diag([1.0, -1.0])))
+ONE_OUTCOME = build_canonical_model(spectral_decompose(np.eye(2)))  # dim_b 1
 NAN_STATE = np.array([np.nan, 0.0])
 UNNORMALIZED = np.array([3.0, 4.0])
 P0 = np.diag([1.0, 0.0])
@@ -107,7 +116,56 @@ PROBES = {
         lambda: refine(MODEL.observable, True, [P0]),
         r"^outcome index True out of range$",
     ),
+    "lifted_pointer-negative-index": (
+        lambda: MODEL.lifted_pointer(-1),
+        r"^outcome index -1 out of range$",
+    ),
+    "lifted_pointer-bool-index": (
+        lambda: MODEL.lifted_pointer(True),
+        r"^outcome index True out of range$",
+    ),
     "rank-negative-index": (lambda: MODEL.observable.rank(-1), r"^outcome index -1 out of range$"),
+    "from_projectors-zero": (
+        lambda: from_projectors([1.0, 0.0], [np.eye(2), np.zeros((2, 2))]),
+        r"^projector 1 is zero$",
+    ),
+    "refine-zero-sub-projector": (
+        lambda: refine(MODEL.observable, 0, [np.zeros((2, 2)), P0]),
+        r"^sub-projector 0 is zero$",
+    ),
+    "SpectralForm-non-square-basis": (
+        lambda: SpectralForm([1.0], [1], np.zeros((2, 3))),
+        r"^basis must be a non-empty square matrix, got shape \(2, 3\)$",
+    ),
+    "sample-no-weight": (
+        lambda: sample(OutcomeDistribution([0, 1], [1e-10, 0.0]), 10, 0),
+        r"^distribution has no weight above threshold$",
+    ),
+    "SampleReport-counts": (lambda: SampleReport([1, 2], 4, 0), r"^counts do not sum to total$"),
+    "tensor-too-large": (
+        lambda: tensor(np.zeros(1025), np.zeros(1024)),
+        r"^tensor product dimension 1049600 exceeds 1048576$",
+    ),
+    "rand_projector-rank-zero": (
+        lambda: rand_projector(2, 0, np.random.default_rng(0)),
+        r"^rank must lie in 1\.\.2, got 0$",
+    ),
+    "rand_observable-multiplicities": (
+        lambda: rand_observable(3, np.random.default_rng(0), [1, 1]),
+        r"^multiplicities \[1, 1\] do not partition dim 3$",
+    ),
+    "with_redundant_pointer-zero": (
+        lambda: with_redundant_pointer(MODEL, 0, np.random.default_rng(0)),
+        r"^extra_dim must be positive, got 0$",
+    ),
+    "perturb_model-dim-b-1": (
+        lambda: perturb_model(ONE_OUTCOME, np.random.default_rng(0)),
+        r"^perturbation needs an instrument of dimension >= 2$",
+    ),
+    "swap_pointer-one-outcome": (
+        lambda: swap_pointer(ONE_OUTCOME),
+        r"^pointer swap needs at least two outcomes$",
+    ),
     "uniform_ket-zero": (lambda: uniform_ket(0), r"positive integer, got 0$"),
     "uniform_ket-negative": (lambda: uniform_ket(-1), r"positive integer, got -1$"),
     "uniform_ket-bool": (lambda: uniform_ket(True), r"positive integer, got True$"),
@@ -120,6 +178,14 @@ def test_rejected_with_value_error(probe):
     call, message = PROBES[probe]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_lifted_pointer_is_the_dense_stack_lift(rng):
+    """For every valid index, the lift built from block k equals the one built from the dense stack."""
+    for model in (MODEL, rand_model(3, rng), with_redundant_pointer(rand_model(2, rng), 2, rng)):
+        for k in [*range(model.outcomes), np.int64(model.outcomes - 1)]:
+            dense = tensor(np.eye(model.dim_a), model.pointer.projectors[k])
+            assert model.lifted_pointer(k).tobytes() == dense.tobytes()
 
 
 def test_linear_maps_accept_unnormalized_states():

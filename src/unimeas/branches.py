@@ -4,8 +4,9 @@ An object state splits over the observable's eigenprojectors into weighted
 orthogonal branches; the joint final state splits the same way over the
 lifted pointer projectors, one (dim, outcomes) array of branches, with
 matching weights whenever the model measures exactly (probability
-reproducibility). Each branch also evolves independently: applying the
-unitary to a single initial branch lands on the matching pointer branch.
+reproducibility); both splits are SpectralForm.pieces. Each branch also
+evolves independently: applying the unitary to a single initial branch lands
+on the matching pointer branch.
 """
 
 from __future__ import annotations
@@ -63,9 +64,7 @@ def decompose_initial(phi, observable: SpectralForm, eps: float = DEFAULT_EPS) -
     idempotency; branch states keep the phase inherited from E_k phi = V_k V_k^dag phi.
     """
     validate_tolerance(eps)
-    phi = validate_state(phi, observable.dim)
-    v, ranks = observable.basis, observable.ranks
-    return _decompose(np.add.reduceat(v * (v.conj().T @ phi), np.cumsum(ranks) - ranks, axis=1), eps)
+    return _decompose(observable.pieces(validate_state(phi, observable.dim)), eps)
 
 
 def check_prc(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> CheckReport:
@@ -103,8 +102,8 @@ def decompose_final(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) ->
     weights the initial decomposition assigns.
     """
     validate_tolerance(eps)
-    final = model.isometry @ validate_state(phi_a, model.dim_a)
-    return _decompose(np.ascontiguousarray(model._pointer_sector(slice(None), final).T), eps)
+    sectors = (model.isometry @ validate_state(phi_a, model.dim_a)).reshape(model.dim_a, model.dim_b)
+    return _decompose(model.pointer.pieces(sectors).reshape(model.dim, -1), eps)
 
 
 def evolve_branch(model: MeasurementModel, phi_a, k: int) -> np.ndarray:

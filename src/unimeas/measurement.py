@@ -56,8 +56,8 @@ class MeasurementModel:
     """Object observable, pointer observable, instrument state, and isometry.
 
     The isometry W = U(I_A (x) phi_B), shape (dim, dim_a), is the interaction
-    on the initial subspace: column i is U(e_i (x) phi_B). The dimensions are
-    read from the spectral forms: dim_a is the observable's, dim_b the pointer's.
+    on the initial subspace: column i is U(e_i (x) phi_B). dim_a is the observable's
+    dimension, dim_b the pointer's; their outcome counts must agree when a model is made.
     """
 
     observable: SpectralForm
@@ -66,6 +66,11 @@ class MeasurementModel:
     isometry: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if self.observable.outcomes != self.pointer.outcomes:
+            raise ValueError(
+                f"observable has {self.observable.outcomes} outcomes, "
+                f"pointer has {self.pointer.outcomes}"
+            )
         object.__setattr__(self, "instrument_state", frozen(as_complex(self.instrument_state)))
         object.__setattr__(self, "isometry", frozen(as_complex(self.isometry)))
 
@@ -102,32 +107,23 @@ class MeasurementModel:
             raise ValueError("states contain non-finite amplitudes")
         return self._pointer_sector(validate_outcome_index(k, self.outcomes), states)
 
-    def _pointer_sector(self, k: int | slice, states: np.ndarray) -> np.ndarray:
+    def _pointer_sector(self, k: int, states: np.ndarray) -> np.ndarray:
         """apply_pointer on a complex array the caller has checked or computed from W.
 
-        F_k = V_k V_k^dag acts through its basis block, dim_b * rank F_k per column
-        and sector. With a slice of outcomes, the result gains a leading outcome axis.
+        F_k = V_k V_k^dag acts through its basis block, dim_b * rank F_k per column and sector.
         """
-        if isinstance(k, slice):
-            ks = range(self.pointer.outcomes)[k]
-            return np.stack([self._pointer_sector(j, states) for j in ks])
         v = self.pointer.blocks[k]
         sectors = states.reshape(len(states) // len(v), len(v), -1)
         return (v @ (v.conj().T @ sectors)).reshape(states.shape)
 
     def lifted_pointer(self, k: int) -> np.ndarray:
         """Dense I_A (x) F_k for an outcome index k, dim^2 memory per call: apply_pointer's reference."""
-        v = self.pointer.blocks[validate_outcome_index(k, self.pointer.outcomes)]
+        v = self.pointer.blocks[validate_outcome_index(k, self.outcomes)]
         return tensor(np.eye(self.dim_a), v @ v.conj().T)
 
     def validate(self, eps: float = DEFAULT_EPS) -> None:
-        """Check coindexing, both spectral forms, and W^dag W = I in O(dim dim_a^2)."""
+        """Check both spectral forms, the instrument state, and W^dag W = I in O(dim dim_a^2)."""
         validate_tolerance(eps)
-        if self.observable.outcomes != self.pointer.outcomes:
-            raise ValueError(
-                f"observable has {self.observable.outcomes} outcomes, "
-                f"pointer has {self.pointer.outcomes}"
-            )
         for name, sf in (("observable", self.observable), ("pointer", self.pointer)):
             try:
                 sf.validate(eps)

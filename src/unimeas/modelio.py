@@ -19,7 +19,9 @@ are saved with a basis. Observable matrices are dim_a square, pointer ones dim_b
 
 Encoding and decoding are array operations. One decoder reads every complex
 array, as a whole; when it refuses one, a per-element walk only names the
-first offending entry, with its field path, and builds nothing.
+first offending entry, with its field path, and builds nothing. A number is
+what json.loads yields, of type float or int (int alone for dims and ranks):
+bools, numeric strings and numpy scalars are refused, by this one rule.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def _diagnose(node, ndim: int, where: str) -> None:
         if (
             not isinstance(node, (list, tuple))
             or len(node) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)
+            or not all(type(x) is float or type(x) is int for x in node)
         ):
             raise ModelFormatError(f"{where}: expected a [re, im] pair, got {node!r}")
         try:
@@ -98,11 +100,7 @@ def _diagnose(node, ndim: int, where: str) -> None:
 
 
 def _real_array_in(node, where: str) -> np.ndarray:
-    if (
-        not isinstance(node, list)
-        or not node
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)
-    ):
+    if not isinstance(node, list) or not node or not all(type(x) is float or type(x) is int for x in node):
         raise ModelFormatError(f"{where}: expected a non-empty array of real numbers")
     try:
         return np.array(node, dtype=np.float64)
@@ -178,7 +176,7 @@ def model_from_document(doc, eps: float = DEFAULT_EPS) -> MeasurementModel:
     if extra:
         raise ModelFormatError(f"unknown fields: {', '.join(sorted(extra))}")
     for name in ("dim_a", "dim_b"):
-        if not isinstance(doc[name], int) or isinstance(doc[name], bool) or doc[name] < 1:
+        if type(doc[name]) is not int or doc[name] < 1:
             raise ModelFormatError(f"{name}: expected a positive integer, got {doc[name]!r}")
     observable = _spectral_in(doc["observable"], "observable", doc["dim_a"], eps)
     pointer = _spectral_in(doc["pointer"], "pointer", doc["dim_b"], eps)
@@ -193,13 +191,13 @@ def model_from_document(doc, eps: float = DEFAULT_EPS) -> MeasurementModel:
             raise ModelFormatError(str(exc)) from exc
     else:
         isometry = _complex_in(doc["isometry"], 2, "isometry")
-    model = MeasurementModel(
-        observable=observable,
-        pointer=pointer,
-        instrument_state=instrument_state,
-        isometry=isometry,
-    )
     try:
+        model = MeasurementModel(
+            observable=observable,
+            pointer=pointer,
+            instrument_state=instrument_state,
+            isometry=isometry,
+        )
         model.validate(eps)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc

@@ -77,6 +77,12 @@ class SpectralForm:
         """Read-only (outcomes, dim, dim) stack of the E_k, built on each call for dense consumers."""
         return frozen(np.array([v @ v.conj().T for v in self.blocks]))
 
+    def pieces(self, x: np.ndarray) -> np.ndarray:
+        """E_k x for each outcome k on a new last axis, E_k acting on x's last axis: the one split
+        rule, V (mask * V^dag x) with mask[i, k] = 1 where basis column i is outcome k's."""
+        mask = np.repeat(np.eye(self.outcomes), self.ranks, axis=0)
+        return self.basis @ ((x @ self.basis.conj())[..., :, None] * mask)
+
     def rank(self, k: int) -> int:
         return int(self.ranks[validate_outcome_index(k, self.outcomes)])
 

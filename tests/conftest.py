@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from unimeas.measurement import build_canonical_model
 from unimeas.modelio import model_to_document
+from unimeas.spectral import spectral_decompose
 
 
 @pytest.fixture
@@ -45,3 +47,20 @@ def dense_document():
         return doc
 
     return build
+
+
+@pytest.fixture
+def outcome_mismatch_document() -> dict:
+    """A model document with 2 object and 3 pointer outcomes, every field valid on its own:
+    a qubit Z observable, the canonical 3-outcome pointer, |0> and W e_a = e_a (x) |a>."""
+    three = build_canonical_model(spectral_decompose(np.diag([1.0, 2.0, 3.0])))
+    doc = model_to_document(build_canonical_model(spectral_decompose(np.diag([1.0, -1.0]))))
+    w = np.zeros((6, 2), dtype=complex)
+    w[0, 0] = w[4, 1] = 1.0
+    doc.update(
+        dim_b=3,
+        pointer=model_to_document(three)["pointer"],
+        instrument_state=model_to_document(three)["instrument_state"],
+        isometry=np.stack([w.real, w.imag], -1).tolist(),
+    )
+    return doc

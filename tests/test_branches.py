@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from test_projector_stack import rotated_instrument
 
 from unimeas.branches import (
     check_prc,
@@ -11,7 +14,7 @@ from unimeas.branches import (
 )
 from unimeas.linalg import basis_ket, ket, uniform_ket
 from unimeas.measurement import build_canonical_model, premeasure
-from unimeas.rand import rand_ket, rand_model, rand_observable
+from unimeas.rand import rand_ket, rand_model, rand_observable, with_redundant_pointer
 from unimeas.spectral import spectral_decompose
 
 
@@ -134,6 +137,42 @@ class TestDecomposeFinal:
             for k, a in zip(dec.outcomes, dec.amplitudes):
                 w = np.vdot(phi, model.observable.projectors[k] @ phi).real
                 assert abs(a - np.sqrt(w)) <= 1e-10
+
+
+    @pytest.mark.parametrize("dim_a", [2, 3, 4, 8])
+    def test_complex_pointer_branches_are_lifted_pointer_products(self, dim_a):
+        """In a random complex instrument basis, amplitude k times branch k is (I (x) F_k) Phi_f."""
+        rng = np.random.default_rng(dim_a)
+        bases = (
+            rand_model(dim_a, rng),
+            rand_model(dim_a, rng, [1, dim_a - 1]),
+            with_redundant_pointer(rand_model(dim_a, rng), 3, rng),
+        )
+        for model in (rotated_instrument(base, rng) for base in bases):
+            phi = rand_ket(dim_a, rng)
+            final = premeasure(model, phi)
+            dec = decompose_final(model, phi)
+            assert dec.outcomes.tolist() == list(range(model.outcomes))
+            lifted = np.array([model.lifted_pointer(k) @ final for k in range(model.outcomes)])
+            np.testing.assert_allclose(
+                dec.amplitudes[:, None] * dec.branch_states, lifted, rtol=0, atol=1e-14
+            )
+
+    def test_wide_pointer_peak_memory(self):
+        """dim_a 16 and a 16-outcome pointer of dim_b 256: the split holds (dim, outcomes)
+        arrays, never one of size dim * dim_b (17 MB here, as a reduceat over basis columns)."""
+        rng = np.random.default_rng(16)
+        model = with_redundant_pointer(rand_model(16, rng), 16, rng)
+        assert (model.dim_b, model.outcomes) == (256, 16)
+        phi = rand_ket(16, rng)
+        decompose_final(model, phi)
+        tracemalloc.start()
+        try:
+            decompose_final(model, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6
 
 
 class TestEvolveBranch:

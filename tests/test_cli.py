@@ -102,6 +102,14 @@ class TestVerify:
         assert main(["verify", str(workspace / "model.json"), "--phi", str(phi3)]) == 2
         assert "phi" in capsys.readouterr().err
 
+    def test_outcome_count_mismatch_exits_2(self, tmp_path, capsys, outcome_mismatch_document):
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(outcome_mismatch_document))
+        assert main(["verify", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: observable has 2 outcomes, pointer has 3\n"
+        assert captured.out == ""
+
     def test_wrong_size_pointer_projector_exits_2(self, tmp_path, rng, capsys, dense_document):
         doc = dense_document(rand_model(3, rng))
         doc["pointer"]["projectors"][1] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]

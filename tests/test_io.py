@@ -280,6 +280,12 @@ class TestMalformedArrays:
 
 
 class TestFieldDiagnostics:
+    def test_outcome_count_mismatch_named(self, tmp_path, outcome_mismatch_document):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(outcome_mismatch_document))
+        with pytest.raises(ModelFormatError, match=r"^observable has 2 outcomes, pointer has 3$"):
+            load_model(path)
+
     def test_missing_field_named(self, model):
         doc = model_to_document(model)
         del doc["isometry"]

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from test_projector_stack import rotated_instrument
 
 from unimeas.linalg import basis_ket, dag, tensor, uniform_ket
 from unimeas.measurement import (
@@ -19,11 +20,10 @@ from unimeas.rand import (
     rand_ket,
     rand_model,
     rand_observable,
-    rand_unitary,
     swap_pointer,
     with_redundant_pointer,
 )
-from unimeas.spectral import SpectralForm, spectral_decompose
+from unimeas.spectral import spectral_decompose
 
 
 def z_model():
@@ -233,21 +233,22 @@ class TestCanonicalAtScale:
                 model.apply_pointer(k, states[:, 0]), dense @ states[:, 0], atol=1e-12
             )
 
-    def test_pointer_sector_over_a_slice_of_outcomes(self, dim_a):
-        """A slice of outcomes adds a leading outcome axis: row k is I (x) F_k applied."""
+    def test_pieces_split_a_state_over_outcomes(self, dim_a):
+        """pieces(x)[..., k] is E_k applied to x's last axis, and the pieces sum to x, on degenerate
+        observables and on redundant pointers in a random complex instrument basis."""
         rng = np.random.default_rng(dim_a)
-        model = with_redundant_pointer(rand_model(dim_a, rng), 2, rng)
-        v = rand_unitary(model.dim_b, rng)  # complex pointer projectors V F_k V^dag
-        pointer = SpectralForm(model.pointer.eigenvalues, model.pointer.ranks, v @ model.pointer.basis)
-        model = dataclasses.replace(model, pointer=pointer)
-        states = rng.normal(size=(model.dim, 3)) + 1j * rng.normal(size=(model.dim, 3))
-        for outcomes in (slice(None), slice(1, None)):
-            ks = range(model.outcomes)[outcomes]
-            for s in (states, states[:, 0]):
-                dense = np.array([model.lifted_pointer(k) @ s for k in ks])
-                got = model._pointer_sector(outcomes, s)
-                assert got.shape == (len(ks),) + s.shape
-                np.testing.assert_allclose(got, dense, atol=1e-12)
+        degenerate = rand_model(dim_a, rng, [1, dim_a - 3, 2])
+        model = rotated_instrument(with_redundant_pointer(rand_model(dim_a, rng), 2, rng), rng)
+        forms = (degenerate.observable, degenerate.pointer, model.observable, model.pointer)
+        for sf in forms:
+            projectors = sf.projectors
+            for shape in ((sf.dim,), (3, sf.dim), (2, 3, sf.dim)):
+                x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                got = sf.pieces(x)
+                assert got.shape == shape + (sf.outcomes,)
+                for k in range(sf.outcomes):
+                    np.testing.assert_allclose(got[..., k], x @ projectors[k].T, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(got.sum(axis=-1), x, rtol=0, atol=1e-13)
 
     def test_perturbed_is_a_dense_rotation_of_the_unitary(self, dim_a, controlled_shift):
         """On the initial subspace perturb_model equals U R, R rotating e_a|0> toward e_a|1>."""
@@ -356,14 +357,13 @@ class TestModelValidate:
     def test_outcome_count_mismatch(self):
         base = z_model()
         three = build_canonical_model(spectral_decompose(np.diag([1.0, 2.0, 3.0])))
-        bad = MeasurementModel(
-            observable=base.observable,
-            pointer=three.pointer,
-            instrument_state=three.instrument_state,
-            isometry=np.eye(6)[:, :2],
-        )
         with pytest.raises(ValueError, match="outcomes"):
-            bad.validate(1e-9)
+            MeasurementModel(
+                observable=base.observable,
+                pointer=three.pointer,
+                instrument_state=three.instrument_state,
+                isometry=np.eye(6)[:, :2],
+            )
 
     def test_isometry_read_only(self):
         model = z_model()

@@ -14,6 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_range_basis import dense_sector
 
 from unimeas.linalg import validate_projector
 from unimeas.measurement import MeasurementModel, check_calibration
@@ -57,7 +58,8 @@ def loop_validate_projectors(projectors, dim, eps=1e-9, label="projector"):
 
 
 def loop_calibration(model: MeasurementModel, eps: float = 1e-9):
-    """(per-outcome residuals, witness) of check_calibration, one range_basis per outcome."""
+    """(per-outcome residuals, witness) of check_calibration, one range_basis per outcome,
+    the pointer projectors applied as dense matrices."""
     column_residuals = []
     for k in range(model.outcomes):
         basis = range_basis(model.observable.projectors[k], eps)
@@ -66,7 +68,7 @@ def loop_calibration(model: MeasurementModel, eps: float = 1e-9):
             continue
         finals = model.isometry @ np.column_stack(basis)
         column_residuals.append(
-            np.linalg.norm(model._pointer_sector(k, finals) - finals, axis=0)
+            np.linalg.norm(dense_sector(model.pointer.projectors, k, finals) - finals, axis=0)
         )
     residuals = np.array([np.max(r, initial=0.0) for r in column_residuals])
     for k, r in enumerate(column_residuals):

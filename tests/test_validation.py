@@ -24,11 +24,14 @@ from unimeas.linalg import (
     validate_projector,
 )
 from unimeas.measurement import (
+    MeasurementModel,
     build_canonical_model,
     check_calibration,
     check_dynamical,
     premeasure,
 )
+from unimeas.mixed import mixed_probability
+from unimeas.modelio import model_from_document, model_to_document
 from unimeas.probability import born_form, expectation_form, forms_triple, trace_form
 from unimeas.rand import (
     perturb_model,
@@ -47,6 +50,22 @@ NAN_STATE = np.array([np.nan, 0.0])
 UNNORMALIZED = np.array([3.0, 4.0])
 P0 = np.diag([1.0, 0.0])
 E0 = [np.array([1.0, 0.0])]
+
+THREE = build_canonical_model(spectral_decompose(np.diag([1.0, 2.0, 3.0])))
+# validate_density accepts this rho, every eigenvalue being >= -eps; the purified route drops
+# the 99 eigenvalues of -0.9e-9, the trace route counts them
+ALMOST_PSD = np.diag([1.0 + 99 * 0.9e-9] + [-0.9e-9] * 99)
+
+
+def _document(path, value) -> dict:
+    """MODEL's document with the entry at path replaced, as a caller assembling one in memory may."""
+    doc = model_to_document(MODEL)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
 
 # probe name -> (call, fragment of the expected message)
 PROBES = {
@@ -165,6 +184,40 @@ PROBES = {
     "swap_pointer-one-outcome": (
         lambda: swap_pointer(ONE_OUTCOME),
         r"^pointer swap needs at least two outcomes$",
+    ),
+    "MeasurementModel-outcome-mismatch": (
+        lambda: MeasurementModel(MODEL.observable, THREE.pointer, THREE.instrument_state, np.eye(6)[:, :2]),
+        r"^observable has 2 outcomes, pointer has 3$",
+    ),
+    "replace-outcome-mismatch": (
+        lambda: dataclasses.replace(MODEL, pointer=THREE.pointer),
+        r"^observable has 2 outcomes, pointer has 3$",
+    ),
+    "MeasurementModel-one-outcome-pointer": (
+        lambda: MeasurementModel(
+            MODEL.observable, spectral_decompose(np.eye(2)), [1.0, 0.0], np.eye(4)[:, :2]
+        ),
+        r"^observable has 2 outcomes, pointer has 1$",
+    ),
+    "mixed_probability-routes-disagree": (
+        lambda: mixed_probability(ALMOST_PSD, np.diag([0.0] + [1.0] * 99)),
+        r"^purified route 0\.0 disagrees with trace route -8\.91\d*e-08$",
+    ),
+    "model_from_document-numpy-float-in-vector": (
+        lambda: model_from_document(_document(("instrument_state", 0), [np.float64(1.0), 0.0])),
+        r"^instrument_state\[0\]: expected a \[re, im\] pair, got \[np\.float64\(1\.0\), 0\.0\]$",
+    ),
+    "model_from_document-numpy-float-in-matrix": (
+        lambda: model_from_document(_document(("isometry", 1, 0), [0.0, np.float64(0.0)])),
+        r"^isometry\[1\]\[0\]: expected a \[re, im\] pair, got \[0\.0, np\.float64\(0\.0\)\]$",
+    ),
+    "model_from_document-numpy-float-eigenvalue": (
+        lambda: model_from_document(_document(("observable", "eigenvalues", 0), np.float64(1.0))),
+        r"^observable\.eigenvalues: expected a non-empty array of real numbers$",
+    ),
+    "model_from_document-numpy-int-dim": (
+        lambda: model_from_document(_document(("dim_a",), np.int64(2))),
+        r"^dim_a: expected a positive integer, got np\.int64\(2\)$",
     ),
     "uniform_ket-zero": (lambda: uniform_ket(0), r"positive integer, got 0$"),
     "uniform_ket-negative": (lambda: uniform_ket(-1), r"positive integer, got -1$"),

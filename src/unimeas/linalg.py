@@ -227,13 +227,14 @@ def projector_stack(
 def density_eigh(rho, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rho, eigenvalues, eigenvectors) of a density operator, from one eigh.
 
-    Raises unless rho is finite, Hermitian, PSD and of trace one within eps;
-    eigenvalues ascend, as np.linalg.eigh returns them.
+    Raises unless rho is finite, Hermitian, of trace one and PSD within eps, its negative
+    eigenvalues summing to at least -eps; eigenvalues ascend, as np.linalg.eigh returns them.
     """
     rho = validate_hermitian(rho, eps, "density operator")
     vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    if vals[0] < -eps:
-        raise ValueError(f"density operator has negative eigenvalue {vals[0]:.3e}")
+    negative = vals[vals < 0].sum()
+    if negative < -eps:
+        raise ValueError(f"density operator has negative eigenvalues summing to {negative:.3e}")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > eps:
         raise ValueError(f"density operator trace {tr} is not 1 within {eps}")

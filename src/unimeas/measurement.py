@@ -9,8 +9,8 @@ projector end up as eigenstates of the coindexed pointer projector; the
 dynamical check asks that the pointer projector commutes past the unitary
 into the object projector on the initial subspace. Both quantify over
 basis vectors only, which linearity extends to arbitrary object states.
-Both spectral forms hold range bases, E_k = V_k V_k^dag: calibration takes the
-columns of V_k as object eigenstates, and F_k acts through its basis block.
+Both spectral forms hold range bases, E_k = V_k V_k^dag; both checks read W
+with its instrument axis in the pointer basis, where F_k keeps outcome k's rows.
 """
 
 from __future__ import annotations
@@ -105,15 +105,8 @@ class MeasurementModel:
             raise ValueError(f"states have shape {states.shape}, expected leading size {self.dim}")
         if not np.isfinite(states).all():
             raise ValueError("states contain non-finite amplitudes")
-        return self._pointer_sector(validate_outcome_index(k, self.outcomes), states)
-
-    def _pointer_sector(self, k: int, states: np.ndarray) -> np.ndarray:
-        """apply_pointer on a complex array the caller has checked or computed from W.
-
-        F_k = V_k V_k^dag acts through its basis block, dim_b * rank F_k per column and sector.
-        """
-        v = self.pointer.blocks[k]
-        sectors = states.reshape(len(states) // len(v), len(v), -1)
+        v = self.pointer.blocks[validate_outcome_index(k, self.outcomes)]
+        sectors = states.reshape(self.dim_a, self.dim_b, -1)
         return (v @ (v.conj().T @ sectors)).reshape(states.shape)
 
     def lifted_pointer(self, k: int) -> np.ndarray:
@@ -209,19 +202,27 @@ def _report(residuals: np.ndarray, eps: float, column: str) -> CheckReport:
     return CheckReport(max_residual <= eps, per_outcome, max_residual, witness)
 
 
+def _pointer_rows(model: MeasurementModel) -> np.ndarray:
+    """G = (I_A (x) V_B^dag) W, shape (dim, dim_a): row (a, j) is W's amplitude on e_a (x) pointer
+    basis vector j, of outcome pointer.labels[j], so I_A (x) F_k keeps the rows of outcome k."""
+    w = model.isometry.reshape(model.dim_a, model.dim_b, model.dim_a)
+    return (model.pointer.basis.conj().T @ w).reshape(model.dim, model.dim_a)
+
+
 def check_calibration(model: MeasurementModel, eps: float = DEFAULT_EPS) -> CheckReport:
     """Eigenstate condition: object eigenstates yield pointer eigenstates.
 
-    For each outcome k and each orthonormal basis vector e of the range of
-    the object projector E_k, verifies F_k U(e (x) phi_B) = U(e (x) phi_B),
-    i.e. F_k W V_k = W V_k column by column, V_k being the range basis.
+    For each outcome k and each basis vector v of the range of E_k, verifies
+    F_k W v = W v: the residual is the norm of W v on pointer basis vectors of
+    other outcomes, the root of the probability leaking off outcome k. The mask
+    multiplies the squares, so a nan anywhere in W reaches every residual.
     """
     validate_tolerance(eps)
-    blocks = model.observable.blocks
-    residuals = np.zeros((len(blocks), max(len(v.T) for v in blocks)))
-    for k, v in enumerate(blocks):
-        finals = model.isometry @ v  # column i is U(b_i (x) phi_B)
-        residuals[k, : len(v.T)] = np.linalg.norm(model._pointer_sector(k, finals) - finals, axis=0)
+    obs = model.observable
+    finals = (_pointer_rows(model) @ obs.basis).reshape(model.dim_a, model.dim_b, model.dim_a)
+    leaks = (abs(finals) ** 2).sum(axis=0) * (model.pointer.labels[:, None] != obs.labels)
+    residuals = np.zeros((obs.outcomes, obs.ranks.max()))
+    residuals[np.arange(obs.ranks.max()) < obs.ranks[:, None]] = np.sqrt(leaks.sum(axis=0))
     return _report(residuals, eps, "range basis vector")
 
 
@@ -229,13 +230,16 @@ def check_dynamical(model: MeasurementModel, eps: float = DEFAULT_EPS) -> CheckR
     """Operator condition: F_k U equals U E_k on the initial subspace.
 
     For each outcome k and each canonical basis vector e of the object
-    space, verifies F_k U(e (x) phi_B) = U((E_k e) (x) phi_B), i.e.
-    F_k W = W E_k column by column, with W E_k = (W V_k) V_k^dag.
+    space, verifies F_k U(e (x) phi_B) = U((E_k e) (x) phi_B), i.e. F_k W = W E_k
+    column by column: (G V_k) V_k^dag minus G's rows of outcome k, in one array.
     """
     validate_tolerance(eps)
-    w = model.isometry
-    residuals = np.array([
-        np.linalg.norm(model._pointer_sector(k, w) - (w @ v) @ v.conj().T, axis=0)
-        for k, v in enumerate(model.observable.blocks)
-    ])
-    return _report(residuals, eps, "basis vector")
+    g = _pointer_rows(model)
+    d = np.empty_like(g)  # one (dim, dim_a) array, reused for every outcome
+    g_rows, d_rows = (a.reshape(model.dim_a, model.dim_b, -1) for a in (g, d))
+    squares = np.empty((model.outcomes, model.dim_a))
+    for k, (v, rows) in enumerate(zip(model.observable.blocks, model.pointer.columns)):
+        np.matmul(g @ v, v.conj().T, out=d)
+        d_rows[:, rows] -= g_rows[:, rows]
+        squares[k] = (abs(d) ** 2).sum(axis=0)
+    return _report(np.sqrt(squares), eps, "basis vector")

@@ -21,7 +21,7 @@ from .linalg import (
     validate_tolerance,
     validate_unit_state,
 )
-from .spectral import range_basis
+from .spectral import _ranges
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,9 @@ def forms_triple(psi, p, eps: float = DEFAULT_EPS) -> ProbabilityTriple:
     """All three forms, each its own code path, on arguments validated once."""
     expectation = expectation_form(psi, p, eps)  # validates both arguments
     psi, p = as_complex(psi), as_complex(p)
+    in_range, vecs = _ranges(p[None])  # range_basis's rule, without its second validation
     return ProbabilityTriple(
         expectation_form=expectation,
-        born_form=_born(psi, range_basis(p, eps)),  # 0.0 for the empty range of P = 0
+        born_form=_born(psi, vecs[0].T[in_range[0]]),  # 0.0 for the empty range of P = 0
         trace_form=_trace(psi, p),
     )

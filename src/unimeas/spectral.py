@@ -68,19 +68,31 @@ class SpectralForm:
         return len(self.ranks)
 
     @cached_property
+    def labels(self) -> np.ndarray:
+        """Read-only outcome index of each basis column."""
+        return frozen(np.repeat(np.arange(self.outcomes), self.ranks))
+
+    @cached_property
+    def columns(self) -> tuple[slice, ...]:
+        """Outcome k's basis columns, as one slice each."""
+        ends = np.cumsum(self.ranks).tolist()
+        return tuple(map(slice, [0, *ends[:-1]], ends))
+
+    @cached_property
     def blocks(self) -> tuple[np.ndarray, ...]:
         """The V_k, as read-only views of the basis."""
-        return tuple(np.split(self.basis, np.cumsum(self.ranks)[:-1], axis=1))
+        return tuple(self.basis[:, s] for s in self.columns)
 
     @property
     def projectors(self) -> np.ndarray:
-        """Read-only (outcomes, dim, dim) stack of the E_k, built on each call for dense consumers."""
-        return frozen(np.array([v @ v.conj().T for v in self.blocks]))
+        """Read-only (outcomes, dim, dim) stack of the E_k = (V * mask_k) V^dag, built on each call."""
+        mask = self.labels == np.arange(self.outcomes)[:, None, None]
+        return frozen((self.basis * mask) @ self.basis.conj().T)
 
     def pieces(self, x: np.ndarray) -> np.ndarray:
         """E_k x for each outcome k on a new last axis, E_k acting on x's last axis: the one split
-        rule, V (mask * V^dag x) with mask[i, k] = 1 where basis column i is outcome k's."""
-        mask = np.repeat(np.eye(self.outcomes), self.ranks, axis=0)
+        rule, V (mask * V^dag x) with mask[i, k] true where basis column i is outcome k's."""
+        mask = self.labels[:, None] == np.arange(self.outcomes)
         return self.basis @ ((x @ self.basis.conj())[..., :, None] * mask)
 
     def rank(self, k: int) -> int:
@@ -106,7 +118,7 @@ class SpectralForm:
 
     def reconstruct(self) -> np.ndarray:
         """Sum of eigenvalue-weighted projectors, as one product V diag(...) V^dag."""
-        return (self.basis * np.repeat(self.eigenvalues, self.ranks)) @ self.basis.conj().T
+        return (self.basis * self.eigenvalues[self.labels]) @ self.basis.conj().T
 
 
 def spectral_decompose(h, eps: float = DEFAULT_EPS) -> SpectralForm:
@@ -153,7 +165,8 @@ def _dense_basis(stack: np.ndarray, eps: float, label: str) -> tuple[np.ndarray,
 
     The first matrix that stack_defect refuses (with idempotency), or that is zero, is named
     "<label> k"; then "<label>s k and k'", the first pair in (k, k') order whose block of the
-    Gram matrix V^dag V has an entry above eps. Block k of V is matrix k's range basis.
+    Gram matrix V^dag V has an entry above eps, read d rows per product so that none outgrows
+    the stack. Block k of V is matrix k's range basis.
     """
     bad = stack_defect(stack, eps, idempotent=True)
     if bad is not None:
@@ -163,13 +176,16 @@ def _dense_basis(stack: np.ndarray, eps: float, label: str) -> tuple[np.ndarray,
     if not ranks.all():
         raise ValueError(f"{label} {int(np.argmin(ranks))} is zero")
     basis = vecs.transpose(0, 2, 1)[in_range].T
-    ends = np.cumsum(ranks)
-    # one block row of the Gram matrix at a time: memory stays within the stack's
-    for k in range(len(ranks) - 1):
-        row = abs(basis[:, ends[k] - ranks[k] : ends[k]].conj().T @ basis[:, ends[k] :]).max(axis=0)
-        above = np.maximum.reduceat(row, ends[k:-1] - ends[k]) > eps
-        if above.any():
-            raise ValueError(f"{label}s {k} and {k + 1 + int(above.argmax())} are not orthogonal")
+    d, total = basis.shape
+    labels = np.repeat(np.arange(len(ranks)), ranks)
+    # each Gram row's first later outcome with an entry above eps, len(ranks) where none is
+    partner = np.full(total, len(ranks))
+    for i in range(0, total, d):
+        hits = (abs(basis[:, i : i + d].conj().T @ basis) > eps) & (labels > labels[i : i + d, None])
+        partner[i : i + d] = np.where(hits.any(axis=1), labels[hits.argmax(axis=1)], len(ranks))
+    if (partner < len(ranks)).any():
+        k = labels[np.argmax(partner < len(ranks))]
+        raise ValueError(f"{label}s {k} and {partner[labels == k].min()} are not orthogonal")
     return basis, ranks
 
 

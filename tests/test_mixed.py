@@ -173,3 +173,17 @@ class TestMixedProbability:
     def test_dimension_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="does not match"):
             mixed_probability(rand_density(3, rng), np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("negative_sum,accepted", [(-0.99e-9, True), (-1.01e-9, False)])
+    def test_negative_part_bounded_as_a_whole(self, negative_sum, accepted):
+        """Each of the 99 negative eigenvalues is far above -eps; their sum decides. Every rho
+        validate_density accepts gets a probability: the purified route drops the negative part,
+        the trace route counts it, and the two differ by at most its sum."""
+        rho = np.diag([1.0 - negative_sum] + [negative_sum / 99] * 99)
+        projector = np.diag([0.0] + [1.0] * 99)
+        if accepted:
+            assert mixed_probability(rho, projector) == pytest.approx(negative_sum, rel=1e-12)
+        else:
+            message = r"^density operator has negative eigenvalues summing to -1\.010e-09$"
+            with pytest.raises(ValueError, match=message):
+                mixed_probability(rho, projector)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from unimeas import spectral
 from unimeas.linalg import basis_ket, dag
 from unimeas.probability import born_form, expectation_form, forms_triple, trace_form
 from unimeas.rand import rand_ket, rand_projector, rand_unitary
@@ -87,6 +88,18 @@ class TestFormsTriple:
             proj = rand_projector(dim, rank, rng)
             triple = forms_triple(psi, proj)
             assert triple.max_pairwise_diff <= 1e-12
+
+    def test_projector_validated_once(self, rng, monkeypatch):
+        """forms_triple takes the range basis of the projector expectation_form validated; it does
+        not validate it again through range_basis."""
+        psi, proj = rand_ket(4, rng), rand_projector(4, 2, rng)
+        born = born_form(psi, range_basis(proj))
+
+        def refuse(*args):
+            raise AssertionError("projector validated a second time")
+
+        monkeypatch.setattr(spectral, "validate_hermitian", refuse)
+        assert forms_triple(psi, proj).born_form == born
 
     def test_zero_projector_triple(self, rng):
         triple = forms_triple(rand_ket(3, rng), np.zeros((3, 3)))

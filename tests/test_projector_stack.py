@@ -14,10 +14,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_range_basis import dense_sector
+from test_range_basis import TOL, assert_same, dense_calibration, dense_dynamical, dense_sector
 
 from unimeas.linalg import validate_projector
-from unimeas.measurement import MeasurementModel, check_calibration
+from unimeas.measurement import MeasurementModel, check_calibration, check_dynamical
 from unimeas.rand import (
     perturb_model,
     rand_hermitian,
@@ -183,10 +183,53 @@ class TestLoopParity:
         assert str(batched.value) == str(loop.value)
 
 
+def assert_dense_parity(model: MeasurementModel):
+    """Calibration and dynamical against the dense references on the model's own arrays."""
+    e, f, w = model.observable.projectors, model.pointer.projectors, model.isometry
+    assert_same(check_calibration(model, TOL), dense_calibration(e, f, w))
+    assert_same(check_dynamical(model, TOL), dense_dynamical(e, f, w))
+
+
+class TestNonFiniteIsometry:
+    """A nan in W, in a row of the coindexed pointer outcome or of another one: the checks mask
+    rows by multiplying, so no row holding the nan is dropped and both report it as the dense
+    references do. A one-outcome pointer has no other outcome: every row is coindexed."""
+
+    @pytest.mark.parametrize(
+        "variant,coindexed",
+        [(v, c) for v in ("plain", "degenerate", "redundant") for c in (True, False)]
+        + [("one-outcome", True)],
+    )
+    def test_nan_entry(self, variant, coindexed):
+        rng = np.random.default_rng(7)
+        model = rand_model(3, rng, [3]) if variant == "one-outcome" else zoo_model(variant, 4, rng)
+        # the first range-basis vector is outcome 0's, so pointer outcome 0 is its coindexed one
+        j = int(np.flatnonzero((model.pointer.labels == 0) == coindexed)[0])
+        w = np.array(model.isometry)
+        w[(model.dim_a - 1) * model.dim_b + j, model.dim_a - 1] = np.nan
+        broken = dataclasses.replace(model, isometry=w)
+        assert_dense_parity(broken)
+        for report in (check_calibration(broken), check_dynamical(broken)):
+            assert np.isnan(report.max_residual) and report.witness.endswith("residual nan")
+
+
+class TestJoint1024Parity:
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_rotated_redundant_pointer(self, perturbed):
+        """dim_a 16 with a redundant pointer factor of 4 (dim_b 64), in a random instrument basis."""
+        rng = np.random.default_rng(1024)
+        model = rotated_instrument(with_redundant_pointer(rand_model(16, rng), 4, rng), rng)
+        if perturbed:
+            model = perturb_model(model, rng)
+        assert model.dim == 1024
+        assert check_calibration(model).passed != perturbed
+        assert_dense_parity(model)
+
+
 class TestCalibrationMemory:
     def test_peak_is_a_few_isometries(self):
-        """A degenerate observable and a large pointer: F_k is applied per outcome, not gathered
-        per range vector (that would be dim_a * dim_b^2 entries, here 32 MB)."""
+        """A degenerate observable and a large pointer: the pointer statistics come from W in the
+        pointer basis, not from F_k gathered per range vector (dim_a * dim_b^2 entries, 32 MB)."""
         rng = np.random.default_rng(5)
         model = with_redundant_pointer(rand_model(32, rng, [16, 16]), 128, rng)
         assert model.dim_b == 256

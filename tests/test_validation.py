@@ -52,8 +52,8 @@ P0 = np.diag([1.0, 0.0])
 E0 = [np.array([1.0, 0.0])]
 
 THREE = build_canonical_model(spectral_decompose(np.diag([1.0, 2.0, 3.0])))
-# validate_density accepts this rho, every eigenvalue being >= -eps; the purified route drops
-# the 99 eigenvalues of -0.9e-9, the trace route counts them
+# every eigenvalue is >= -eps, but their negative part sums to -8.91e-8: validate_density
+# refuses it, so mixed_probability never sees the purified route drop what the trace route counts
 ALMOST_PSD = np.diag([1.0 + 99 * 0.9e-9] + [-0.9e-9] * 99)
 
 
@@ -201,7 +201,7 @@ PROBES = {
     ),
     "mixed_probability-routes-disagree": (
         lambda: mixed_probability(ALMOST_PSD, np.diag([0.0] + [1.0] * 99)),
-        r"^purified route 0\.0 disagrees with trace route -8\.91\d*e-08$",
+        r"^density operator has negative eigenvalues summing to -8\.910e-08$",
     ),
     "model_from_document-numpy-float-in-vector": (
         lambda: model_from_document(_document(("instrument_state", 0), [np.float64(1.0), 0.0])),

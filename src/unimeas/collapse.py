@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .branches import decompose_final
-from .linalg import DEFAULT_EPS, frozen, validate_tolerance, validate_unit_state
+from .linalg import DEFAULT_EPS, _is_int, frozen, validate_tolerance, validate_unit_state
 from .measurement import MeasurementModel, premeasure
 from .spectral import SpectralForm
 
@@ -32,8 +32,8 @@ class OutcomeDistribution:
     def __post_init__(self):
         object.__setattr__(self, "outcomes", frozen(np.asarray(self.outcomes, dtype=np.int64)))
         object.__setattr__(self, "weights", frozen(np.asarray(self.weights, dtype=np.float64)))
-        if self.outcomes.size != self.weights.size:
-            raise ValueError("outcomes and weights must be coindexed")
+        if self.outcomes.ndim != 1 or self.outcomes.shape != self.weights.shape:
+            raise ValueError("outcomes and weights must be coindexed vectors")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
         if np.any(self.weights < 0.0):
@@ -97,9 +97,9 @@ def sample(dist: OutcomeDistribution, n: int, seed: int) -> SampleReport:
     Raises:
         ValueError: n is not a positive int64, seed not a uint64, or no weight is sampleable.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n < 2**63:
+    if not _is_int(n) or not 1 <= n < 2**63:
         raise ValueError(f"sample size must be a positive int64, got {n!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+    if not _is_int(seed) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a uint64, got {seed!r}")
     support = np.flatnonzero(dist.weights >= DEFAULT_EPS)
     if not support.size:

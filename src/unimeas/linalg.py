@@ -34,9 +34,22 @@ def dag(a) -> np.ndarray:
     return _finite(a, "operand").conj().T
 
 
+def _is_int(n) -> bool:
+    """True for an int or numpy integer that is not a bool: the package's one integer rule."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
+def _vector(v, name: str = "state") -> np.ndarray:
+    """v as complex128, raising "<name> must be a vector" unless it is 1-D."""
+    v = as_complex(v)
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be a vector, got ndim {v.ndim}")
+    return v
+
+
 def ket(amplitudes) -> np.ndarray:
-    """Normalized state vector built from a sequence of amplitudes."""
-    v = as_complex(amplitudes).reshape(-1)
+    """Normalized state vector built from a 1-D sequence of amplitudes."""
+    v = _vector(amplitudes)
     v = validate_state(v, v.size)
     n = np.linalg.norm(v)
     if n == 0:
@@ -45,8 +58,10 @@ def ket(amplitudes) -> np.ndarray:
 
 
 def basis_ket(dim: int, index: int) -> np.ndarray:
-    """Canonical basis vector |index> in dimension dim."""
-    if not 0 <= index < dim:
+    """Canonical basis vector |index> in a positive integer dimension dim."""
+    if not _is_int(dim) or dim < 1:
+        raise ValueError(f"basis_ket dimension must be a positive integer, got {dim!r}")
+    if not _is_int(index) or not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for dim {dim}")
     v = np.zeros(dim, dtype=np.complex128)
     v[index] = 1.0
@@ -55,7 +70,7 @@ def basis_ket(dim: int, index: int) -> np.ndarray:
 
 def uniform_ket(dim: int) -> np.ndarray:
     """Equal-amplitude superposition over the canonical basis of a positive dimension."""
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ValueError(f"uniform_ket dimension must be a positive integer, got {dim!r}")
     return np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
 
@@ -84,13 +99,15 @@ def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
 
     Args:
         rho: finite operator on the composite space of dimension dims[0] * dims[1].
-        dims: the two factor dimensions, first-factor-major indexing.
+        dims: the two positive integer factor dimensions, first-factor-major indexing.
         keep: 0 to keep the first factor, 1 to keep the second.
 
     Returns:
         The reduced operator on the kept factor; the trace is preserved.
     """
-    da, db = int(dims[0]), int(dims[1])
+    if len(dims) != 2 or not all(_is_int(d) and d >= 1 for d in dims):
+        raise ValueError(f"partial_trace dims must be two positive integers, got {dims!r}")
+    da, db = dims
     rho = as_complex(rho)
     if rho.ndim != 2 or rho.shape != (da * db, da * db):
         raise ValueError(
@@ -134,7 +151,7 @@ def validate_state(v, dim: int, name: str = "state") -> np.ndarray:
 
 def validate_outcome_index(k, outcomes: int) -> int:
     """k as an int; raises unless k is an int or numpy integer, not a bool, in [0, outcomes)."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < outcomes:
+    if not _is_int(k) or not 0 <= k < outcomes:
         raise ValueError(f"outcome index {k} out of range")
     return int(k)
 
@@ -150,9 +167,7 @@ def validate_unit_state(v, dim: int, eps: float = DEFAULT_EPS, name: str = "stat
 
 def validate_ket(v, eps: float = DEFAULT_EPS) -> None:
     """Raise unless v is a finite norm-one vector of any dimension."""
-    v = as_complex(v)
-    if v.ndim != 1:
-        raise ValueError(f"state must be a vector, got ndim {v.ndim}")
+    v = _vector(v)
     validate_unit_state(v, v.size, eps)
 
 
@@ -225,20 +240,26 @@ def projector_stack(
 
 
 def density_eigh(rho, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rho, eigenvalues, eigenvectors) of a density operator, from one eigh.
+    """(rho, kept eigenvalues, their eigenvectors) of a density operator, from one eigh.
 
-    Raises unless rho is finite, Hermitian, of trace one and PSD within eps, its negative
-    eigenvalues summing to at least -eps; eigenvalues ascend, as np.linalg.eigh returns them.
+    Drops the longest run of smallest eigenvalues, short of the largest, whose magnitudes sum
+    to at most eps; raises unless rho is finite, Hermitian, of trace one within eps and that
+    run holds every negative eigenvalue. Kept pairs descend, ties in eigh's order.
     """
     rho = validate_hermitian(rho, eps, "density operator")
     vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    negative = vals[vals < 0].sum()
-    if negative < -eps:
-        raise ValueError(f"density operator has negative eigenvalues summing to {negative:.3e}")
+    tail = np.cumsum(abs(vals))  # eigh's eigenvalues ascend, so the negative ones lead
+    dropped = min(int(np.searchsorted(tail, eps, side="right")), vals.size - 1)
+    negatives = np.count_nonzero(vals < 0)
+    if negatives > dropped:
+        raise ValueError(
+            f"density operator has negative eigenvalues summing to {-tail[negatives - 1]:.3e}"
+        )
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > eps:
         raise ValueError(f"density operator trace {tr} is not 1 within {eps}")
-    return rho, vals, vecs
+    kept = dropped + np.argsort(-vals[dropped:], kind="stable")
+    return rho, vals[kept], vecs[:, kept]
 
 
 def validate_density(rho, eps: float = DEFAULT_EPS) -> np.ndarray:

@@ -16,14 +16,10 @@ from .linalg import (
     DEFAULT_EPS,
     as_complex,
     density_eigh,
-    partial_trace,
     frozen,
     validate_projector,
     validate_tolerance,
 )
-
-# eigenvalues at or below this are treated as zero and excluded
-EIGENVALUE_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,29 +36,26 @@ class Purification:
         object.__setattr__(self, "dims", (int(self.dims[0]), int(self.dims[1])))
 
     def reduced(self) -> np.ndarray:
-        """Partial trace of the purified projector over the ancilla."""
-        return partial_trace(np.outer(self.state, self.state.conj()), self.dims, keep=0)
+        """Partial trace of the purified projector over the ancilla, Psi Psi^dag on the
+        (dim, ancilla) reshape Psi of the state; the joint projector is never formed."""
+        psi = self.state.reshape(self.dims)
+        return psi @ psi.conj().T
 
 
 def purify(rho, eps: float = DEFAULT_EPS) -> Purification:
     """Purify a density operator over a minimal ancilla.
 
-    Eigendecomposes rho once, which also serves the positivity check, keeps
-    the positive eigenpairs (r_i, |i>), and returns sum_i sqrt(r_i) |i> (x) |i>
-    with the ancilla running over its canonical basis in descending-eigenvalue
-    order. The ancilla dimension equals the number of positive eigenvalues;
-    column i of the (dim, ancilla) reshape of the state is sqrt(r_i) |i>.
+    Eigendecomposes rho once with density_eigh, which checks it and drops the negligible
+    tail of its spectrum, and returns sum_i sqrt(r_i) |i> (x) |i> over the kept pairs
+    (r_i, |i>) in their descending order, one canonical ancilla slot each; column i of the
+    (dim, ancilla) reshape of the state is sqrt(r_i) |i>.
 
     Raises:
         ValueError: rho is not a valid density operator.
     """
     validate_tolerance(eps)
     rho, vals, vecs = density_eigh(rho, eps)
-    # stable sort keeps eigh's tie order, so degenerate spectra pair
-    # eigenvector i with ancilla slot i
-    by_descending = np.argsort(-vals, kind="stable")
-    order = by_descending[vals[by_descending] > EIGENVALUE_CUTOFF]
-    columns = vecs[:, order] * np.sqrt(vals[order])
+    columns = vecs * np.sqrt(vals)
     return Purification(state=columns.reshape(-1), dims=columns.shape, source=rho)
 
 

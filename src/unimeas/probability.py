@@ -15,6 +15,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_EPS,
+    _vector,
     as_complex,
     orthonormality_defect,
     validate_projector,
@@ -63,11 +64,11 @@ def born_form(psi, basis: Sequence[np.ndarray], eps: float = DEFAULT_EPS) -> flo
     """Summed squared overlaps of a unit state with an orthonormal range basis.
 
     Raises:
-        ValueError: basis vectors are not orthonormal within eps (a non-finite
-            basis counts as not orthonormal), or psi is not a matching unit state.
+        ValueError: a basis entry is not 1-D, basis vectors are not orthonormal within eps
+            (a non-finite basis counts as not orthonormal), or psi is not a matching unit state.
     """
     validate_tolerance(eps)
-    vecs = [as_complex(v).reshape(-1) for v in basis]
+    vecs = [_vector(v, f"range basis entry {k}") for k, v in enumerate(basis)]
     if not vecs:
         raise ValueError("range basis must contain at least one vector")
     q = np.column_stack(vecs)

@@ -4,11 +4,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from unimeas.linalg import basis_ket, partial_trace, tensor, validate_density
+from unimeas.linalg import DEFAULT_EPS, basis_ket, partial_trace, tensor, validate_density
 from unimeas.mixed import mixed_probability, purified_probability, purify
 from unimeas.probability import expectation_form
-from unimeas.rand import rand_density, rand_ket, rand_observable, rand_projector
+from unimeas.rand import rand_density, rand_ket, rand_observable, rand_projector, rand_unitary
 
 
 class TestPurify:
@@ -39,6 +41,7 @@ class TestPurify:
                 np.outer(pur.state, pur.state.conj()), pur.dims, keep=0
             )
             assert np.max(np.abs(reduced - rho)) <= 1e-10
+            assert np.max(np.abs(pur.reduced() - reduced)) <= 1e-14
 
     def test_state_is_normalized(self, rng):
         pur = purify(rand_density(4, rng))
@@ -48,6 +51,11 @@ class TestPurify:
         rho = np.diag([0.5, 0.5, 0.0])
         pur = purify(rho)
         assert pur.dims == (3, 2)
+
+    def test_largest_eigenvalue_kept(self):
+        """With eps >= 0.5 a whole accepted spectrum can sum to at most eps: the largest
+        eigenpair stays, so the purified state is never empty."""
+        assert purify(np.eye(2) / 4, eps=0.6).dims == (2, 1)
 
     def test_non_psd_rejected(self):
         with pytest.raises(ValueError, match="negative eigenvalue"):
@@ -187,3 +195,43 @@ class TestMixedProbability:
             message = r"^density operator has negative eigenvalues summing to -1\.010e-09$"
             with pytest.raises(ValueError, match=message):
                 mixed_probability(rho, projector)
+
+    def test_many_tiny_eigenvalues_dropped_within_eps(self):
+        """1200 eigenvalues of 1e-12, none negative, sum to 1.2e-9 > eps. The longest run of
+        them summing to at most eps (999: 1000 copies add up to just above 1e-9 in floating
+        point) is dropped and the other 201 are kept, so the routes differ by 0.999e-9."""
+        rho = np.diag([1.0 - 1200e-12] + [1e-12] * 1200)
+        projector = np.diag([0.0] + [1.0] * 1200)
+        assert mixed_probability(rho, projector) == pytest.approx(1.2e-9, rel=1e-9)
+        pur = purify(rho)
+        assert pur.dims == (1201, 202)
+        assert np.max(np.abs(pur.reduced() - rho)) <= DEFAULT_EPS
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(
+    large=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3),
+    tail=st.lists(st.floats(-0.6, 0.6), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tiny_tail_of_either_sign(large, tail, seed):
+    """rho = U diag(lambda) U^dag with a few large eigenvalues and a tail of tiny ones of either
+    sign, in units of eps, whose negative part is >= -eps. The longest run of smallest
+    eigenvalues whose magnitudes sum to at most eps is dropped: the routes agree within eps, the
+    reduction is within eps of rho, and the ancilla has one slot per kept eigenvalue. E projects
+    onto the tail's eigenvectors, where the purified route loses the most."""
+    tail = np.sort(tail) * DEFAULT_EPS
+    run = np.cumsum(np.abs(tail))
+    assume(-tail[tail < 0].sum() <= 0.999 * DEFAULT_EPS)
+    assume(np.all(np.abs(run - DEFAULT_EPS) > 1e-3 * DEFAULT_EPS))  # no cut on a rounding edge
+    large = np.array(large) / np.sum(large) * (1.0 - tail.sum())
+    lam = np.concatenate([large, tail])
+    u = rand_unitary(lam.size, np.random.default_rng(seed))
+    rho = (u * lam) @ u.conj().T
+    tail_vecs = u[:, large.size :]
+    projector = tail_vecs @ tail_vecs.conj().T
+    p = mixed_probability(rho, projector)
+    assert abs(p - np.trace(rho @ projector).real) <= DEFAULT_EPS
+    pur = purify(rho)
+    assert np.max(np.abs(pur.reduced() - rho)) <= DEFAULT_EPS
+    assert pur.dims == (lam.size, lam.size - np.count_nonzero(run <= DEFAULT_EPS))

@@ -15,8 +15,10 @@ import pytest
 from unimeas.branches import check_prc, decompose_final, decompose_initial, evolve_branch
 from unimeas.collapse import OutcomeDistribution, SampleReport, final_density, sample
 from unimeas.linalg import (
+    basis_ket,
     dag,
     density_eigh,
+    ket,
     partial_trace,
     projector_stack,
     tensor,
@@ -223,6 +225,37 @@ PROBES = {
     "uniform_ket-negative": (lambda: uniform_ket(-1), r"positive integer, got -1$"),
     "uniform_ket-bool": (lambda: uniform_ket(True), r"positive integer, got True$"),
     "uniform_ket-float": (lambda: uniform_ket(2.0), r"positive integer, got 2\.0$"),
+    "basis_ket-bool-index": (lambda: basis_ket(2, True), r"^basis index True out of range for dim 2$"),
+    "basis_ket-float-index": (lambda: basis_ket(2, 0.5), r"^basis index 0\.5 out of range for dim 2$"),
+    "basis_ket-float-dim": (
+        lambda: basis_ket(2.0, 0),
+        r"^basis_ket dimension must be a positive integer, got 2\.0$",
+    ),
+    "basis_ket-zero-dim": (
+        lambda: basis_ket(0, 0),
+        r"^basis_ket dimension must be a positive integer, got 0$",
+    ),
+    "partial_trace-float-dims": (
+        lambda: partial_trace(np.eye(4) / 4, (2.5, 2), 0),
+        r"^partial_trace dims must be two positive integers, got \(2\.5, 2\)$",
+    ),
+    "partial_trace-bool-dims": (
+        lambda: partial_trace(np.eye(4) / 4, (True, 4), 0),
+        r"^partial_trace dims must be two positive integers, got \(True, 4\)$",
+    ),
+    "ket-matrix": (lambda: ket([[1.0, 0.0], [0.0, 1.0]]), r"^state must be a vector, got ndim 2$"),
+    "born_form-matrix-basis-entry": (
+        lambda: born_form(uniform_ket(4), [np.eye(2) / np.sqrt(2)]),
+        r"^range basis entry 0 must be a vector, got ndim 2$",
+    ),
+    "OutcomeDistribution-2d": (
+        lambda: OutcomeDistribution([[0, 1]], [[0.5, 0.5]]),
+        r"^outcomes and weights must be coindexed vectors$",
+    ),
+    "OutcomeDistribution-2d-weights": (
+        lambda: OutcomeDistribution([0, 1], [[0.5, 0.5]]),
+        r"^outcomes and weights must be coindexed vectors$",
+    ),
 }
 
 

@@ -114,7 +114,7 @@ def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
             f"operator shape {rho.shape} does not match factor dims {da}x{db}"
         )
     _finite(rho, "operator")
-    if keep not in (0, 1):
+    if not _is_int(keep) or keep not in (0, 1):
         raise ValueError(f"keep must be 0 or 1, got {keep}")
     r = rho.reshape(da, db, da, db)
     if keep == 0:

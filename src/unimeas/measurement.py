@@ -131,30 +131,6 @@ class MeasurementModel:
             raise ValueError(f"isometry: isometry defect {defect:.3e} exceeds {eps}")
 
 
-def isometry_from_unitary(
-    unitary, dim_a: int, dim_b: int, instrument_state, eps: float = DEFAULT_EPS
-) -> np.ndarray:
-    """W = U(I_A (x) phi_B) of a dense joint unitary, checking U as a whole first.
-
-    The only place a dense U is handled: files that store the full unitary
-    load through it. Costs dim^3 for the unitarity check.
-
-    Raises:
-        ValueError: a bad tolerance or instrument state, or a unitary that is
-            not dim x dim, not finite, or not unitary within eps.
-    """
-    validate_tolerance(eps)
-    phi = validate_unit_state(instrument_state, dim_b, eps, "instrument_state")
-    dim = dim_a * dim_b
-    u = as_complex(unitary)
-    if u.shape != (dim, dim):
-        raise ValueError(f"unitary: shape {u.shape}, expected {(dim, dim)}")
-    defect = orthonormality_defect(u)
-    if not defect <= eps:  # NaN-aware: a non-finite unitary has defect nan
-        raise ValueError(f"unitary: unitarity defect {defect:.3e} exceeds {eps}")
-    return u.reshape(dim, dim_a, dim_b) @ phi
-
-
 def build_canonical_model(observable: SpectralForm) -> MeasurementModel:
     """Minimal model measuring the given observable exactly.
 

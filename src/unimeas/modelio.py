@@ -9,11 +9,9 @@ layout, still load to the same arrays. Saving a non-finite value raises
 ValueError before any file is written; loading one raises ModelFormatError.
 
 A model file stores the interaction on the initial subspace, the isometry
-W = U(I (x) phi_B), as a (dim_a*dim_b) x dim_a matrix. Files of earlier
-versions store the dense unitary U under "unitary" instead; they still load,
-their U checked as a whole and reduced to W, and are saved again with W.
-The file's dim_a and dim_b must be positive ints. Spectral forms are stored as
-held, {"eigenvalues", "ranks" (ints), "basis"}; dense {"eigenvalues", "projectors"},
+W = U(I (x) phi_B), as a (dim_a*dim_b) x dim_a matrix. The file's dim_a and
+dim_b must be positive ints. Spectral forms are stored as held,
+{"eigenvalues", "ranks" (ints), "basis"}; dense {"eigenvalues", "projectors"},
 from earlier versions or observable files, go through spectral.from_projectors and
 are saved with a basis. Observable matrices are dim_a square, pointer ones dim_b.
 
@@ -33,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import DEFAULT_EPS
-from .measurement import MeasurementModel, isometry_from_unitary
+from .measurement import MeasurementModel
 from .spectral import SpectralForm, from_projectors, spectral_decompose
 
 
@@ -41,9 +39,7 @@ class ModelFormatError(ValueError):
     """A file failed to parse or violated a type invariant."""
 
 
-# every model field but the interaction, which is "isometry" or, in files of
-# earlier versions, "unitary"
-_MODEL_FIELDS = ("dim_a", "dim_b", "observable", "pointer", "instrument_state")
+_MODEL_FIELDS = ("dim_a", "dim_b", "observable", "pointer", "instrument_state", "isometry")
 # the keys of a spectral form: a basis with ranks, or the dense form of earlier versions
 _SPECTRAL_KEYS = ({"eigenvalues", "ranks", "basis"}, {"eigenvalues", "projectors"})
 
@@ -156,23 +152,16 @@ def model_to_document(model: MeasurementModel) -> dict:
 def model_from_document(doc, eps: float = DEFAULT_EPS) -> MeasurementModel:
     """Build and validate a model from a parsed JSON document.
 
-    The interaction is read from "isometry", or from a legacy "unitary",
-    which must then be a dim x dim unitary; a document holding both is refused.
-
     Raises:
         ModelFormatError: structural problems or type-invariant violations,
             naming the offending field.
     """
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
-    legacy = "unitary" in doc
-    if legacy and "isometry" in doc:
-        raise ModelFormatError("both isometry and legacy unitary given; expected one")
-    fields = _MODEL_FIELDS + ("unitary" if legacy else "isometry",)
-    missing = [f for f in fields if f not in doc]
+    missing = [f for f in _MODEL_FIELDS if f not in doc]
     if missing:
         raise ModelFormatError(f"missing fields: {', '.join(missing)}")
-    extra = set(doc) - set(fields)
+    extra = set(doc) - set(_MODEL_FIELDS)
     if extra:
         raise ModelFormatError(f"unknown fields: {', '.join(sorted(extra))}")
     for name in ("dim_a", "dim_b"):
@@ -181,16 +170,7 @@ def model_from_document(doc, eps: float = DEFAULT_EPS) -> MeasurementModel:
     observable = _spectral_in(doc["observable"], "observable", doc["dim_a"], eps)
     pointer = _spectral_in(doc["pointer"], "pointer", doc["dim_b"], eps)
     instrument_state = _complex_in(doc["instrument_state"], 1, "instrument_state")
-    if legacy:
-        unitary = _complex_in(doc["unitary"], 2, "unitary")
-        try:
-            isometry = isometry_from_unitary(
-                unitary, doc["dim_a"], doc["dim_b"], instrument_state, eps
-            )
-        except ValueError as exc:
-            raise ModelFormatError(str(exc)) from exc
-    else:
-        isometry = _complex_in(doc["isometry"], 2, "isometry")
+    isometry = _complex_in(doc["isometry"], 2, "isometry")
     try:
         model = MeasurementModel(
             observable=observable,

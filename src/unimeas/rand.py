@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import basis_ket, tensor
+from .linalg import _is_int, basis_ket, tensor
 from .measurement import MeasurementModel, build_canonical_model
 from .spectral import SpectralForm, spectral_decompose
 
@@ -93,8 +93,8 @@ def with_redundant_pointer(
     inherited unchanged. The interaction becomes U (x) I and the instrument
     state phi_B (x) chi, so the isometry becomes W (x) chi.
     """
-    if extra_dim < 1:
-        raise ValueError(f"extra_dim must be positive, got {extra_dim}")
+    if not _is_int(extra_dim) or extra_dim < 1:
+        raise ValueError(f"extra_dim must be a positive integer, got {extra_dim}")
     chi = rand_ket(extra_dim, rng)
     p = model.pointer
     pointer = SpectralForm(p.eigenvalues, p.ranks * extra_dim, tensor(p.basis, np.eye(extra_dim)))

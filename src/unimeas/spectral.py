@@ -30,6 +30,14 @@ from .linalg import (
 DEGENERACY_TOL = 1e-7
 
 
+def _eigenvalue_vector(eigenvalues) -> np.ndarray:
+    """Eigenvalues as a float64 vector, a scalar as one outcome: the shape rule of both constructors."""
+    vals = np.asarray(eigenvalues, dtype=np.float64)
+    if vals.ndim > 1:
+        raise ValueError(f"eigenvalues must be a vector, got ndim {vals.ndim}")
+    return vals.reshape(-1)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralForm:
     """Pairwise-distinct eigenvalues with coindexed orthogonal projectors, held as one range basis.
@@ -44,7 +52,7 @@ class SpectralForm:
     basis: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=np.float64).reshape(-1)
+        vals = _eigenvalue_vector(self.eigenvalues)
         ranks, basis = np.asarray(self.ranks), as_complex(self.basis)
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1] or not basis.size:
             raise ValueError(f"basis must be a non-empty square matrix, got shape {basis.shape}")
@@ -150,7 +158,7 @@ def from_projectors(
     dim, so that they sum to the identity. validate checks the eigenvalues.
     """
     validate_tolerance(eps)
-    vals = np.asarray(eigenvalues, dtype=np.float64).reshape(-1)
+    vals = _eigenvalue_vector(eigenvalues)
     if vals.size != len(projectors):
         raise ValueError(f"{vals.size} eigenvalues but {len(projectors)} projectors")
     basis, ranks = _dense_basis(projector_stack(projectors, dim=dim), eps, "projector")

@@ -20,7 +20,7 @@ from unimeas.modelio import (
     save_model,
     save_vector,
 )
-from unimeas.rand import rand_hermitian, rand_ket, rand_model, with_redundant_pointer
+from unimeas.rand import rand_hermitian, rand_ket, rand_model
 from unimeas.spectral import spectral_decompose
 
 
@@ -153,43 +153,31 @@ class TestLayouts:
         assert not path.exists()
 
 
-class TestLegacyUnitaryFiles:
-    """Files that store the dense unitary load to its initial-subspace columns."""
+class TestUnitaryFilesRefused:
+    """A model document holds the interaction as the isometry alone; one holding the
+    dense unitary of earlier versions is refused by the field rule, naming the field."""
 
-    def test_loads_to_canonical_isometry(self, tmp_path, model, controlled_shift):
+    @pytest.fixture
+    def documents(self, model, controlled_shift):
+        legacy = _legacy_document(model, controlled_shift(model.observable))
+        both = model_to_document(model)
+        both["unitary"] = legacy["unitary"]
+        return {"unitary-only": legacy, "both": both}
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [("unitary-only", "missing fields: isometry"), ("both", "unknown fields: unitary")],
+        ids=["unitary-only", "both"],
+    )
+    def test_refused(self, documents, kind, message, tmp_path, capsys):
+        with pytest.raises(ModelFormatError, match=f"^{message}$"):
+            model_from_document(documents[kind])
         path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(_legacy_document(model, controlled_shift(model.observable))))
-        loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.isometry, model.isometry)
-        again = tmp_path / "again.json"
-        save_model(loaded, again)
-        doc = json.loads(again.read_text())
-        assert "isometry" in doc and "unitary" not in doc
-
-    def test_redundant_pointer_reduces_through_instrument_state(self, rng, controlled_shift):
-        base = rand_model(3, rng)
-        model = with_redundant_pointer(base, 2, rng)
-        unitary = np.kron(controlled_shift(base.observable), np.eye(2))
-        loaded = model_from_document(_legacy_document(model, unitary))
-        np.testing.assert_allclose(loaded.isometry, model.isometry, atol=1e-15)
-
-    def test_wrong_shape_named(self, model):
-        doc = _legacy_document(model, np.eye(4))
-        with pytest.raises(ModelFormatError, match=r"^unitary: shape \(4, 4\), expected \(9, 9\)$"):
-            model_from_document(doc)
-
-    def test_unitary_checked_outside_initial_subspace(self, model, controlled_shift):
-        """A dense U is checked as a whole, not only on the columns that are kept."""
-        unitary = controlled_shift(model.observable)
-        unitary[:, 1] = 0.0  # column (0, 1) lies outside the initial subspace
-        with pytest.raises(ModelFormatError, match=r"^unitary: unitarity defect"):
-            model_from_document(_legacy_document(model, unitary))
-
-    def test_both_fields_rejected(self, model, controlled_shift):
-        doc = model_to_document(model)
-        doc["unitary"] = _legacy_document(model, controlled_shift(model.observable))["unitary"]
-        with pytest.raises(ModelFormatError, match="both isometry and legacy unitary"):
-            model_from_document(doc)
+        path.write_text(json.dumps(documents[kind]))
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 def _set(doc, path, value):
@@ -368,12 +356,6 @@ class TestFieldDiagnostics:
         doc = model_to_document(model)
         doc["pointer"]["labels"] = [1]
         with pytest.raises(ModelFormatError, match="pointer"):
-            model_from_document(doc)
-
-    def test_non_unitary_matrix_named(self, model, controlled_shift):
-        doc = _legacy_document(model, controlled_shift(model.observable))
-        doc["unitary"][0][0] = [5.0, 0.0]
-        with pytest.raises(ModelFormatError, match="unitary"):
             model_from_document(doc)
 
     def test_non_isometric_matrix_named(self, model):

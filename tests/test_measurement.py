@@ -12,7 +12,6 @@ from unimeas.measurement import (
     build_canonical_model,
     check_calibration,
     check_dynamical,
-    isometry_from_unitary,
     premeasure,
 )
 from unimeas.rand import (
@@ -336,23 +335,6 @@ class TestModelValidate:
         bad = dataclasses.replace(base, isometry=w)
         with pytest.raises(ValueError, match=r"^isometry: isometry defect nan"):
             bad.validate(1e-9)
-
-    def test_non_unitary_named(self):
-        base = z_model()
-        with pytest.raises(ValueError, match="unitary"):
-            isometry_from_unitary(np.ones((4, 4)), 2, 2, base.instrument_state, 1e-9)
-
-    def test_non_finite_unitary_named(self, controlled_shift):
-        base = z_model()
-        u = controlled_shift(base.observable)
-        u[0, 0] = np.nan
-        with pytest.raises(ValueError, match="unitary"):
-            isometry_from_unitary(u, 2, 2, base.instrument_state, 1e-9)
-
-    def test_wrong_shape_unitary_named(self):
-        base = z_model()
-        with pytest.raises(ValueError, match=r"^unitary: shape \(4, 2\), expected \(4, 4\)$"):
-            isometry_from_unitary(base.isometry, 2, 2, base.instrument_state)
 
     def test_outcome_count_mismatch(self):
         base = z_model()

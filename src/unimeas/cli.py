@@ -150,69 +150,59 @@ def _text_forms(doc: dict) -> list[str]:
     return forms + [f"max pairwise difference: {doc['max_pairwise_diff']:.3e}"]
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, top: bool) -> None:
-    # subparsers use SUPPRESS so an absent flag never clobbers a value
-    # given before the subcommand
-    parser.add_argument(
-        "--tol",
-        type=float,
-        default=DEFAULT_EPS if top else argparse.SUPPRESS,
-        help="numerical tolerance (default 1e-9)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        default=False if top else argparse.SUPPRESS,
-        help="emit machine-readable JSON reports",
-    )
-
-
 def _parser() -> argparse.ArgumentParser:
+    # One parent declares --tol and --json with SUPPRESS defaults, so a flag left out after
+    # the subcommand never clobbers one before it; main parses into the real defaults.
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--tol", type=float, help="numerical tolerance (default 1e-9)")
+    common.add_argument("--json", action="store_true", help="emit machine-readable JSON reports")
     parser = argparse.ArgumentParser(
         prog="unimeas",
         description="Build, verify, and collapse premeasurement models.",
+        parents=[common],
     )
-    _add_common_flags(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", help="build a canonical model from an observable file")
+    p_build = sub.add_parser(
+        "build", parents=[common], help="build a canonical model from an observable file"
+    )
     p_build.add_argument("observable", help="JSON file: Hermitian matrix or spectral form")
     p_build.add_argument("--out", required=True, help="path for the model file")
-    _add_common_flags(p_build, top=False)
     p_build.set_defaults(handler=_cmd_build, render=_text_build)
 
-    p_verify = sub.add_parser("verify", help="run the condition checks on a model file")
+    p_verify = sub.add_parser(
+        "verify", parents=[common], help="run the condition checks on a model file"
+    )
     p_verify.add_argument("model", help="JSON model file")
     p_verify.add_argument(
         "--phi", default=None, help="object state file (default: uniform superposition)"
     )
-    _add_common_flags(p_verify, top=False)
     p_verify.set_defaults(handler=_cmd_verify, render=_text_verify)
 
-    p_collapse = sub.add_parser("collapse", help="weights, butchered state, sampled counts")
+    p_collapse = sub.add_parser(
+        "collapse", parents=[common], help="weights, butchered state, sampled counts"
+    )
     p_collapse.add_argument("model", help="JSON model file")
     p_collapse.add_argument("phi", help="object state file")
     p_collapse.add_argument("--n", type=int, default=100000, help="number of draws")
     p_collapse.add_argument("--seed", type=int, default=0, help="sampling seed (uint64)")
-    _add_common_flags(p_collapse, top=False)
     p_collapse.set_defaults(handler=_cmd_collapse, render=_text_collapse)
 
-    p_forms = sub.add_parser("forms", help="evaluate the three probability forms")
+    p_forms = sub.add_parser("forms", parents=[common], help="evaluate the three probability forms")
     p_forms.add_argument("psi", help="state vector file")
     p_forms.add_argument("projector", help="projector matrix file")
-    _add_common_flags(p_forms, top=False)
     p_forms.set_defaults(handler=_cmd_forms, render=_text_forms)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(argv, argparse.Namespace(tol=DEFAULT_EPS, json=False))
     try:
         validate_tolerance(args.tol)
         doc, code = args.handler(args)
         print(json.dumps(doc, indent=2) if args.json else "\n".join(args.render(doc)))
-    except (ModelFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ModelFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -9,7 +9,7 @@ The mixture step is realized operationally as seeded sampling from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -13,8 +13,8 @@ import numpy as np
 
 DEFAULT_EPS = 1e-9
 
-# largest composite dimension tensor() will produce
-_MAX_TENSOR_DIM = 1 << 20
+# most entries an array built by tensor() may have (16 MiB of complex128)
+_MAX_TENSOR_ENTRIES = 1 << 20
 
 
 def as_complex(a) -> np.ndarray:
@@ -79,7 +79,8 @@ def tensor(a, b) -> np.ndarray:
     """Kronecker product of two vectors or two operators.
 
     Both operands must be finite and of the same kind (1-D with 1-D, 2-D
-    with 2-D). The composite index convention is (i_a, i_b) -> i_a * dim_b + i_b.
+    with 2-D), and the product may have at most 2^20 entries. The composite
+    index convention is (i_a, i_b) -> i_a * dim_b + i_b.
     """
     a = _finite(a, "tensor operand")
     b = _finite(b, "tensor operand")
@@ -87,10 +88,9 @@ def tensor(a, b) -> np.ndarray:
         raise ValueError(
             f"tensor expects two vectors or two operators, got ndim {a.ndim} and {b.ndim}"
         )
-    if a.shape[0] * b.shape[0] > _MAX_TENSOR_DIM:
-        raise ValueError(
-            f"tensor product dimension {a.shape[0] * b.shape[0]} exceeds {_MAX_TENSOR_DIM}"
-        )
+    if a.size * b.size > _MAX_TENSOR_ENTRIES:
+        shape = "x".join(str(m * n) for m, n in zip(a.shape, b.shape))
+        raise ValueError(f"tensor product dimension {shape} exceeds {_MAX_TENSOR_ENTRIES}")
     return np.kron(a, b)
 
 

@@ -108,7 +108,7 @@ class SpectralForm:
 
     def probabilities(self, phi: np.ndarray) -> np.ndarray:
         """<phi|E_k|phi> = ||V_k^dag phi||^2 for each outcome k (rows of a matrix phi), never negative."""
-        return np.add.reduceat(abs(self.basis.conj().T @ phi) ** 2, np.cumsum(self.ranks) - self.ranks)
+        return np.add.reduceat(abs(self.basis.conj().T @ phi) ** 2, [s.start for s in self.columns])
 
     def validate(self, eps: float = DEFAULT_EPS) -> None:
         """Check finite, pairwise-distinct eigenvalues and a basis unitary within eps."""

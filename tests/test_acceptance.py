@@ -7,20 +7,12 @@ pytest summary.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from unimeas.branches import check_prc, decompose_final, evolve_branch
 from unimeas.cli import main
 from unimeas.collapse import OutcomeDistribution, butcher, final_density, sample, weights
-from unimeas.linalg import basis_ket
-from unimeas.measurement import (
-    build_canonical_model,
-    check_calibration,
-    check_dynamical,
-    premeasure,
-)
+from unimeas.measurement import check_calibration, check_dynamical, premeasure
 from unimeas.mixed import mixed_probability, purified_probability, purify
 from unimeas.modelio import load_model, save_matrix, save_model
 from unimeas.probability import forms_triple

@@ -15,7 +15,6 @@ from unimeas.modelio import (
     ModelFormatError,
     load_model,
     load_vector,
-    model_to_document,
     save_matrix,
     save_model,
     save_vector,

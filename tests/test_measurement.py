@@ -18,7 +18,6 @@ from unimeas.rand import (
     perturb_model,
     rand_ket,
     rand_model,
-    rand_observable,
     swap_pointer,
     with_redundant_pointer,
 )

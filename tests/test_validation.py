@@ -173,6 +173,10 @@ PROBES = {
         lambda: tensor(np.zeros(1025), np.zeros(1024)),
         r"^tensor product dimension 1049600 exceeds 1048576$",
     ),
+    "tensor-too-large-operator": (
+        lambda: tensor(np.eye(1024), np.eye(1024)),
+        r"^tensor product dimension 1048576x1048576 exceeds 1048576$",
+    ),
     "rand_projector-rank-zero": (
         lambda: rand_projector(2, 0, np.random.default_rng(0)),
         r"^rank must lie in 1\.\.2, got 0$",

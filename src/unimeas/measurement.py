@@ -11,6 +11,8 @@ into the object projector on the initial subspace. Both quantify over
 basis vectors only, which linearity extends to arbitrary object states.
 Both spectral forms hold range bases, E_k = V_k V_k^dag; both checks read W
 with its instrument axis in the pointer basis, where F_k keeps outcome k's rows.
+A model is a record: its shapes are checked when it is made, its content by
+validate. On joint states F_k is applied only by SpectralForm.pieces, never lifted.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from .linalg import (
     basis_ket,
     frozen,
     orthonormality_defect,
-    tensor,
-    validate_outcome_index,
     validate_state,
     validate_tolerance,
     validate_unit_state,
@@ -57,7 +57,9 @@ class MeasurementModel:
 
     The isometry W = U(I_A (x) phi_B), shape (dim, dim_a), is the interaction
     on the initial subspace: column i is U(e_i (x) phi_B). dim_a is the observable's
-    dimension, dim_b the pointer's; their outcome counts must agree when a model is made.
+    dimension, dim_b the pointer's. Making a model refuses, in this order, unequal outcome
+    counts, an instrument state that is not a finite (dim_b,) vector, and an isometry not
+    shaped (dim, dim_a); validate checks the rest.
     """
 
     observable: SpectralForm
@@ -71,8 +73,12 @@ class MeasurementModel:
                 f"observable has {self.observable.outcomes} outcomes, "
                 f"pointer has {self.pointer.outcomes}"
             )
-        object.__setattr__(self, "instrument_state", frozen(as_complex(self.instrument_state)))
-        object.__setattr__(self, "isometry", frozen(as_complex(self.isometry)))
+        state = validate_state(self.instrument_state, self.dim_b, "instrument_state")
+        w = as_complex(self.isometry)
+        if w.shape != (self.dim, self.dim_a):
+            raise ValueError(f"isometry: shape {w.shape}, expected {(self.dim, self.dim_a)}")
+        object.__setattr__(self, "instrument_state", frozen(state))
+        object.__setattr__(self, "isometry", frozen(w))
 
     @property
     def dim_a(self) -> int:
@@ -90,30 +96,6 @@ class MeasurementModel:
     def outcomes(self) -> int:
         return self.observable.outcomes
 
-    def apply_pointer(self, k: int, states) -> np.ndarray:
-        """(I_A (x) F_k) applied to a joint vector or to each column of a (dim, m) array.
-
-        F_k acts on the instrument axis of the (dim_a, dim_b, ...) reshape,
-        so the dense joint operator is never formed.
-
-        Raises:
-            ValueError: k is not an outcome index, or states are not finite
-                with leading size dim.
-        """
-        states = as_complex(states)
-        if states.shape[:1] != (self.dim,):
-            raise ValueError(f"states have shape {states.shape}, expected leading size {self.dim}")
-        if not np.isfinite(states).all():
-            raise ValueError("states contain non-finite amplitudes")
-        v = self.pointer.blocks[validate_outcome_index(k, self.outcomes)]
-        sectors = states.reshape(self.dim_a, self.dim_b, -1)
-        return (v @ (v.conj().T @ sectors)).reshape(states.shape)
-
-    def lifted_pointer(self, k: int) -> np.ndarray:
-        """Dense I_A (x) F_k for an outcome index k, dim^2 memory per call: apply_pointer's reference."""
-        v = self.pointer.blocks[validate_outcome_index(k, self.outcomes)]
-        return tensor(np.eye(self.dim_a), v @ v.conj().T)
-
     def validate(self, eps: float = DEFAULT_EPS) -> None:
         """Check both spectral forms, the instrument state, and W^dag W = I in O(dim dim_a^2)."""
         validate_tolerance(eps)
@@ -123,10 +105,7 @@ class MeasurementModel:
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from exc
         validate_unit_state(self.instrument_state, self.dim_b, eps, "instrument_state")
-        w = self.isometry
-        if w.shape != (self.dim, self.dim_a):
-            raise ValueError(f"isometry: shape {w.shape}, expected {(self.dim, self.dim_a)}")
-        defect = orthonormality_defect(w)
+        defect = orthonormality_defect(self.isometry)
         if not defect <= eps:  # NaN-aware: a non-finite isometry has defect nan
             raise ValueError(f"isometry: isometry defect {defect:.3e} exceeds {eps}")
 

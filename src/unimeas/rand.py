@@ -91,7 +91,8 @@ def with_redundant_pointer(
     Pointer projectors become F_k (x) I, so every pointer outcome gains
     rank (the basis becomes V (x) I), while the measurement conditions are
     inherited unchanged. The interaction becomes U (x) I and the instrument
-    state phi_B (x) chi, so the isometry becomes W (x) chi.
+    state phi_B (x) chi, so the isometry becomes W (x) chi, a broadcast product that,
+    unlike tensor, has no size bound.
     """
     if not _is_int(extra_dim) or extra_dim < 1:
         raise ValueError(f"extra_dim must be a positive integer, got {extra_dim}")
@@ -102,7 +103,7 @@ def with_redundant_pointer(
         observable=model.observable,
         pointer=pointer,
         instrument_state=tensor(model.instrument_state, chi),
-        isometry=tensor(model.isometry, chi[:, None]),
+        isometry=(model.isometry[:, None, :] * chi[:, None]).reshape(-1, model.dim_a),
     )
 
 

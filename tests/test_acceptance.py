@@ -8,6 +8,7 @@ pytest summary.
 from __future__ import annotations
 
 import numpy as np
+from test_range_basis import lifted_pointer
 
 from unimeas.branches import check_prc, decompose_final, evolve_branch
 from unimeas.cli import main
@@ -106,7 +107,7 @@ def test_acceptance_4_collapse_butchering():
         phi = rand_ket(dim, rng)
         rho = butcher(model, phi)
         pinched = sum(
-            model.lifted_pointer(k) @ final_density(model, phi) @ model.lifted_pointer(k)
+            lifted_pointer(model, k) @ final_density(model, phi) @ lifted_pointer(model, k)
             for k in range(model.outcomes)
         )
         ok = ok and np.max(np.abs(rho - pinched)) <= 1e-12
@@ -114,7 +115,7 @@ def test_acceptance_4_collapse_butchering():
         for j in range(model.outcomes):
             for k in range(model.outcomes):
                 if j != k:
-                    block = model.lifted_pointer(j) @ rho @ model.lifted_pointer(k)
+                    block = lifted_pointer(model, j) @ rho @ lifted_pointer(model, k)
                     ok = ok and np.max(np.abs(block)) <= 1e-12
     assert _report(4, "collapse butchering", ok)
 
@@ -128,7 +129,7 @@ def test_acceptance_5_branch_independence():
         phi = rand_ket(dim, rng)
         final = premeasure(model, phi)
         for k in range(model.outcomes):
-            res = np.linalg.norm(evolve_branch(model, phi, k) - model.lifted_pointer(k) @ final)
+            res = np.linalg.norm(evolve_branch(model, phi, k) - lifted_pointer(model, k) @ final)
             worst = max(worst, res)
     assert _report(5, "branch independence", worst <= 1e-10)
 

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from test_projector_stack import rotated_instrument
+from test_range_basis import lifted_pointer
 
 from unimeas.branches import (
     check_prc,
@@ -69,7 +70,7 @@ class TestCheckPrc:
         assert report.passed
         final = premeasure(model, phi)
         for k in range(2):
-            pointer_side = np.vdot(final, model.lifted_pointer(k) @ final).real
+            pointer_side = np.vdot(final, lifted_pointer(model, k) @ final).real
             object_side = np.vdot(phi, model.observable.projectors[k] @ phi).real
             assert pointer_side == pytest.approx(0.5, abs=1e-12)
             assert object_side == pytest.approx(0.5, abs=1e-12)
@@ -78,7 +79,7 @@ class TestCheckPrc:
         model = z_model()
         phi = basis_ket(2, 0)
         final = premeasure(model, phi)
-        sides = [np.vdot(final, model.lifted_pointer(k) @ final).real for k in range(2)]
+        sides = [np.vdot(final, lifted_pointer(model, k) @ final).real for k in range(2)]
         np.testing.assert_allclose(sides, [1.0, 0.0], atol=1e-12)
         assert check_prc(model, phi).passed
 
@@ -153,7 +154,7 @@ class TestDecomposeFinal:
             final = premeasure(model, phi)
             dec = decompose_final(model, phi)
             assert dec.outcomes.tolist() == list(range(model.outcomes))
-            lifted = np.array([model.lifted_pointer(k) @ final for k in range(model.outcomes)])
+            lifted = np.array([lifted_pointer(model, k) @ final for k in range(model.outcomes)])
             np.testing.assert_allclose(
                 dec.amplitudes[:, None] * dec.branch_states, lifted, rtol=0, atol=1e-14
             )
@@ -193,7 +194,7 @@ class TestEvolveBranch:
             final = premeasure(model, phi)
             for k in range(model.outcomes):
                 solo = evolve_branch(model, phi, k)
-                together = model.lifted_pointer(k) @ final
+                together = lifted_pointer(model, k) @ final
                 assert np.linalg.norm(solo - together) <= 1e-10
 
     def test_branches_sum_to_final_state(self, rng):

@@ -15,6 +15,7 @@ from unimeas.modelio import (
     ModelFormatError,
     load_model,
     load_vector,
+    model_to_document,
     save_matrix,
     save_model,
     save_vector,
@@ -107,6 +108,16 @@ class TestVerify:
         assert main(["verify", str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: observable has 2 outcomes, pointer has 3\n"
+        assert captured.out == ""
+
+    def test_transposed_isometry_exits_2(self, tmp_path, capsys):
+        doc = model_to_document(build_canonical_model(spectral_decompose(np.diag([1.0, -1.0]))))
+        doc["isometry"] = [list(column) for column in zip(*doc["isometry"])]
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: isometry: shape (2, 4), expected (4, 2)\n"
         assert captured.out == ""
 
     def test_wrong_size_pointer_projector_exits_2(self, tmp_path, rng, capsys, dense_document):

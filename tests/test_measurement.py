@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 from test_projector_stack import rotated_instrument
+from test_range_basis import lifted_pointer
 
 from unimeas.linalg import basis_ket, dag, tensor, uniform_ket
 from unimeas.measurement import (
@@ -108,7 +109,7 @@ class TestCheckCalibration:
         """Swapped pointer sends the outcome-0 branch to the wrong sector."""
         model = swap_pointer(z_model())
         final = premeasure(model, basis_ket(2, 0))
-        oracle = np.linalg.norm(model.lifted_pointer(0) @ final - final)
+        oracle = np.linalg.norm(lifted_pointer(model, 0) @ final - final)
         report = check_calibration(model)
         assert not report.passed
         assert report.max_residual == pytest.approx(oracle)
@@ -140,7 +141,7 @@ class TestCheckDynamical:
     def test_pointer_swap_fails(self):
         model = swap_pointer(z_model())
         final = premeasure(model, basis_ket(2, 0))
-        lhs = model.lifted_pointer(0) @ final
+        lhs = lifted_pointer(model, 0) @ final
         rhs = premeasure(model, model.observable.projectors[0] @ basis_ket(2, 0))
         report = check_dynamical(model)
         assert not report.passed
@@ -151,7 +152,7 @@ class TestCheckDynamical:
         model = z_model()
         phi = basis_ket(2, 0)
         final = premeasure(model, phi)
-        lhs = model.lifted_pointer(1) @ final
+        lhs = lifted_pointer(model, 1) @ final
         rhs = premeasure(model, model.observable.projectors[1] @ phi)
         assert np.linalg.norm(lhs) <= 1e-12
         assert np.linalg.norm(rhs) <= 1e-12
@@ -191,6 +192,25 @@ class TestCheckDynamical:
         assert check_dynamical(model).passed
 
 
+class TestRedundantPointer:
+    @pytest.mark.parametrize("dim_a, extra_dim", [(2, 1), (3, 2), (4, 5), (32, 1), (32, 32)])
+    def test_isometry_is_the_kronecker_product(self, dim_a, extra_dim):
+        """W (x) chi byte for byte as tensor builds it, where tensor's bound admits it."""
+        rng = np.random.default_rng(dim_a)
+        base = rotated_instrument(rand_model(dim_a, rng), rng)
+        model = with_redundant_pointer(base, extra_dim, np.random.default_rng(extra_dim))
+        chi = rand_ket(extra_dim, np.random.default_rng(extra_dim))  # its first draw
+        assert model.instrument_state.tobytes() == tensor(base.instrument_state, chi).tobytes()
+        assert model.isometry.tobytes() == tensor(base.isometry, chi[:, None]).tobytes()
+
+    def test_joint_16384_model(self):
+        """W (x) chi has 2^22 entries here, past tensor's bound, and is built all the same."""
+        rng = np.random.default_rng(128)
+        model = with_redundant_pointer(rand_model(128, rng), 2, rng)
+        assert model.isometry.shape == (32768, 128)
+        model.validate(1e-9)
+
+
 @pytest.mark.parametrize("dim_a", [4, 8, 16])
 class TestCanonicalAtScale:
     """Closed-form controlled shift at joint dimensions 16, 64 and 256."""
@@ -223,13 +243,23 @@ class TestCanonicalAtScale:
         unitary = tensor(controlled_shift(base.observable), np.eye(2))
         direct = unitary @ np.kron(np.eye(dim_a), model.instrument_state[:, None])
         np.testing.assert_allclose(model.isometry, direct, atol=1e-12)
-        states = model.isometry[:, :3]
-        for k in (0, model.outcomes - 1):
-            dense = model.lifted_pointer(k)
-            np.testing.assert_allclose(model.apply_pointer(k, states), dense @ states, atol=1e-12)
-            np.testing.assert_allclose(
-                model.apply_pointer(k, states[:, 0]), dense @ states[:, 0], atol=1e-12
-            )
+
+    def test_pointer_pieces_are_the_lifted_pointer(self, dim_a):
+        """pointer.pieces on the instrument axis of joint states is I_A (x) F_k, on a redundant
+        pointer and on the same model in a random complex instrument basis."""
+        rng = np.random.default_rng(dim_a)
+        redundant = with_redundant_pointer(rand_model(dim_a, rng), 2, rng)
+        for model in (redundant, rotated_instrument(redundant, rng)):
+            states = np.column_stack([model.isometry[:, :3], rand_ket(model.dim, rng)])
+            # each column as a (dim_a, dim_b) sector: its last axis is the instrument's
+            pieces = model.pointer.pieces(states.T.reshape(-1, model.dim_a, model.dim_b))
+            for k in range(model.outcomes):
+                np.testing.assert_allclose(
+                    pieces[..., k].reshape(-1, model.dim).T,
+                    lifted_pointer(model, k) @ states,
+                    rtol=0,
+                    atol=1e-12,
+                )
 
     def test_pieces_split_a_state_over_outcomes(self, dim_a):
         """pieces(x)[..., k] is E_k applied to x's last axis, and the pieces sum to x, on degenerate
@@ -322,9 +352,8 @@ class TestModelValidate:
             bad.validate(1e-9)
 
     def test_wrong_shape_isometry_named(self):
-        bad = dataclasses.replace(z_model(), isometry=np.eye(4))
         with pytest.raises(ValueError, match=r"^isometry: shape \(4, 4\), expected \(4, 2\)$"):
-            bad.validate(1e-9)
+            dataclasses.replace(z_model(), isometry=np.eye(4))
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_isometry_named(self):
@@ -379,11 +408,16 @@ class TestDerivedDims:
     def test_replace_pointer_follows_its_dimension(self, rng):
         model = rand_model(3, rng)
         wider = with_redundant_pointer(model, 2, rng)
-        replaced = dataclasses.replace(model, pointer=wider.pointer)
+        replaced = dataclasses.replace(
+            model,
+            pointer=wider.pointer,
+            instrument_state=wider.instrument_state,
+            isometry=wider.isometry,
+        )
         assert (replaced.dim_a, replaced.dim_b, replaced.dim) == (3, 6, 18)
         # the old instrument state and isometry no longer fit the wider instrument
         with pytest.raises(ValueError, match=r"^instrument_state has shape \(3,\), expected \(6,\)$"):
-            replaced.validate(1e-9)
+            dataclasses.replace(model, pointer=wider.pointer)
 
     def test_models_usable_as_dict_keys(self):
         a, b = z_model(), z_model()

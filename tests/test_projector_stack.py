@@ -1,8 +1,7 @@
 """Dense projector stacks: the checks from_projectors makes on them, and parity.
 
 from_projectors and the basis-block calibration check are compared with
-per-projector loops kept here as references (as
-lifted_pointer is kept for apply_pointer): equal verdicts, equal witness
+per-projector loops kept here as references: equal verdicts, equal witness
 and error strings, and residuals within 1e-14, a bound set by complex128
 rounding of the same products taken in a different grouping.
 """

@@ -52,6 +52,8 @@ def _model(dim_a: int, variant: str, rng: np.random.Generator):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_zoo_model_verdicts(dim_a, variant, seed):
+    from test_range_basis import lifted_pointer  # imported here: test_range_basis imports this module
+
     # the canonical instrument has one dimension per outcome, doubled by a redundant factor
     assume(dim_a * dim_a * (2 if variant == "redundant" else 1) <= MAX_JOINT_DIM)
     rng = np.random.default_rng(seed)
@@ -67,10 +69,7 @@ def test_zoo_model_verdicts(dim_a, variant, seed):
     assert check_prc(model, phi, TOL).passed
     final = premeasure(model, phi)
     assert np.linalg.norm(decompose_final(model, phi, TOL).reconstruct() - final) <= TOL
-    # butchering is the pinching sum_k F_k |Phi_f><Phi_f| F_k (F_k Hermitian)
+    # butchering is the pinching sum_k F_k |Phi_f><Phi_f| F_k
     rho = np.outer(final, final.conj())
-    pinched = sum(
-        model.apply_pointer(k, model.apply_pointer(k, rho).conj().T).conj().T
-        for k in range(model.outcomes)
-    )
+    pinched = sum(lifted_pointer(model, k) @ rho @ lifted_pointer(model, k) for k in range(model.outcomes))
     assert np.max(np.abs(butcher(model, phi, TOL) - pinched)) <= TOL

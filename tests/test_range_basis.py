@@ -53,6 +53,11 @@ def dense_sector(f: np.ndarray, k, states: np.ndarray) -> np.ndarray:
     return (f_k[..., None, :, :] @ sectors).reshape(f_k.shape[:-2] + states.shape)
 
 
+def lifted_pointer(model, k) -> np.ndarray:
+    """Dense I_A (x) F_k of shape (dim, dim): the joint-space reference for F_k, dim^2 memory."""
+    return np.kron(np.eye(model.dim_a), model.pointer.projectors[k])
+
+
 def dense_report(residuals, eps, column, columns=None):
     """(passed, per-outcome residuals, witness) from per-column residuals; with `columns`,
     only its True entries are columns, numbered from 0 along each row."""

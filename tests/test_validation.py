@@ -12,6 +12,7 @@ import re
 
 import numpy as np
 import pytest
+from test_range_basis import lifted_pointer
 
 from unimeas.branches import check_prc, decompose_final, decompose_initial, evolve_branch
 from unimeas.collapse import OutcomeDistribution, SampleReport, final_density, sample
@@ -70,6 +71,11 @@ def _document(path, value) -> dict:
     return doc
 
 
+def _with_isometry(w) -> MeasurementModel:
+    """MODEL's fields with the isometry w, as a caller assembling a model may."""
+    return MeasurementModel(MODEL.observable, MODEL.pointer, MODEL.instrument_state, w)
+
+
 def _exactly(message: str) -> str:
     """A pattern matching the whole of message; for messages holding a repr, which varies by numpy version."""
     return "^" + re.escape(message) + "$"
@@ -116,39 +122,12 @@ PROBES = {
     "tensor-nan-operator": (lambda: tensor(np.eye(2), np.full((2, 2), np.nan)), "non-finite"),
     "partial_trace-nan": (lambda: partial_trace(np.full((4, 4), np.nan), (2, 2), 0), "non-finite"),
     "dag-nan": (lambda: dag(np.array([[1.0, np.inf], [0.0, 1.0]])), "non-finite"),
-    "apply_pointer-nan": (lambda: MODEL.apply_pointer(0, np.full(4, np.nan)), "non-finite"),
-    "apply_pointer-nan-column": (
-        lambda: MODEL.apply_pointer(1, np.diag([1.0, np.nan, 0.0, 0.0])[:, :2]),
-        "non-finite",
-    ),
-    "apply_pointer-short": (lambda: MODEL.apply_pointer(0, np.zeros(3)), "expected leading size 4"),
-    "apply_pointer-transposed": (
-        lambda: MODEL.apply_pointer(0, np.zeros((2, 4))),
-        "expected leading size 4",
-    ),
-    "apply_pointer-scalar": (lambda: MODEL.apply_pointer(0, 1.0), "expected leading size 4"),
-    "apply_pointer-negative-index": (
-        lambda: MODEL.apply_pointer(-1, np.zeros(4)),
-        r"^outcome index -1 out of range$",
-    ),
-    "apply_pointer-index-n": (
-        lambda: MODEL.apply_pointer(2, np.zeros(4)),
-        r"^outcome index 2 out of range$",
-    ),
     "evolve_branch-float-index": (
         lambda: evolve_branch(MODEL, np.array([1.0, 0.0]), 1.0),
         r"^outcome index 1\.0 out of range$",
     ),
     "refine-bool-index": (
         lambda: refine(MODEL.observable, True, [P0]),
-        r"^outcome index True out of range$",
-    ),
-    "lifted_pointer-negative-index": (
-        lambda: MODEL.lifted_pointer(-1),
-        r"^outcome index -1 out of range$",
-    ),
-    "lifted_pointer-bool-index": (
-        lambda: MODEL.lifted_pointer(True),
         r"^outcome index True out of range$",
     ),
     "rank-negative-index": (lambda: MODEL.observable.rank(-1), r"^outcome index -1 out of range$"),
@@ -290,6 +269,30 @@ PROBES = {
         lambda: OutcomeDistribution([0, 1], [[0.5, 0.5]]),
         r"^outcomes and weights must be coindexed vectors$",
     ),
+    "MeasurementModel-isometry-transposed": (
+        lambda: _with_isometry(MODEL.isometry.T),
+        r"^isometry: shape \(2, 4\), expected \(4, 2\)$",
+    ),
+    "replace-isometry-transposed": (
+        lambda: dataclasses.replace(MODEL, isometry=MODEL.isometry.T),
+        r"^isometry: shape \(2, 4\), expected \(4, 2\)$",
+    ),
+    "MeasurementModel-isometry-flat": (
+        lambda: _with_isometry(MODEL.isometry.reshape(-1)),
+        r"^isometry: shape \(8,\), expected \(4, 2\)$",
+    ),
+    "replace-isometry-flat": (
+        lambda: dataclasses.replace(MODEL, isometry=MODEL.isometry.reshape(-1)),
+        r"^isometry: shape \(8,\), expected \(4, 2\)$",
+    ),
+    "MeasurementModel-isometry-dim_a-by-dim": (
+        lambda: _with_isometry(MODEL.isometry.reshape(2, 4)),
+        r"^isometry: shape \(2, 4\), expected \(4, 2\)$",
+    ),
+    "replace-isometry-dim_a-by-dim": (
+        lambda: dataclasses.replace(MODEL, isometry=MODEL.isometry.reshape(2, 4)),
+        r"^isometry: shape \(2, 4\), expected \(4, 2\)$",
+    ),
 }
 
 
@@ -301,11 +304,12 @@ def test_rejected_with_value_error(probe):
 
 
 def test_lifted_pointer_is_the_dense_stack_lift(rng):
-    """For every valid index, the lift built from block k equals the one built from the dense stack."""
+    """For every valid index, the tests' lift from the dense stack equals the one built from block k."""
     for model in (MODEL, rand_model(3, rng), with_redundant_pointer(rand_model(2, rng), 2, rng)):
         for k in [*range(model.outcomes), np.int64(model.outcomes - 1)]:
-            dense = tensor(np.eye(model.dim_a), model.pointer.projectors[k])
-            assert model.lifted_pointer(k).tobytes() == dense.tobytes()
+            v = model.pointer.blocks[k]
+            from_block = tensor(np.eye(model.dim_a), v @ v.conj().T)
+            assert lifted_pointer(model, k).tobytes() == from_block.tobytes()
 
 
 def test_linear_maps_accept_unnormalized_states():
@@ -315,8 +319,6 @@ def test_linear_maps_accept_unnormalized_states():
 
 
 def test_numpy_integer_outcome_index_accepted():
-    final = premeasure(MODEL, np.array([0.6, 0.8]))
-    np.testing.assert_array_equal(MODEL.apply_pointer(np.int64(1), final), MODEL.apply_pointer(1, final))
     np.testing.assert_array_equal(
         evolve_branch(MODEL, np.array([0.6, 0.8]), np.uint8(1)),
         evolve_branch(MODEL, np.array([0.6, 0.8]), 1),

@@ -32,8 +32,6 @@ from .linalg import (
     basis_ket,
     dag,
     ket,
-    partial_trace,
-    tensor,
     uniform_ket,
 )
 from .measurement import (
@@ -109,7 +107,6 @@ __all__ = [
     "mixed_probability",
     "model_from_document",
     "model_to_document",
-    "partial_trace",
     "premeasure",
     "purified_probability",
     "purify",
@@ -120,7 +117,6 @@ __all__ = [
     "save_model",
     "save_vector",
     "spectral_decompose",
-    "tensor",
     "trace_form",
     "uniform_ket",
     "weights",

@@ -41,8 +41,8 @@ class BranchDecomposition:
         object.__setattr__(self, "dropped", frozen(np.asarray(self.dropped, dtype=np.int64)))
 
     def reconstruct(self) -> np.ndarray:
-        """Amplitude-weighted sum of the branch states; empty when no branch is kept."""
-        return self.amplitudes @ self.branch_states if len(self.branch_states) else np.array([])
+        """Amplitude-weighted sum of the branch states; the zero vector when no branch is kept."""
+        return self.amplitudes @ self.branch_states
 
 
 def _decompose(pieces: np.ndarray, eps: float) -> BranchDecomposition:

@@ -22,6 +22,14 @@ from .spectral import SpectralForm
 GENERATOR = "pcg64"
 
 
+def _integers(a, name: str) -> np.ndarray:
+    """a as a read-only int64 array; raises unless its dtype is integer, so bools and floats fail."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
+    return frozen(a.astype(np.int64))
+
+
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Finite nonnegative outcome weights; sample() renormalizes them over its support."""
@@ -30,7 +38,7 @@ class OutcomeDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "outcomes", frozen(np.asarray(self.outcomes, dtype=np.int64)))
+        object.__setattr__(self, "outcomes", _integers(self.outcomes, "outcomes"))
         object.__setattr__(self, "weights", frozen(np.asarray(self.weights, dtype=np.float64)))
         if self.outcomes.ndim != 1 or self.outcomes.shape != self.weights.shape:
             raise ValueError("outcomes and weights must be coindexed vectors")
@@ -50,7 +58,7 @@ class SampleReport:
     generator: str = GENERATOR
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", frozen(np.asarray(self.counts, dtype=np.int64)))
+        object.__setattr__(self, "counts", _integers(self.counts, "counts"))
         if int(np.sum(self.counts)) != self.total:
             raise ValueError("counts do not sum to total")
 

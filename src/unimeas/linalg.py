@@ -13,9 +13,6 @@ import numpy as np
 
 DEFAULT_EPS = 1e-9
 
-# most entries an array built by tensor() may have (16 MiB of complex128)
-_MAX_TENSOR_ENTRIES = 1 << 20
-
 
 def as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128)
@@ -73,53 +70,6 @@ def uniform_ket(dim: int) -> np.ndarray:
     if not _is_int(dim) or dim < 1:
         raise ValueError(f"uniform_ket dimension must be a positive integer, got {dim!r}")
     return np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two vectors or two operators.
-
-    Both operands must be finite and of the same kind (1-D with 1-D, 2-D
-    with 2-D), and the product may have at most 2^20 entries. The composite
-    index convention is (i_a, i_b) -> i_a * dim_b + i_b.
-    """
-    a = _finite(a, "tensor operand")
-    b = _finite(b, "tensor operand")
-    if a.ndim != b.ndim or a.ndim not in (1, 2):
-        raise ValueError(
-            f"tensor expects two vectors or two operators, got ndim {a.ndim} and {b.ndim}"
-        )
-    if a.size * b.size > _MAX_TENSOR_ENTRIES:
-        shape = "x".join(str(m * n) for m, n in zip(a.shape, b.shape))
-        raise ValueError(f"tensor product dimension {shape} exceeds {_MAX_TENSOR_ENTRIES}")
-    return np.kron(a, b)
-
-
-def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Reduced operator on one factor of a bipartite system.
-
-    Args:
-        rho: finite operator on the composite space of dimension dims[0] * dims[1].
-        dims: the two positive integer factor dimensions, first-factor-major indexing.
-        keep: 0 to keep the first factor, 1 to keep the second.
-
-    Returns:
-        The reduced operator on the kept factor; the trace is preserved.
-    """
-    if len(dims) != 2 or not all(_is_int(d) and d >= 1 for d in dims):
-        raise ValueError(f"partial_trace dims must be two positive integers, got {dims!r}")
-    da, db = dims
-    rho = as_complex(rho)
-    if rho.ndim != 2 or rho.shape != (da * db, da * db):
-        raise ValueError(
-            f"operator shape {rho.shape} does not match factor dims {da}x{db}"
-        )
-    _finite(rho, "operator")
-    if not _is_int(keep) or keep not in (0, 1):
-        raise ValueError(f"keep must be 0 or 1, got {keep}")
-    r = rho.reshape(da, db, da, db)
-    if keep == 0:
-        return np.einsum("ajbj->ab", r)
-    return np.einsum("iaib->ab", r)
 
 
 def orthonormality_defect(q) -> float:

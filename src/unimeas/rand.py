@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _is_int, basis_ket, tensor
+from .linalg import _is_int, basis_ket
 from .measurement import MeasurementModel, build_canonical_model
 from .spectral import SpectralForm, spectral_decompose
 
@@ -91,18 +91,18 @@ def with_redundant_pointer(
     Pointer projectors become F_k (x) I, so every pointer outcome gains
     rank (the basis becomes V (x) I), while the measurement conditions are
     inherited unchanged. The interaction becomes U (x) I and the instrument
-    state phi_B (x) chi, so the isometry becomes W (x) chi, a broadcast product that,
-    unlike tensor, has no size bound.
+    state phi_B (x) chi, so the isometry becomes W (x) chi. All three products
+    are built by broadcasting, first factor major.
     """
     if not _is_int(extra_dim) or extra_dim < 1:
         raise ValueError(f"extra_dim must be a positive integer, got {extra_dim}")
     chi = rand_ket(extra_dim, rng)
     p = model.pointer
-    pointer = SpectralForm(p.eigenvalues, p.ranks * extra_dim, tensor(p.basis, np.eye(extra_dim)))
+    basis = (p.basis[:, None, :, None] * np.eye(extra_dim)[:, None]).reshape(p.dim * extra_dim, -1)
     return MeasurementModel(
         observable=model.observable,
-        pointer=pointer,
-        instrument_state=tensor(model.instrument_state, chi),
+        pointer=SpectralForm(p.eigenvalues, p.ranks * extra_dim, basis),
+        instrument_state=(model.instrument_state[:, None] * chi).reshape(-1),
         isometry=(model.isometry[:, None, :] * chi[:, None]).reshape(-1, model.dim_a),
     )
 

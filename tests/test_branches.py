@@ -47,6 +47,13 @@ class TestDecomposeInitial:
             dec = decompose_initial(phi, obs)
             assert np.linalg.norm(dec.reconstruct() - phi) <= 1e-12
 
+    def test_zero_state_reconstructs_to_zero_vector(self, rng):
+        """Every branch is dropped, and the empty sum is still a vector of length dim_a."""
+        observable = rand_observable(3, rng)
+        dec = decompose_initial(np.zeros(3), observable)
+        assert dec.outcomes.size == 0
+        assert dec.reconstruct().tobytes() == np.zeros(3, dtype=complex).tobytes()
+
     def test_amplitude_equals_sqrt_weight(self, rng):
         """||E_k phi|| and <phi|E_k|phi>**(1/2) are the same number."""
         for _ in range(100):
@@ -120,6 +127,13 @@ class TestDecomposeFinal:
             dec = decompose_final(model, phi)
             final = premeasure(model, phi)
             assert np.linalg.norm(dec.reconstruct() - final) <= 1e-12
+
+    def test_zero_state_reconstructs_to_zero_vector(self, rng):
+        """Every branch is dropped, and the empty sum is premeasure's zero joint vector."""
+        model = rand_model(3, rng)
+        dec = decompose_final(model, np.zeros(3))
+        assert dec.outcomes.size == 0
+        assert dec.reconstruct().tobytes() == premeasure(model, np.zeros(3)).tobytes()
 
     def test_amplitudes_match_initial_decomposition(self, rng):
         dim = 4

@@ -219,3 +219,7 @@ class TestOutcomeDistribution:
     def test_non_finite_weight_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             OutcomeDistribution(np.arange(2), np.array([bad, 1.0]))
+
+    def test_unsigned_outcomes_accepted(self):
+        dist = OutcomeDistribution(np.arange(2, dtype=np.uint8), [0.5, 0.5])
+        assert dist.outcomes.dtype == np.int64 and dist.outcomes.tolist() == [0, 1]

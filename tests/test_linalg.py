@@ -10,9 +10,7 @@ from unimeas.linalg import (
     dag,
     ket,
     orthonormality_defect,
-    partial_trace,
     sum_defect,
-    tensor,
     uniform_ket,
     validate_density,
     validate_hermitian,
@@ -21,7 +19,7 @@ from unimeas.linalg import (
     validate_state,
     validate_unit_state,
 )
-from unimeas.rand import rand_density, rand_ket
+from unimeas.rand import rand_density
 
 
 class TestKets:
@@ -60,96 +58,6 @@ class TestKets:
     def test_dag(self):
         a = np.array([[1.0, 2.0j], [3.0, 4.0]])
         np.testing.assert_array_equal(dag(a), np.array([[1.0, 3.0], [-2.0j, 4.0]]))
-
-
-class TestTensor:
-    def test_basis_index_convention(self):
-        out = tensor(basis_ket(2, 0), basis_ket(2, 1))
-        np.testing.assert_array_equal(out, basis_ket(4, 1))
-
-    def test_identity_case(self):
-        np.testing.assert_array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_bilinearity(self):
-        left = (basis_ket(2, 0) + basis_ket(2, 1)) / np.sqrt(2.0)
-        out = tensor(left, basis_ket(2, 0))
-        np.testing.assert_allclose(out, np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0), atol=1e-15)
-
-    def test_associativity(self, rng):
-        a, b, c = rand_ket(2, rng), rand_ket(3, rng), rand_ket(4, rng)
-        np.testing.assert_allclose(
-            tensor(tensor(a, b), c), tensor(a, tensor(b, c)), atol=1e-14
-        )
-
-    def test_operator_associativity(self, rng):
-        a, b, c = (rand_density(d, rng) for d in (2, 3, 2))
-        np.testing.assert_allclose(
-            tensor(tensor(a, b), c), tensor(a, tensor(b, c)), atol=1e-14
-        )
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(ValueError, match="two vectors or two operators"):
-            tensor(basis_ket(2, 0), np.eye(2))
-
-
-def _partial_trace_loops(rho, dims, keep):
-    """Direct double-index summation, the oracle for the einsum path."""
-    da, db = dims
-    if keep == 0:
-        out = np.zeros((da, da), dtype=complex)
-        for a in range(da):
-            for b in range(da):
-                for j in range(db):
-                    out[a, b] += rho[a * db + j, b * db + j]
-    else:
-        out = np.zeros((db, db), dtype=complex)
-        for a in range(db):
-            for b in range(db):
-                for i in range(da):
-                    out[a, b] += rho[i * db + a, i * db + b]
-    return out
-
-
-class TestPartialTrace:
-    def test_product_state_first_factor(self, rng):
-        sigma = rand_density(3, rng)
-        p0 = np.outer(basis_ket(2, 0), basis_ket(2, 0))
-        reduced = partial_trace(tensor(p0, sigma), (2, 3), keep=0)
-        np.testing.assert_allclose(reduced, p0, atol=1e-12)
-
-    def test_maximally_entangled(self):
-        bell = (tensor(basis_ket(2, 0), basis_ket(2, 0)) + tensor(basis_ket(2, 1), basis_ket(2, 1))) / np.sqrt(2.0)
-        reduced = partial_trace(np.outer(bell, bell.conj()), (2, 2), keep=1)
-        np.testing.assert_allclose(reduced, np.eye(2) / 2.0, atol=1e-12)
-
-    def test_random_product(self, rng):
-        rho_a = rand_density(3, rng)
-        rho_b = rand_density(2, rng)
-        joint = tensor(rho_a, rho_b)
-        np.testing.assert_allclose(partial_trace(joint, (3, 2), keep=0), rho_a, atol=1e-12)
-        np.testing.assert_allclose(partial_trace(joint, (3, 2), keep=1), rho_b, atol=1e-12)
-
-    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4)])
-    @pytest.mark.parametrize("keep", [0, 1])
-    def test_matches_loop_oracle(self, rng, dims, keep):
-        rho = rand_density(dims[0] * dims[1], rng)
-        np.testing.assert_allclose(
-            partial_trace(rho, dims, keep), _partial_trace_loops(rho, dims, keep), atol=1e-13
-        )
-
-    def test_preserves_trace(self, rng):
-        rho = rand_density(6, rng)
-        for keep in (0, 1):
-            reduced = partial_trace(rho, (2, 3), keep)
-            assert np.trace(reduced).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(ValueError, match="does not match factor dims"):
-            partial_trace(rand_density(6, rng), (2, 2), keep=0)
-
-    def test_bad_keep(self, rng):
-        with pytest.raises(ValueError, match="keep must be 0 or 1"):
-            partial_trace(rand_density(4, rng), (2, 2), keep=2)
 
 
 class TestValidators:

@@ -7,7 +7,7 @@ import pytest
 from test_projector_stack import rotated_instrument
 from test_range_basis import lifted_pointer
 
-from unimeas.linalg import basis_ket, dag, tensor, uniform_ket
+from unimeas.linalg import basis_ket, dag, uniform_ket
 from unimeas.measurement import (
     MeasurementModel,
     build_canonical_model,
@@ -34,7 +34,7 @@ class TestBuildCanonicalModel:
         model = z_model()
         psi = rand_ket(2, rng)
         plus, minus = model.observable.projectors
-        expected = tensor(plus @ psi, basis_ket(2, 0)) + tensor(minus @ psi, basis_ket(2, 1))
+        expected = np.kron(plus @ psi, basis_ket(2, 0)) + np.kron(minus @ psi, basis_ket(2, 1))
         np.testing.assert_allclose(premeasure(model, psi), expected, atol=1e-12)
         w = model.isometry
         assert np.max(np.abs(dag(w) @ w - np.eye(2))) <= 1e-10
@@ -195,20 +195,31 @@ class TestCheckDynamical:
 class TestRedundantPointer:
     @pytest.mark.parametrize("dim_a, extra_dim", [(2, 1), (3, 2), (4, 5), (32, 1), (32, 32)])
     def test_isometry_is_the_kronecker_product(self, dim_a, extra_dim):
-        """W (x) chi byte for byte as tensor builds it, where tensor's bound admits it."""
+        """V (x) I, phi_B (x) chi and W (x) chi byte for byte as numpy.kron builds them."""
         rng = np.random.default_rng(dim_a)
         base = rotated_instrument(rand_model(dim_a, rng), rng)
         model = with_redundant_pointer(base, extra_dim, np.random.default_rng(extra_dim))
         chi = rand_ket(extra_dim, np.random.default_rng(extra_dim))  # its first draw
-        assert model.instrument_state.tobytes() == tensor(base.instrument_state, chi).tobytes()
-        assert model.isometry.tobytes() == tensor(base.isometry, chi[:, None]).tobytes()
+        basis = np.kron(base.pointer.basis, np.eye(extra_dim))
+        assert model.pointer.basis.tobytes() == basis.tobytes()
+        assert model.instrument_state.tobytes() == np.kron(base.instrument_state, chi).tobytes()
+        assert model.isometry.tobytes() == np.kron(base.isometry, chi[:, None]).tobytes()
 
     def test_joint_16384_model(self):
-        """W (x) chi has 2^22 entries here, past tensor's bound, and is built all the same."""
+        """W (x) chi of a joint-16384 model has 2^22 entries."""
         rng = np.random.default_rng(128)
         model = with_redundant_pointer(rand_model(128, rng), 2, rng)
         assert model.isometry.shape == (32768, 128)
         model.validate(1e-9)
+
+    def test_joint_33792_model(self):
+        """extra_dim 33 on a joint-1024 model: V (x) I is 1056 x 1056, past 2^20 entries."""
+        rng = np.random.default_rng(32)
+        model = with_redundant_pointer(rand_model(32, rng), 33, rng)
+        assert model.dim == 33792
+        model.validate(1e-9)
+        assert check_calibration(model).passed
+        assert check_dynamical(model).passed
 
 
 @pytest.mark.parametrize("dim_a", [4, 8, 16])
@@ -230,7 +241,7 @@ class TestCanonicalAtScale:
         model = rand_model(dim_a, rng)
         phi = rand_ket(dim_a, rng)
         expected = sum(
-            tensor(e_k @ phi, basis_ket(model.dim_b, k))
+            np.kron(e_k @ phi, basis_ket(model.dim_b, k))
             for k, e_k in enumerate(model.observable.projectors)
         )
         np.testing.assert_allclose(premeasure(model, phi), expected, atol=1e-12)
@@ -240,7 +251,7 @@ class TestCanonicalAtScale:
         base = rand_model(dim_a, rng)
         model = with_redundant_pointer(base, 2, rng)
         # the redundant factor is uncoupled: U (x) I on the enlarged instrument
-        unitary = tensor(controlled_shift(base.observable), np.eye(2))
+        unitary = np.kron(controlled_shift(base.observable), np.eye(2))
         direct = unitary @ np.kron(np.eye(dim_a), model.instrument_state[:, None])
         np.testing.assert_allclose(model.isometry, direct, atol=1e-12)
 
@@ -289,8 +300,8 @@ class TestCanonicalAtScale:
         cos = float(np.vdot(base.isometry[:, a], model.isometry[:, a]).real)
         sin = np.sqrt(1.0 - cos**2)
         assert 0.1 <= np.arccos(cos) <= 1.0
-        x1 = tensor(basis_ket(dim_a, a), basis_ket(model.dim_b, 0))
-        x2 = tensor(basis_ket(dim_a, a), basis_ket(model.dim_b, 1))
+        x1 = np.kron(basis_ket(dim_a, a), basis_ket(model.dim_b, 0))
+        x2 = np.kron(basis_ket(dim_a, a), basis_ket(model.dim_b, 1))
         rotation = (
             np.eye(model.dim)
             + (cos - 1.0) * (np.outer(x1, x1) + np.outer(x2, x2))

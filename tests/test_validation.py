@@ -21,9 +21,7 @@ from unimeas.linalg import (
     dag,
     density_eigh,
     ket,
-    partial_trace,
     projector_stack,
-    tensor,
     uniform_ket,
     validate_projector,
 )
@@ -118,9 +116,6 @@ PROBES = {
         lambda: projector_stack([np.zeros((0, 0))], dim=0),
         r"^projector 0 must be a non-empty square matrix, got shape \(0, 0\)$",
     ),
-    "tensor-nan": (lambda: tensor(NAN_STATE, np.array([1.0, 0.0])), "non-finite"),
-    "tensor-nan-operator": (lambda: tensor(np.eye(2), np.full((2, 2), np.nan)), "non-finite"),
-    "partial_trace-nan": (lambda: partial_trace(np.full((4, 4), np.nan), (2, 2), 0), "non-finite"),
     "dag-nan": (lambda: dag(np.array([[1.0, np.inf], [0.0, 1.0]])), "non-finite"),
     "evolve_branch-float-index": (
         lambda: evolve_branch(MODEL, np.array([1.0, 0.0]), 1.0),
@@ -148,13 +143,17 @@ PROBES = {
         r"^distribution has no weight above threshold$",
     ),
     "SampleReport-counts": (lambda: SampleReport([1, 2], 4, 0), r"^counts do not sum to total$"),
-    "tensor-too-large": (
-        lambda: tensor(np.zeros(1025), np.zeros(1024)),
-        r"^tensor product dimension 1049600 exceeds 1048576$",
+    "SampleReport-float-counts": (
+        lambda: SampleReport([1.9, 2.2], 3, 0),
+        r"^counts must be integers, got dtype float64$",
     ),
-    "tensor-too-large-operator": (
-        lambda: tensor(np.eye(1024), np.eye(1024)),
-        r"^tensor product dimension 1048576x1048576 exceeds 1048576$",
+    "OutcomeDistribution-float-outcomes": (
+        lambda: OutcomeDistribution([0.5, 1.7], [0.5, 0.5]),
+        r"^outcomes must be integers, got dtype float64$",
+    ),
+    "OutcomeDistribution-bool-outcomes": (
+        lambda: OutcomeDistribution([True, False], [0.5, 0.5]),
+        r"^outcomes must be integers, got dtype bool$",
     ),
     "rand_projector-rank-zero": (
         lambda: rand_projector(2, 0, np.random.default_rng(0)),
@@ -232,22 +231,6 @@ PROBES = {
         lambda: basis_ket(0, 0),
         r"^basis_ket dimension must be a positive integer, got 0$",
     ),
-    "partial_trace-float-dims": (
-        lambda: partial_trace(np.eye(4) / 4, (2.5, 2), 0),
-        r"^partial_trace dims must be two positive integers, got \(2\.5, 2\)$",
-    ),
-    "partial_trace-bool-dims": (
-        lambda: partial_trace(np.eye(4) / 4, (True, 4), 0),
-        r"^partial_trace dims must be two positive integers, got \(True, 4\)$",
-    ),
-    "partial_trace-bool-keep": (
-        lambda: partial_trace(np.eye(4) / 4, (2, 2), True),
-        r"^keep must be 0 or 1, got True$",
-    ),
-    "partial_trace-float-keep": (
-        lambda: partial_trace(np.eye(4) / 4, (2, 2), 1.0),
-        r"^keep must be 0 or 1, got 1\.0$",
-    ),
     "SpectralForm-matrix-eigenvalues": (
         lambda: SpectralForm([[1.0, -1.0]], [1, 1], np.eye(2)),
         r"^eigenvalues must be a vector, got ndim 2$",
@@ -308,7 +291,7 @@ def test_lifted_pointer_is_the_dense_stack_lift(rng):
     for model in (MODEL, rand_model(3, rng), with_redundant_pointer(rand_model(2, rng), 2, rng)):
         for k in [*range(model.outcomes), np.int64(model.outcomes - 1)]:
             v = model.pointer.blocks[k]
-            from_block = tensor(np.eye(model.dim_a), v @ v.conj().T)
+            from_block = np.kron(np.eye(model.dim_a), v @ v.conj().T)
             assert lifted_pointer(model, k).tobytes() == from_block.tobytes()
 
 

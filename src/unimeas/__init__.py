@@ -30,7 +30,6 @@ from .collapse import (
 from .linalg import (
     DEFAULT_EPS,
     basis_ket,
-    dag,
     ket,
     uniform_ket,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "check_calibration",
     "check_dynamical",
     "check_prc",
-    "dag",
     "decompose_final",
     "decompose_initial",
     "evolve_branch",

@@ -23,11 +23,20 @@ GENERATOR = "pcg64"
 
 
 def _integers(a, name: str) -> np.ndarray:
-    """a as a read-only int64 array; raises unless its dtype is integer, so bools and floats fail."""
+    """a as a read-only int64 array; raises unless its dtype is integer, not bool, and it fits int64."""
     a = np.asarray(a)
     if a.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
+    if not np.can_cast(a.dtype, np.int64) and (a >= 2**63).any():
+        raise ValueError(f"{name} must be below 2**63, got {a.max()}")
     return frozen(a.astype(np.int64))
+
+
+def _seed(seed) -> int:
+    """seed as an int; raises unless it is an int or numpy integer, not a bool, in [0, 2**64)."""
+    if not _is_int(seed) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a uint64, got {seed!r}")
+    return int(seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +59,7 @@ class OutcomeDistribution:
 
 @dataclass(frozen=True, eq=False)
 class SampleReport:
-    """Counts from seeded sampling, coindexed with the distribution outcomes."""
+    """Counts from seeded sampling, coindexed with the outcomes; refuses what sample never makes."""
 
     counts: np.ndarray
     total: int
@@ -59,7 +68,12 @@ class SampleReport:
 
     def __post_init__(self):
         object.__setattr__(self, "counts", _integers(self.counts, "counts"))
-        if int(np.sum(self.counts)) != self.total:
+        if self.counts.ndim != 1 or (self.counts < 0).any():
+            raise ValueError("counts must be a vector of nonnegative integers")
+        if not _is_int(self.total) or self.total < 0:
+            raise ValueError(f"total must be a nonnegative int, got {self.total!r}")
+        _seed(self.seed)
+        if sum(self.counts.tolist()) != self.total:  # Python ints: an int64 sum could wrap
             raise ValueError("counts do not sum to total")
 
 
@@ -107,12 +121,11 @@ def sample(dist: OutcomeDistribution, n: int, seed: int) -> SampleReport:
     """
     if not _is_int(n) or not 1 <= n < 2**63:
         raise ValueError(f"sample size must be a positive int64, got {n!r}")
-    if not _is_int(seed) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a uint64, got {seed!r}")
+    seed = _seed(seed)
     support = np.flatnonzero(dist.weights >= DEFAULT_EPS)
     if not support.size:
         raise ValueError("distribution has no weight above threshold")
     w = dist.weights[support]
     counts = np.zeros(dist.outcomes.size, dtype=np.int64)
     counts[support] = np.random.default_rng(seed).multinomial(n, w / w.sum())
-    return SampleReport(counts=counts, total=int(n), seed=int(seed))
+    return SampleReport(counts=counts, total=int(n), seed=seed)

@@ -18,19 +18,6 @@ def as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128)
 
 
-def _finite(a, name: str) -> np.ndarray:
-    """a as complex128, raising "<name> has non-finite entries" unless every entry is finite."""
-    a = as_complex(a)
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} has non-finite entries")
-    return a
-
-
-def dag(a) -> np.ndarray:
-    """Conjugate transpose of a finite array."""
-    return _finite(a, "operand").conj().T
-
-
 def _is_int(n) -> bool:
     """True for an int or numpy integer that is not a bool: the package's one integer rule."""
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
@@ -210,11 +197,6 @@ def density_eigh(rho, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray,
         raise ValueError(f"density operator trace {tr} is not 1 within {eps}")
     kept = dropped + np.argsort(-vals[dropped:], kind="stable")
     return rho, vals[kept], vecs[:, kept]
-
-
-def validate_density(rho, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Return rho as complex128, raising unless it is finite, Hermitian, PSD, and trace one."""
-    return density_eigh(rho, eps)[0]
 
 
 def frozen(a: np.ndarray) -> np.ndarray:

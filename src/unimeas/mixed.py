@@ -14,6 +14,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_EPS,
+    _is_int,
     as_complex,
     density_eigh,
     frozen,
@@ -33,7 +34,11 @@ class Purification:
     def __post_init__(self):
         object.__setattr__(self, "state", frozen(as_complex(self.state)))
         object.__setattr__(self, "source", frozen(as_complex(self.source)))
+        if len(self.dims) != 2 or not all(_is_int(d) and d > 0 for d in self.dims):
+            raise ValueError(f"dims must be two positive integers, got {self.dims!r}")
         object.__setattr__(self, "dims", (int(self.dims[0]), int(self.dims[1])))
+        if self.dims[0] * self.dims[1] != self.state.size:
+            raise ValueError(f"dims {self.dims} do not match state size {self.state.size}")
 
     def reduced(self) -> np.ndarray:
         """Partial trace of the purified projector over the ancilla, Psi Psi^dag on the

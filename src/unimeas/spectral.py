@@ -103,9 +103,6 @@ class SpectralForm:
         mask = self.labels[:, None] == np.arange(self.outcomes)
         return self.basis @ ((x @ self.basis.conj())[..., :, None] * mask)
 
-    def rank(self, k: int) -> int:
-        return int(self.ranks[validate_outcome_index(k, self.outcomes)])
-
     def probabilities(self, phi: np.ndarray) -> np.ndarray:
         """<phi|E_k|phi> = ||V_k^dag phi||^2 for each outcome k (rows of a matrix phi), never negative."""
         return np.add.reduceat(abs(self.basis.conj().T @ phi) ** 2, [s.start for s in self.columns])
@@ -123,10 +120,6 @@ class SpectralForm:
         if equal.sum() > vals.size:  # more than the diagonal
             k, kp = np.argwhere(np.triu(equal, 1))[0]  # the first pair in (k, k') order
             raise ValueError(f"eigenvalues {k} and {kp} are equal ({vals[k]})")
-
-    def reconstruct(self) -> np.ndarray:
-        """Sum of eigenvalue-weighted projectors, as one product V diag(...) V^dag."""
-        return (self.basis * self.eigenvalues[self.labels]) @ self.basis.conj().T
 
 
 def spectral_decompose(h, eps: float = DEFAULT_EPS) -> SpectralForm:

@@ -13,7 +13,7 @@ from unimeas.collapse import (
     weights,
 )
 from unimeas.branches import decompose_final
-from unimeas.linalg import basis_ket, ket, uniform_ket, validate_density
+from unimeas.linalg import basis_ket, density_eigh, ket, uniform_ket
 from unimeas.measurement import build_canonical_model
 from unimeas.rand import rand_ket, rand_model, with_redundant_pointer
 from unimeas.spectral import spectral_decompose
@@ -102,7 +102,7 @@ class TestButcher:
 
     def test_is_valid_density(self, rng):
         model = rand_model(3, rng)
-        validate_density(butcher(model, rand_ket(3, rng)), 1e-9)
+        density_eigh(butcher(model, rand_ket(3, rng)), 1e-9)
 
 
 class TestWeights:
@@ -223,3 +223,5 @@ class TestOutcomeDistribution:
     def test_unsigned_outcomes_accepted(self):
         dist = OutcomeDistribution(np.arange(2, dtype=np.uint8), [0.5, 0.5])
         assert dist.outcomes.dtype == np.int64 and dist.outcomes.tolist() == [0, 1]
+        largest = OutcomeDistribution(np.array([2**63 - 1], dtype=np.uint64), [1.0])
+        assert largest.outcomes.tolist() == [2**63 - 1]

@@ -7,12 +7,11 @@ import pytest
 
 from unimeas.linalg import (
     basis_ket,
-    dag,
+    density_eigh,
     ket,
     orthonormality_defect,
     sum_defect,
     uniform_ket,
-    validate_density,
     validate_hermitian,
     validate_ket,
     validate_projector,
@@ -55,10 +54,6 @@ class TestKets:
     def test_uniform_ket_accepts_numpy_integer(self):
         np.testing.assert_allclose(uniform_ket(np.int64(4)), np.full(4, 0.5), atol=1e-15)
 
-    def test_dag(self):
-        a = np.array([[1.0, 2.0j], [3.0, 4.0]])
-        np.testing.assert_array_equal(dag(a), np.array([[1.0, 3.0], [-2.0j, 4.0]]))
-
 
 class TestValidators:
     def test_validate_ket_accepts_unit_vector(self):
@@ -99,17 +94,17 @@ class TestValidators:
             validate_projector(p)
 
     def test_validate_density(self, rng):
-        validate_density(rand_density(3, rng))
+        density_eigh(rand_density(3, rng))
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            validate_density(np.diag([1.5, -0.5]))
+            density_eigh(np.diag([1.5, -0.5]))
         with pytest.raises(ValueError, match="trace"):
-            validate_density(np.eye(2))
+            density_eigh(np.eye(2))
         with pytest.raises(ValueError, match="not Hermitian"):
-            validate_density(np.array([[0.5, 1.0], [0.0, 0.5]]))
+            density_eigh(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
     def test_hermiticity_messages_report_defect(self):
         skew = np.array([[0.5, 1.0], [0.0, 0.5]])
-        for check in (validate_hermitian, validate_projector, validate_density):
+        for check in (validate_hermitian, validate_projector, density_eigh):
             with pytest.raises(ValueError, match=r"not Hermitian \(defect 1\.000e\+00\)"):
                 check(skew)
 

@@ -7,7 +7,7 @@ import pytest
 from test_projector_stack import rotated_instrument
 from test_range_basis import lifted_pointer
 
-from unimeas.linalg import basis_ket, dag, uniform_ket
+from unimeas.linalg import basis_ket, uniform_ket
 from unimeas.measurement import (
     MeasurementModel,
     build_canonical_model,
@@ -37,9 +37,9 @@ class TestBuildCanonicalModel:
         expected = np.kron(plus @ psi, basis_ket(2, 0)) + np.kron(minus @ psi, basis_ket(2, 1))
         np.testing.assert_allclose(premeasure(model, psi), expected, atol=1e-12)
         w = model.isometry
-        assert np.max(np.abs(dag(w) @ w - np.eye(2))) <= 1e-10
+        assert np.max(np.abs(w.conj().T @ w - np.eye(2))) <= 1e-10
         u = controlled_shift(model.observable)
-        assert np.max(np.abs(dag(u) @ u - np.eye(4))) <= 1e-10
+        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10
         np.testing.assert_array_equal(w, u[:, :: model.dim_b])
 
     def test_single_outcome_observable(self):
@@ -51,8 +51,8 @@ class TestBuildCanonicalModel:
         model = build_canonical_model(spectral_decompose(np.diag([2.0, 2.0, 5.0])))
         assert model.outcomes == 2
         assert model.dim_b == 2
-        assert model.observable.rank(0) == 1
-        assert model.observable.rank(1) == 2
+        assert model.observable.ranks[0] == 1
+        assert model.observable.ranks[1] == 2
         assert check_dynamical(model).passed
 
     def test_pointer_shape(self, rng):
@@ -231,9 +231,9 @@ class TestCanonicalAtScale:
         assert model.dim == dim_a * dim_a
         w = model.isometry
         assert w.shape == (model.dim, dim_a)
-        assert np.max(np.abs(dag(w) @ w - np.eye(dim_a))) <= 1e-12
+        assert np.max(np.abs(w.conj().T @ w - np.eye(dim_a))) <= 1e-12
         u = controlled_shift(model.observable)
-        assert np.max(np.abs(dag(u) @ u - np.eye(model.dim))) <= 1e-12
+        assert np.max(np.abs(u.conj().T @ u - np.eye(model.dim))) <= 1e-12
         np.testing.assert_array_equal(w, u[:, :: model.dim_b])
 
     def test_premeasure_moves_pointer_to_branch_label(self, dim_a):
@@ -308,7 +308,7 @@ class TestCanonicalAtScale:
             + sin * (np.outer(x2, x1) - np.outer(x1, x2))
         )
         unitary = controlled_shift(base.observable) @ rotation
-        assert np.max(np.abs(dag(unitary) @ unitary - np.eye(model.dim))) <= 1e-12
+        assert np.max(np.abs(unitary.conj().T @ unitary - np.eye(model.dim))) <= 1e-12
         np.testing.assert_allclose(model.isometry, unitary[:, :: model.dim_b], atol=1e-12)
 
     def test_negatives_fail_both_with_witnesses(self, dim_a):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from unimeas.linalg import DEFAULT_EPS, basis_ket, validate_density
+from unimeas.linalg import DEFAULT_EPS, basis_ket, density_eigh
 from unimeas.mixed import mixed_probability, purified_probability, purify
 from unimeas.probability import expectation_form
 from unimeas.rand import rand_density, rand_ket, rand_observable, rand_projector, rand_unitary
@@ -77,7 +77,7 @@ class TestPurify:
     )
     def test_rejections_match_validate_density(self, rho):
         with pytest.raises(ValueError) as expected:
-            validate_density(rho)
+            density_eigh(rho)
         with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
             purify(rho)
 
@@ -184,7 +184,7 @@ class TestMixedProbability:
     @pytest.mark.parametrize("negative_sum,accepted", [(-0.99e-9, True), (-1.01e-9, False)])
     def test_negative_part_bounded_as_a_whole(self, negative_sum, accepted):
         """Each of the 99 negative eigenvalues is far above -eps; their sum decides. Every rho
-        validate_density accepts gets a probability: the purified route drops the negative part,
+        density_eigh accepts gets a probability: the purified route drops the negative part,
         the trace route counts it, and the two differ by at most its sum."""
         rho = np.diag([1.0 - negative_sum] + [negative_sum / 99] * 99)
         projector = np.diag([0.0] + [1.0] * 99)

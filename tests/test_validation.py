@@ -18,7 +18,6 @@ from unimeas.branches import check_prc, decompose_final, decompose_initial, evol
 from unimeas.collapse import OutcomeDistribution, SampleReport, final_density, sample
 from unimeas.linalg import (
     basis_ket,
-    dag,
     density_eigh,
     ket,
     projector_stack,
@@ -32,7 +31,7 @@ from unimeas.measurement import (
     check_dynamical,
     premeasure,
 )
-from unimeas.mixed import mixed_probability
+from unimeas.mixed import Purification, mixed_probability
 from unimeas.modelio import model_from_document, model_to_document
 from unimeas.probability import born_form, expectation_form, forms_triple, trace_form
 from unimeas.rand import (
@@ -54,7 +53,7 @@ P0 = np.diag([1.0, 0.0])
 E0 = [np.array([1.0, 0.0])]
 
 THREE = build_canonical_model(spectral_decompose(np.diag([1.0, 2.0, 3.0])))
-# every eigenvalue is >= -eps, but their negative part sums to -8.91e-8: validate_density
+# every eigenvalue is >= -eps, but their negative part sums to -8.91e-8: density_eigh
 # refuses it, so mixed_probability never sees the purified route drop what the trace route counts
 ALMOST_PSD = np.diag([1.0 + 99 * 0.9e-9] + [-0.9e-9] * 99)
 
@@ -116,7 +115,6 @@ PROBES = {
         lambda: projector_stack([np.zeros((0, 0))], dim=0),
         r"^projector 0 must be a non-empty square matrix, got shape \(0, 0\)$",
     ),
-    "dag-nan": (lambda: dag(np.array([[1.0, np.inf], [0.0, 1.0]])), "non-finite"),
     "evolve_branch-float-index": (
         lambda: evolve_branch(MODEL, np.array([1.0, 0.0]), 1.0),
         r"^outcome index 1\.0 out of range$",
@@ -125,7 +123,10 @@ PROBES = {
         lambda: refine(MODEL.observable, True, [P0]),
         r"^outcome index True out of range$",
     ),
-    "rank-negative-index": (lambda: MODEL.observable.rank(-1), r"^outcome index -1 out of range$"),
+    "rank-negative-index": (
+        lambda: evolve_branch(MODEL, np.array([1.0, 0.0]), -1),
+        r"^outcome index -1 out of range$",
+    ),
     "from_projectors-zero": (
         lambda: from_projectors([1.0, 0.0], [np.eye(2), np.zeros((2, 2))]),
         r"^projector 1 is zero$",
@@ -154,6 +155,50 @@ PROBES = {
     "OutcomeDistribution-bool-outcomes": (
         lambda: OutcomeDistribution([True, False], [0.5, 0.5]),
         r"^outcomes must be integers, got dtype bool$",
+    ),
+    "OutcomeDistribution-uint64-beyond-int64": (
+        lambda: OutcomeDistribution(np.array([2**64 - 1], dtype=np.uint64), [1.0]),
+        r"^outcomes must be below 2\*\*63, got 18446744073709551615$",
+    ),
+    "SampleReport-float-total": (
+        lambda: SampleReport([1, 2], 3.0, 0),
+        r"^total must be a nonnegative int, got 3\.0$",
+    ),
+    "SampleReport-negative-total": (
+        lambda: SampleReport([1, 2], -3, 0),
+        r"^total must be a nonnegative int, got -3$",
+    ),
+    "SampleReport-float-seed": (
+        lambda: SampleReport([1, 2], 3, 0.5),
+        r"^seed must be a uint64, got 0\.5$",
+    ),
+    "SampleReport-negative-seed": (
+        lambda: SampleReport([1, 2], 3, -1),
+        r"^seed must be a uint64, got -1$",
+    ),
+    "SampleReport-seed-beyond-uint64": (
+        lambda: SampleReport([1, 2], 3, 2**64),
+        r"^seed must be a uint64, got 18446744073709551616$",
+    ),
+    "SampleReport-negative-counts": (
+        lambda: SampleReport([5, -2], 3, 0),
+        r"^counts must be a vector of nonnegative integers$",
+    ),
+    "SampleReport-counts-sum-beyond-int64": (
+        lambda: SampleReport([2**62] * 4, 0, 0),
+        r"^counts do not sum to total$",
+    ),
+    "SampleReport-2d-counts": (
+        lambda: SampleReport([[1, 2]], 3, 0),
+        r"^counts must be a vector of nonnegative integers$",
+    ),
+    "Purification-float-dims": (
+        lambda: Purification(np.ones(4) / 2, (2.7, 2), np.eye(2) / 2),
+        r"^dims must be two positive integers, got \(2\.7, 2\)$",
+    ),
+    "Purification-dims-mismatch": (
+        lambda: Purification(np.ones(4) / 2, (3, 2), np.eye(2) / 2),
+        r"^dims \(3, 2\) do not match state size 4$",
     ),
     "rand_projector-rank-zero": (
         lambda: rand_projector(2, 0, np.random.default_rng(0)),
@@ -306,7 +351,6 @@ def test_numpy_integer_outcome_index_accepted():
         evolve_branch(MODEL, np.array([0.6, 0.8]), np.uint8(1)),
         evolve_branch(MODEL, np.array([0.6, 0.8]), 1),
     )
-    assert MODEL.observable.rank(np.int32(0)) == 1
 
 
 @pytest.mark.filterwarnings("error")

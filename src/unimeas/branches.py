@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, as_complex, frozen, validate_outcome_index, validate_state
-from .linalg import validate_tolerance, validate_unit_state
+from .linalg import DEFAULT_EPS, _integers, as_complex, frozen, validate_outcome_index
+from .linalg import validate_state, validate_tolerance, validate_unit_state
 from .measurement import CheckReport, MeasurementModel
 from .spectral import SpectralForm
 
@@ -35,10 +35,10 @@ class BranchDecomposition:
     dropped: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
 
     def __post_init__(self):
-        object.__setattr__(self, "outcomes", frozen(np.asarray(self.outcomes, dtype=np.int64)))
+        object.__setattr__(self, "outcomes", _integers(self.outcomes, "outcomes"))
         object.__setattr__(self, "amplitudes", frozen(np.asarray(self.amplitudes, dtype=np.float64)))
         object.__setattr__(self, "branch_states", frozen(as_complex(self.branch_states)))
-        object.__setattr__(self, "dropped", frozen(np.asarray(self.dropped, dtype=np.int64)))
+        object.__setattr__(self, "dropped", _integers(self.dropped, "dropped"))
 
     def reconstruct(self) -> np.ndarray:
         """Amplitude-weighted sum of the branch states; the zero vector when no branch is kept."""
@@ -91,8 +91,7 @@ def check_prc(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> Check
             f"outcome {k}: pointer probability {pointer_probs[k]:.12g} "
             f"vs object probability {object_probs[k]:.12g}"
         )
-    max_residual = float(np.max(residuals))
-    return CheckReport(max_residual <= eps, residuals, max_residual, witness)
+    return CheckReport(residuals, eps, witness)
 
 
 def decompose_final(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> BranchDecomposition:

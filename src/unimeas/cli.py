@@ -38,8 +38,8 @@ def _timed(name: str, fn) -> dict:
     elapsed = time.perf_counter() - start
     return {
         "name": name,
-        "passed": bool(report.passed),
-        "max_residual": float(report.max_residual),
+        "passed": report.passed,
+        "max_residual": report.max_residual,
         "elapsed_s": elapsed,
         "witness": report.witness,
     }
@@ -80,8 +80,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
     def reconstruction() -> CheckReport:
         final = premeasure(model, phi)
-        residual = float(np.linalg.norm(decompose_final(model, phi, tol).reconstruct() - final))
-        return CheckReport(residual <= tol, [residual], residual)
+        residual = np.linalg.norm(decompose_final(model, phi, tol).reconstruct() - final)
+        return CheckReport([residual], tol)
 
     checks = [
         _timed("calibration", lambda: check_calibration(model, tol)),

@@ -10,26 +10,17 @@ The mixture step is realized operationally as seeded sampling from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .branches import decompose_final
-from .linalg import DEFAULT_EPS, _is_int, frozen, validate_tolerance, validate_unit_state
+from .linalg import DEFAULT_EPS, _integers, _is_int, frozen, validate_tolerance, validate_unit_state
 from .measurement import MeasurementModel, premeasure
 from .spectral import SpectralForm
 
 # identity of the seeded generator backing sample(); recorded in reports
 GENERATOR = "pcg64"
-
-
-def _integers(a, name: str) -> np.ndarray:
-    """a as a read-only int64 array; raises unless its dtype is integer, not bool, and it fits int64."""
-    a = np.asarray(a)
-    if a.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
-    if not np.can_cast(a.dtype, np.int64) and (a >= 2**63).any():
-        raise ValueError(f"{name} must be below 2**63, got {a.max()}")
-    return frozen(a.astype(np.int64))
 
 
 def _seed(seed) -> int:
@@ -59,22 +50,22 @@ class OutcomeDistribution:
 
 @dataclass(frozen=True, eq=False)
 class SampleReport:
-    """Counts from seeded sampling, coindexed with the outcomes; refuses what sample never makes."""
+    """Counts coindexed with the outcomes, and the seed as an int; refuses what sample never makes."""
 
     counts: np.ndarray
-    total: int
     seed: int
-    generator: str = GENERATOR
+    generator: ClassVar[str] = GENERATOR
 
     def __post_init__(self):
         object.__setattr__(self, "counts", _integers(self.counts, "counts"))
         if self.counts.ndim != 1 or (self.counts < 0).any():
             raise ValueError("counts must be a vector of nonnegative integers")
-        if not _is_int(self.total) or self.total < 0:
-            raise ValueError(f"total must be a nonnegative int, got {self.total!r}")
-        _seed(self.seed)
-        if sum(self.counts.tolist()) != self.total:  # Python ints: an int64 sum could wrap
-            raise ValueError("counts do not sum to total")
+        object.__setattr__(self, "seed", _seed(self.seed))
+
+    @property
+    def total(self) -> int:
+        """The number of draws, the counts' sum in Python ints: an int64 sum could wrap."""
+        return sum(self.counts.tolist())
 
 
 def weights(phi_a, observable: SpectralForm, eps: float = DEFAULT_EPS) -> OutcomeDistribution:
@@ -128,4 +119,4 @@ def sample(dist: OutcomeDistribution, n: int, seed: int) -> SampleReport:
     w = dist.weights[support]
     counts = np.zeros(dist.outcomes.size, dtype=np.int64)
     counts[support] = np.random.default_rng(seed).multinomial(n, w / w.sum())
-    return SampleReport(counts=counts, total=int(n), seed=seed)
+    return SampleReport(counts, seed)

@@ -23,6 +23,16 @@ def _is_int(n) -> bool:
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
+def _integers(a, name: str) -> np.ndarray:
+    """a as a read-only int64 array; raises unless its dtype is integer, not bool, and it fits int64."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
+    if not np.can_cast(a.dtype, np.int64) and (a >= 2**63).any():
+        raise ValueError(f"{name} must be below 2**63, got {a.max()}")
+    return frozen(a.astype(np.int64, copy=False))
+
+
 def _vector(v, name: str = "state") -> np.ndarray:
     """v as complex128, raising "<name> must be a vector" unless it is 1-D."""
     v = as_complex(v)

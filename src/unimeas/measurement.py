@@ -36,19 +36,21 @@ from .spectral import SpectralForm
 
 @dataclass(frozen=True, eq=False)
 class CheckReport:
-    """Outcome of a condition check; passed iff max_residual <= tolerance."""
+    """Outcome of a condition check. max_residual and passed are derived and cannot be set:
+    passed iff max_residual <= tolerance, so a nan residual fails."""
 
-    passed: bool
     per_outcome_residuals: np.ndarray
-    max_residual: float
+    tolerance: float
     witness: str | None = None
+    max_residual: float = field(init=False)
+    passed: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "per_outcome_residuals",
-            frozen(np.asarray(self.per_outcome_residuals, dtype=np.float64)),
-        )
+        validate_tolerance(self.tolerance)
+        residuals = frozen(np.asarray(self.per_outcome_residuals, dtype=np.float64))
+        object.__setattr__(self, "per_outcome_residuals", residuals)
+        object.__setattr__(self, "max_residual", float(np.max(residuals)))
+        object.__setattr__(self, "passed", bool(self.max_residual <= self.tolerance))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,9 +154,7 @@ def _report(residuals: np.ndarray, eps: float, column: str) -> CheckReport:
     if above.size:
         k, j = above[0]
         witness = f"outcome {k}, {column} {j}: residual {residuals[k, j]:.3e}"
-    per_outcome = np.max(residuals, axis=1)
-    max_residual = float(np.max(per_outcome))
-    return CheckReport(max_residual <= eps, per_outcome, max_residual, witness)
+    return CheckReport(np.max(residuals, axis=1), eps, witness)
 
 
 def _pointer_rows(model: MeasurementModel) -> np.ndarray:

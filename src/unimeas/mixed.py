@@ -8,13 +8,12 @@ by the trace rule; the two routes must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_EPS,
-    _is_int,
     as_complex,
     density_eigh,
     frozen,
@@ -25,26 +24,28 @@ from .linalg import (
 
 @dataclass(frozen=True, eq=False)
 class Purification:
-    """Pure state on system (x) ancilla whose reduction is `source`."""
+    """Pure state on system (x) ancilla as its (dim, ancilla) amplitude matrix psi, which
+    must be a non-empty matrix; dims, state and the reduction are derived from it."""
 
-    state: np.ndarray = field(repr=False)
-    dims: tuple[int, int]
-    source: np.ndarray = field(repr=False)
+    psi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "state", frozen(as_complex(self.state)))
-        object.__setattr__(self, "source", frozen(as_complex(self.source)))
-        if len(self.dims) != 2 or not all(_is_int(d) and d > 0 for d in self.dims):
-            raise ValueError(f"dims must be two positive integers, got {self.dims!r}")
-        object.__setattr__(self, "dims", (int(self.dims[0]), int(self.dims[1])))
-        if self.dims[0] * self.dims[1] != self.state.size:
-            raise ValueError(f"dims {self.dims} do not match state size {self.state.size}")
+        object.__setattr__(self, "psi", frozen(as_complex(self.psi)))
+        if self.psi.ndim != 2 or not self.psi.size:
+            raise ValueError(f"psi must be a non-empty matrix, got shape {self.psi.shape}")
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.psi.shape
+
+    @property
+    def state(self) -> np.ndarray:
+        """The pure state, system index major: psi's rows in order."""
+        return self.psi.reshape(-1)
 
     def reduced(self) -> np.ndarray:
-        """Partial trace of the purified projector over the ancilla, Psi Psi^dag on the
-        (dim, ancilla) reshape Psi of the state; the joint projector is never formed."""
-        psi = self.state.reshape(self.dims)
-        return psi @ psi.conj().T
+        """psi psi^dag, the purified projector traced over the ancilla, which is never formed."""
+        return self.psi @ self.psi.conj().T
 
 
 def purify(rho, eps: float = DEFAULT_EPS) -> Purification:
@@ -52,35 +53,32 @@ def purify(rho, eps: float = DEFAULT_EPS) -> Purification:
 
     Eigendecomposes rho once with density_eigh, which checks it and drops the negligible
     tail of its spectrum, and returns sum_i sqrt(r_i) |i> (x) |i> over the kept pairs
-    (r_i, |i>) in their descending order, one canonical ancilla slot each; column i of the
-    (dim, ancilla) reshape of the state is sqrt(r_i) |i>.
+    (r_i, |i>) in their descending order, one canonical ancilla slot each: column i of
+    psi is sqrt(r_i) |i>.
 
     Raises:
         ValueError: rho is not a valid density operator.
     """
     validate_tolerance(eps)
-    rho, vals, vecs = density_eigh(rho, eps)
-    columns = vecs * np.sqrt(vals)
-    return Purification(state=columns.reshape(-1), dims=columns.shape, source=rho)
+    _, vals, vecs = density_eigh(rho, eps)
+    return Purification(vecs * np.sqrt(vals))
 
 
 def purified_probability(rho, projector, eps: float = DEFAULT_EPS) -> float:
     """Outcome probability via the purified state: <Psi|(E (x) I)|Psi>.
 
-    E acts on the system axis of the (dim, ancilla) reshape of Psi, so the
-    dense lift E (x) I is never formed.
+    E acts on the system axis of the (dim, ancilla) amplitude matrix psi, so
+    the dense lift E (x) I is never formed.
 
     Raises:
         ValueError: invalid density operator or projector, or differing shapes.
     """
     pur = purify(rho, eps)
     projector = validate_projector(projector, eps)
-    if projector.shape != pur.source.shape:
-        raise ValueError(
-            f"projector shape {projector.shape} does not match state shape {pur.source.shape}"
-        )
-    psi = pur.state.reshape(pur.dims)
-    return float(np.vdot(psi, projector @ psi).real)
+    shape = (pur.dims[0], pur.dims[0])
+    if projector.shape != shape:
+        raise ValueError(f"projector shape {projector.shape} does not match state shape {shape}")
+    return float(np.vdot(pur.psi, projector @ pur.psi).real)
 
 
 def mixed_probability(rho, projector, eps: float = DEFAULT_EPS) -> float:

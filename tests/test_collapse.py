@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from test_range_basis import lifted_pointer
@@ -7,6 +9,7 @@ from test_range_basis import lifted_pointer
 from unimeas.collapse import (
     GENERATOR,
     OutcomeDistribution,
+    SampleReport,
     butcher,
     final_density,
     sample,
@@ -204,6 +207,16 @@ class TestSample:
         report = sample(dist, np.int64(10), np.uint64(2**64 - 1))
         assert report.total == 10 and report.seed == 2**64 - 1
         assert sample(dist, 10, 2**64 - 1).counts.tolist() == report.counts.tolist()
+
+
+class TestSampleReport:
+    def test_total_sums_without_int64_wrap(self):
+        assert SampleReport([2**62] * 4, 0).total == 2**64
+
+    def test_seed_stored_as_int(self):
+        report = SampleReport([1, 2], np.uint64(5))
+        assert type(report.seed) is int and json.dumps(report.seed) == "5"
+        assert report.generator == GENERATOR
 
 
 class TestOutcomeDistribution:

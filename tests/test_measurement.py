@@ -9,6 +9,7 @@ from test_range_basis import lifted_pointer
 
 from unimeas.linalg import basis_ket, uniform_ket
 from unimeas.measurement import (
+    CheckReport,
     MeasurementModel,
     build_canonical_model,
     check_calibration,
@@ -434,3 +435,20 @@ class TestDerivedDims:
         a, b = z_model(), z_model()
         assert a == a and not a == b
         assert {a: "a", b: "b"}[b] == "b"
+
+
+class TestCheckReport:
+    """max_residual and passed are derived from the residuals and the tolerance."""
+
+    def test_verdict_is_derived(self):
+        report = CheckReport([5.0, 0.0], 1e-9)
+        assert report.max_residual == 5.0 and report.passed is False
+        assert CheckReport([1e-9, 0.0], 1e-9).passed is True
+
+    def test_nan_residual_fails(self):
+        report = CheckReport([np.nan], 1e-9)
+        assert report.passed is False and np.isnan(report.max_residual)
+
+    def test_replace_derives_again(self):
+        report = dataclasses.replace(CheckReport([5.0], 1e-9), per_outcome_residuals=[0.0])
+        assert report.max_residual == 0.0 and report.passed is True

@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 from test_range_basis import lifted_pointer
 
-from unimeas.branches import check_prc, decompose_final, decompose_initial, evolve_branch
+from unimeas.branches import (
+    BranchDecomposition,
+    check_prc,
+    decompose_final,
+    decompose_initial,
+    evolve_branch,
+)
 from unimeas.collapse import OutcomeDistribution, SampleReport, final_density, sample
 from unimeas.linalg import (
     basis_ket,
@@ -25,6 +31,7 @@ from unimeas.linalg import (
     validate_projector,
 )
 from unimeas.measurement import (
+    CheckReport,
     MeasurementModel,
     build_canonical_model,
     check_calibration,
@@ -143,9 +150,8 @@ PROBES = {
         lambda: sample(OutcomeDistribution([0, 1], [1e-10, 0.0]), 10, 0),
         r"^distribution has no weight above threshold$",
     ),
-    "SampleReport-counts": (lambda: SampleReport([1, 2], 4, 0), r"^counts do not sum to total$"),
     "SampleReport-float-counts": (
-        lambda: SampleReport([1.9, 2.2], 3, 0),
+        lambda: SampleReport([1.9, 2.2], 0),
         r"^counts must be integers, got dtype float64$",
     ),
     "OutcomeDistribution-float-outcomes": (
@@ -160,45 +166,45 @@ PROBES = {
         lambda: OutcomeDistribution(np.array([2**64 - 1], dtype=np.uint64), [1.0]),
         r"^outcomes must be below 2\*\*63, got 18446744073709551615$",
     ),
-    "SampleReport-float-total": (
-        lambda: SampleReport([1, 2], 3.0, 0),
-        r"^total must be a nonnegative int, got 3\.0$",
-    ),
-    "SampleReport-negative-total": (
-        lambda: SampleReport([1, 2], -3, 0),
-        r"^total must be a nonnegative int, got -3$",
-    ),
     "SampleReport-float-seed": (
-        lambda: SampleReport([1, 2], 3, 0.5),
+        lambda: SampleReport([1, 2], 0.5),
         r"^seed must be a uint64, got 0\.5$",
     ),
     "SampleReport-negative-seed": (
-        lambda: SampleReport([1, 2], 3, -1),
+        lambda: SampleReport([1, 2], -1),
         r"^seed must be a uint64, got -1$",
     ),
     "SampleReport-seed-beyond-uint64": (
-        lambda: SampleReport([1, 2], 3, 2**64),
+        lambda: SampleReport([1, 2], 2**64),
         r"^seed must be a uint64, got 18446744073709551616$",
     ),
     "SampleReport-negative-counts": (
-        lambda: SampleReport([5, -2], 3, 0),
+        lambda: SampleReport([5, -2], 0),
         r"^counts must be a vector of nonnegative integers$",
-    ),
-    "SampleReport-counts-sum-beyond-int64": (
-        lambda: SampleReport([2**62] * 4, 0, 0),
-        r"^counts do not sum to total$",
     ),
     "SampleReport-2d-counts": (
-        lambda: SampleReport([[1, 2]], 3, 0),
+        lambda: SampleReport([[1, 2]], 0),
         r"^counts must be a vector of nonnegative integers$",
     ),
-    "Purification-float-dims": (
-        lambda: Purification(np.ones(4) / 2, (2.7, 2), np.eye(2) / 2),
-        r"^dims must be two positive integers, got \(2\.7, 2\)$",
+    "Purification-vector": (
+        lambda: Purification(np.ones(4)),
+        r"^psi must be a non-empty matrix, got shape \(4,\)$",
     ),
-    "Purification-dims-mismatch": (
-        lambda: Purification(np.ones(4) / 2, (3, 2), np.eye(2) / 2),
-        r"^dims \(3, 2\) do not match state size 4$",
+    "Purification-empty": (
+        lambda: Purification(np.zeros((2, 0))),
+        r"^psi must be a non-empty matrix, got shape \(2, 0\)$",
+    ),
+    "CheckReport-zero-tolerance": (
+        lambda: CheckReport([0.0], 0.0),
+        r"^tolerance must lie in \(0, 1\), got 0\.0$",
+    ),
+    "replace-CheckReport-passed": (
+        lambda: dataclasses.replace(CheckReport([5.0], 1e-9), passed=True),
+        r"^field passed is declared with init=False, it cannot be specified with replace\(\)$",
+    ),
+    "BranchDecomposition-float-outcomes": (
+        lambda: BranchDecomposition([0.7], [1.0], [[1.0]]),
+        r"^outcomes must be integers, got dtype float64$",
     ),
     "rand_projector-rank-zero": (
         lambda: rand_projector(2, 0, np.random.default_rng(0)),
@@ -338,6 +344,15 @@ def test_lifted_pointer_is_the_dense_stack_lift(rng):
             v = model.pointer.blocks[k]
             from_block = np.kron(np.eye(model.dim_a), v @ v.conj().T)
             assert lifted_pointer(model, k).tobytes() == from_block.tobytes()
+
+
+def test_records_store_only_what_they_cannot_derive():
+    for record, arguments in (
+        (CheckReport, ["per_outcome_residuals", "tolerance", "witness"]),
+        (SampleReport, ["counts", "seed"]),
+        (Purification, ["psi"]),
+    ):
+        assert [f.name for f in dataclasses.fields(record) if f.init] == arguments
 
 
 def test_linear_maps_accept_unnormalized_states():

@@ -26,7 +26,9 @@ class BranchDecomposition:
     """Per-outcome weights and normalized branch states (one per row) of a decomposed ket.
 
     Outcomes whose amplitude falls below the drop threshold appear in
-    `dropped` and carry no branch state.
+    `dropped` and carry no branch state. Outcomes, amplitudes and branch states
+    must be coindexed, and no amplitude negative; a nan amplitude is kept, so that
+    a non-finite isometry fails reconstruction visibly.
     """
 
     outcomes: np.ndarray
@@ -39,6 +41,11 @@ class BranchDecomposition:
         object.__setattr__(self, "amplitudes", frozen(np.asarray(self.amplitudes, dtype=np.float64)))
         object.__setattr__(self, "branch_states", frozen(as_complex(self.branch_states)))
         object.__setattr__(self, "dropped", _integers(self.dropped, "dropped"))
+        states = self.branch_states
+        if states.ndim != 2 or not self.outcomes.shape == self.amplitudes.shape == states.shape[:1]:
+            raise ValueError("outcomes and amplitudes must be vectors coindexed with branch_states rows")
+        if (self.amplitudes < 0.0).any():
+            raise ValueError("amplitudes must be nonnegative")
 
     def reconstruct(self) -> np.ndarray:
         """Amplitude-weighted sum of the branch states; the zero vector when no branch is kept."""

@@ -42,9 +42,9 @@ class OutcomeDistribution:
         object.__setattr__(self, "weights", frozen(np.asarray(self.weights, dtype=np.float64)))
         if self.outcomes.ndim != 1 or self.outcomes.shape != self.weights.shape:
             raise ValueError("outcomes and weights must be coindexed vectors")
-        if not np.all(np.isfinite(self.weights)):
+        if not np.isfinite(self.weights).all():
             raise ValueError("weights must be finite")
-        if np.any(self.weights < 0.0):
+        if (self.weights < 0.0).any():
             raise ValueError("weights must be nonnegative")
 
 

@@ -73,7 +73,9 @@ def orthonormality_defect(q) -> float:
     """max |Q^dag Q - I| over the columns of q; nan when q is non-finite, inf when Q^dag Q overflows."""
     q = as_complex(q)
     with np.errstate(over="ignore", invalid="ignore"):  # huge finite entries overflow
-        return float(np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1]))))
+        g = q.conj().T @ q
+        g.flat[:: len(g) + 1] -= 1.0  # the diagonal, in place of an identity temporary
+        return float(abs(g).max())
 
 
 def sum_defect(matrices: Sequence[np.ndarray], target) -> float:
@@ -91,7 +93,7 @@ def validate_state(v, dim: int, name: str = "state") -> np.ndarray:
     v = as_complex(v)
     if v.shape != (dim,):
         raise ValueError(f"{name} has shape {v.shape}, expected ({dim},)")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite amplitudes")
     return v
 
@@ -195,17 +197,17 @@ def density_eigh(rho, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray,
     """
     rho = validate_hermitian(rho, eps, "density operator")
     vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    tail = np.cumsum(abs(vals))  # eigh's eigenvalues ascend, so the negative ones lead
-    dropped = min(int(np.searchsorted(tail, eps, side="right")), vals.size - 1)
+    tail = abs(vals).cumsum()  # eigh's eigenvalues ascend, so the negative ones lead
+    dropped = min(int(tail.searchsorted(eps, side="right")), vals.size - 1)
     negatives = np.count_nonzero(vals < 0)
     if negatives > dropped:
         raise ValueError(
             f"density operator has negative eigenvalues summing to {-tail[negatives - 1]:.3e}"
         )
-    tr = complex(np.trace(rho))
+    tr = complex(rho.trace())
     if abs(tr - 1.0) > eps:
         raise ValueError(f"density operator trace {tr} is not 1 within {eps}")
-    kept = dropped + np.argsort(-vals[dropped:], kind="stable")
+    kept = dropped + (-vals[dropped:]).argsort(kind="stable")
     return rho, vals[kept], vecs[:, kept]
 
 

@@ -36,8 +36,8 @@ from .spectral import SpectralForm
 
 @dataclass(frozen=True, eq=False)
 class CheckReport:
-    """Outcome of a condition check. max_residual and passed are derived and cannot be set:
-    passed iff max_residual <= tolerance, so a nan residual fails."""
+    """Outcome of a condition check, from at least one residual. max_residual and passed are
+    derived and cannot be set: passed iff max_residual <= tolerance, so a nan residual fails."""
 
     per_outcome_residuals: np.ndarray
     tolerance: float
@@ -48,8 +48,10 @@ class CheckReport:
     def __post_init__(self):
         validate_tolerance(self.tolerance)
         residuals = frozen(np.asarray(self.per_outcome_residuals, dtype=np.float64))
+        if not residuals.size:
+            raise ValueError("per_outcome_residuals must be non-empty")
         object.__setattr__(self, "per_outcome_residuals", residuals)
-        object.__setattr__(self, "max_residual", float(np.max(residuals)))
+        object.__setattr__(self, "max_residual", float(residuals.max()))
         object.__setattr__(self, "passed", bool(self.max_residual <= self.tolerance))
 
 
@@ -154,7 +156,7 @@ def _report(residuals: np.ndarray, eps: float, column: str) -> CheckReport:
     if above.size:
         k, j = above[0]
         witness = f"outcome {k}, {column} {j}: residual {residuals[k, j]:.3e}"
-    return CheckReport(np.max(residuals, axis=1), eps, witness)
+    return CheckReport(residuals.max(axis=1), eps, witness)
 
 
 def _pointer_rows(model: MeasurementModel) -> np.ndarray:

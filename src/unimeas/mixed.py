@@ -93,7 +93,7 @@ def mixed_probability(rho, projector, eps: float = DEFAULT_EPS) -> float:
             disagreeing beyond eps.
     """
     via_purification = purified_probability(rho, projector, eps)  # validates both
-    via_trace = float(np.trace(as_complex(rho) @ as_complex(projector)).real)
+    via_trace = float((as_complex(rho) @ as_complex(projector)).trace().real)
     if abs(via_purification - via_trace) > eps:
         raise ValueError(
             f"purified route {via_purification!r} disagrees with trace route {via_trace!r}"

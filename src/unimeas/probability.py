@@ -51,7 +51,7 @@ def _born(psi: np.ndarray, vecs: Sequence[np.ndarray]) -> float:
 
 
 def _trace(psi: np.ndarray, p: np.ndarray) -> float:
-    return float(np.trace(p @ np.outer(psi, psi.conj())).real)
+    return float((p @ np.outer(psi, psi.conj())).trace().real)
 
 
 def expectation_form(psi, p, eps: float = DEFAULT_EPS) -> float:

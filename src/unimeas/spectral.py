@@ -15,7 +15,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_EPS,
-    as_complex,
     frozen,
     orthonormality_defect,
     projector_stack,
@@ -42,8 +41,9 @@ def _eigenvalue_vector(eigenvalues) -> np.ndarray:
 class SpectralForm:
     """Pairwise-distinct eigenvalues with coindexed orthogonal projectors, held as one range basis.
 
-    `basis` is read-only, complex and (dim, dim); its first ranks[0] columns span outcome 0's
-    range, and so on. The constructor checks shapes, finiteness and ranks, validate the values.
+    `basis` is a read-only, C-ordered complex (dim, dim) copy of the argument; its first
+    ranks[0] columns span outcome 0's range, and so on. The constructor checks shapes,
+    finiteness and ranks, validate the values.
     Records compare and hash by identity.
     """
 
@@ -53,7 +53,8 @@ class SpectralForm:
 
     def __post_init__(self):
         vals = _eigenvalue_vector(self.eigenvalues)
-        ranks, basis = np.asarray(self.ranks), as_complex(self.basis)
+        # the one copy the form keeps, complex and in C order
+        ranks, basis = np.asarray(self.ranks), np.array(self.basis, dtype=np.complex128, order="C")
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1] or not basis.size:
             raise ValueError(f"basis must be a non-empty square matrix, got shape {basis.shape}")
         if not np.isfinite(basis).all():
@@ -61,11 +62,12 @@ class SpectralForm:
         if ranks.ndim != 1 or ranks.size != vals.size:
             raise ValueError(f"{vals.size} eigenvalues but {ranks.size} ranks")
         dim = len(basis)  # ranks in 1..dim first: their int64 sum cannot wrap
-        if ranks.dtype.kind not in "iu" or not np.all((ranks >= 1) & (ranks <= dim)) or ranks.sum() != dim:
+        if ranks.dtype.kind not in "iu" or not ((ranks >= 1) & (ranks <= dim)).all() or ranks.sum() != dim:
             raise ValueError(f"ranks must be positive integers adding up to {dim}, got {ranks.tolist()}")
         object.__setattr__(self, "eigenvalues", frozen(vals))
-        object.__setattr__(self, "ranks", frozen(ranks.astype(np.int64)))
-        object.__setattr__(self, "basis", frozen(np.ascontiguousarray(basis)))
+        object.__setattr__(self, "ranks", frozen(ranks.astype(np.int64, copy=False)))
+        basis.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self) -> int:
@@ -83,7 +85,7 @@ class SpectralForm:
     @cached_property
     def columns(self) -> tuple[slice, ...]:
         """Outcome k's basis columns, as one slice each."""
-        ends = np.cumsum(self.ranks).tolist()
+        ends = self.ranks.cumsum().tolist()
         return tuple(map(slice, [0, *ends[:-1]], ends))
 
     @cached_property
@@ -110,7 +112,7 @@ class SpectralForm:
     def validate(self, eps: float = DEFAULT_EPS) -> None:
         """Check finite, pairwise-distinct eigenvalues and a basis unitary within eps."""
         validate_tolerance(eps)
-        if not np.all(np.isfinite(self.eigenvalues)):
+        if not np.isfinite(self.eigenvalues).all():
             raise ValueError("eigenvalues must be finite")
         defect = orthonormality_defect(self.basis)
         if not defect <= eps:

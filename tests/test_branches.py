@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -134,6 +135,16 @@ class TestDecomposeFinal:
         dec = decompose_final(model, np.zeros(3))
         assert dec.outcomes.size == 0
         assert dec.reconstruct().tobytes() == premeasure(model, np.zeros(3)).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")  # nan / nan norm
+    def test_nan_isometry_keeps_nan_branches(self, rng):
+        """A nan in W gives nan amplitudes, which the record keeps: reconstruction fails visibly."""
+        model = rand_model(3, rng)
+        w = np.array(model.isometry)
+        w[0, 0] = np.nan
+        phi = rand_ket(3, rng)
+        dec = decompose_final(dataclasses.replace(model, isometry=w), phi)
+        assert np.isnan(dec.amplitudes).any() and np.isnan(dec.reconstruct()).any()
 
     def test_amplitudes_match_initial_decomposition(self, rng):
         dim = 4

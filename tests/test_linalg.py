@@ -102,6 +102,18 @@ class TestValidators:
         with pytest.raises(ValueError, match="not Hermitian"):
             density_eigh(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
+    @pytest.mark.parametrize("levels,k", [(2, 2), (3, 8), (2, 40)])
+    def test_density_eigh_keeps_eigh_order_among_ties(self, levels, k):
+        """Kept pairs descend; equal eigenvalues keep the order eigh gives their eigenvectors.
+        rho has `levels` distinct eigenvalues, k of each: an unstable sort reorders such ties."""
+        rho = np.diag(np.repeat(np.arange(1.0, levels + 1), k) / (k * levels * (levels + 1) / 2))
+        vals, vecs = np.linalg.eigh(rho.astype(complex))
+        assert len(set(vals.tolist())) == levels  # the ties are exact
+        order = sorted(range(len(vals)), key=lambda i: -vals[i])  # Python's sort is stable
+        _, kept_vals, kept_vecs = density_eigh(rho)
+        assert kept_vals.tobytes() == vals[order].tobytes()
+        assert kept_vecs.tobytes() == vecs[:, order].tobytes()
+
     def test_hermiticity_messages_report_defect(self):
         skew = np.array([[0.5, 1.0], [0.0, 0.5]])
         for check in (validate_hermitian, validate_projector, density_eigh):
@@ -138,6 +150,19 @@ class TestDefects:
 
     def test_orthonormality_defect_is_nan_on_nan(self):
         assert np.isnan(orthonormality_defect(np.array([[np.nan], [0.0]])))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q", [[[1e200], [1e200]], [[1e300, 1.0], [0.0, 1e300]]])
+    def test_orthonormality_defect_is_inf_when_the_gram_matrix_overflows(self, q):
+        assert orthonormality_defect(np.array(q)) == np.inf
+
+    @pytest.mark.parametrize("dim,dim_a", [(12, 3), (8, 8), (30, 5), (4, 1)])
+    def test_orthonormality_defect_of_a_tall_isometry_is_the_identity_formula(self, rng, dim, dim_a):
+        """The diagonal is shifted in place; the result is bit for bit that of Q^dag Q - I."""
+        z = rng.normal(size=(dim, dim_a)) + 1j * rng.normal(size=(dim, dim_a))
+        for q in (np.linalg.qr(z)[0], z):
+            want = float(np.max(np.abs(q.conj().T @ q - np.eye(dim_a))))
+            assert orthonormality_defect(q) == want
 
     def test_sum_defect(self):
         projs = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]

@@ -243,6 +243,21 @@ class TestSpectralFormType:
         assert hash(a) == hash(a)
         assert {a: 1, b: 2}[a] == 1
 
+    @pytest.mark.parametrize("layout", ["reversed", "fortran", "real", "complex"])
+    def test_basis_is_a_c_ordered_read_only_copy(self, layout):
+        """Whatever the layout or dtype of its argument, a form keeps its own C-ordered copy."""
+        vecs = np.linalg.eigh(rand_hermitian(4, np.random.default_rng(4)))[1]
+        given = {
+            "reversed": vecs[:, ::-1],
+            "fortran": np.asfortranarray(vecs),
+            "real": np.eye(4)[::-1],
+            "complex": np.ascontiguousarray(vecs),
+        }[layout]
+        sf = SpectralForm(np.arange(4.0), np.ones(4, int), given)
+        assert sf.basis.flags.c_contiguous and not sf.basis.flags.writeable
+        assert sf.basis.dtype == np.complex128 and not np.shares_memory(sf.basis, given)
+        np.testing.assert_array_equal(sf.basis, given)
+
     def test_projectors_read_only(self):
         sf = spectral_decompose(np.diag([1.0, -1.0]))
         with pytest.raises(ValueError):

@@ -202,6 +202,26 @@ PROBES = {
         lambda: dataclasses.replace(CheckReport([5.0], 1e-9), passed=True),
         r"^field passed is declared with init=False, it cannot be specified with replace\(\)$",
     ),
+    "CheckReport-empty": (
+        lambda: CheckReport([], 1e-9),
+        r"^per_outcome_residuals must be non-empty$",
+    ),
+    "BranchDecomposition-fewer-amplitudes-than-outcomes": (
+        lambda: BranchDecomposition([0, 1], [1.0], [[1.0, 0.0]]),
+        r"^outcomes and amplitudes must be vectors coindexed with branch_states rows$",
+    ),
+    "BranchDecomposition-more-amplitudes-than-outcomes": (
+        lambda: BranchDecomposition([0], [-2.0, np.nan], [[1.0], [1.0]]),
+        r"^outcomes and amplitudes must be vectors coindexed with branch_states rows$",
+    ),
+    "BranchDecomposition-vector-branch-states": (
+        lambda: BranchDecomposition([0], [1.0], [1.0]),
+        r"^outcomes and amplitudes must be vectors coindexed with branch_states rows$",
+    ),
+    "BranchDecomposition-negative-amplitude": (
+        lambda: BranchDecomposition([0, 1], [0.6, -0.8], [[1.0, 0.0], [0.0, 1.0]]),
+        r"^amplitudes must be nonnegative$",
+    ),
     "BranchDecomposition-float-outcomes": (
         lambda: BranchDecomposition([0.7], [1.0], [[1.0]]),
         r"^outcomes must be integers, got dtype float64$",

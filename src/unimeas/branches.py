@@ -56,12 +56,9 @@ def _decompose(pieces: np.ndarray, eps: float) -> BranchDecomposition:
     """Decomposition from the unnormalized pieces P_k state, one per column; drops norms below eps."""
     amplitudes = np.linalg.norm(pieces, axis=0)
     kept = ~(amplitudes < eps)  # a nan norm is kept, as nan < eps is False
-    return BranchDecomposition(
-        np.flatnonzero(kept),
-        amplitudes[kept],
-        (pieces[:, kept] / amplitudes[kept]).T,
-        np.flatnonzero(~kept),
-    )
+    with np.errstate(invalid="ignore"):  # a nan norm makes a nan branch state, silently
+        states = (pieces[:, kept] / amplitudes[kept]).T
+    return BranchDecomposition(np.flatnonzero(kept), amplitudes[kept], states, np.flatnonzero(~kept))
 
 
 def decompose_initial(phi, observable: SpectralForm, eps: float = DEFAULT_EPS) -> BranchDecomposition:

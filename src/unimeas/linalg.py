@@ -75,7 +75,9 @@ def orthonormality_defect(q) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # huge finite entries overflow
         g = q.conj().T @ q
         g.flat[:: len(g) + 1] -= 1.0  # the diagonal, in place of an identity temporary
-        return float(abs(g).max())
+        defect = float(abs(g).max())
+    # complex entries whose real and imaginary parts both overflow leave inf - inf = nan in g
+    return np.inf if np.isnan(defect) and np.isfinite(q).all() else defect
 
 
 def sum_defect(matrices: Sequence[np.ndarray], target) -> float:

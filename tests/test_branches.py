@@ -136,7 +136,6 @@ class TestDecomposeFinal:
         assert dec.outcomes.size == 0
         assert dec.reconstruct().tobytes() == premeasure(model, np.zeros(3)).tobytes()
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")  # nan / nan norm
     def test_nan_isometry_keeps_nan_branches(self, rng):
         """A nan in W gives nan amplitudes, which the record keeps: reconstruction fails visibly."""
         model = rand_model(3, rng)

@@ -152,7 +152,9 @@ class TestDefects:
         assert np.isnan(orthonormality_defect(np.array([[np.nan], [0.0]])))
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("q", [[[1e200], [1e200]], [[1e300, 1.0], [0.0, 1e300]]])
+    @pytest.mark.parametrize(
+        "q", [[[1e200], [1e200]], [[1e300, 1.0], [0.0, 1e300]], [[1e200 + 1e200j], [1e200]]]
+    )
     def test_orthonormality_defect_is_inf_when_the_gram_matrix_overflows(self, q):
         assert orthonormality_defect(np.array(q)) == np.inf
 

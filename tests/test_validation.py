@@ -347,6 +347,11 @@ PROBES = {
         lambda: dataclasses.replace(MODEL, isometry=MODEL.isometry.reshape(2, 4)),
         r"^isometry: shape \(2, 4\), expected \(4, 2\)$",
     ),
+    # finite entries whose complex Gram matrix overflows to inf - inf
+    "validate-overflowing-complex-isometry": (
+        lambda: _with_isometry(np.full((4, 2), 1e200 + 1e200j)).validate(),
+        r"^isometry: isometry defect inf exceeds 1e-09$",
+    ),
 }
 
 

@@ -15,7 +15,8 @@ imported the first time one of its names is read (PEP 562).
 # each submodule that is an attribute of the package, with the names it exports
 _EXPORTS = {
     "branches": (
-        "BranchDecomposition", "check_prc", "decompose_final", "decompose_initial", "evolve_branch",
+        "BranchDecomposition", "check_prc", "check_reconstruction", "decompose_final",
+        "decompose_initial", "evolve_branch", "verify",
     ),
     "collapse": (
         "GENERATOR", "OutcomeDistribution", "SampleReport", "butcher", "final_density", "sample",

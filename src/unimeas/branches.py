@@ -6,7 +6,7 @@ lifted pointer projectors, one (dim, outcomes) array of branches, with
 matching weights whenever the model measures exactly (probability
 reproducibility); both splits are SpectralForm.pieces. Each branch also
 evolves independently: applying the unitary to a single initial branch lands
-on the matching pointer branch.
+on the matching pointer branch. verify is the one list of a model's checks.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import numpy as np
 
 from .linalg import DEFAULT_EPS, _integers, as_complex, frozen, validate_outcome_index
 from .linalg import validate_state, validate_tolerance, validate_unit_state
-from .measurement import CheckReport, MeasurementModel
+from .measurement import CheckReport, MeasurementModel, check_calibration, check_dynamical
+from .measurement import premeasure
 from .spectral import SpectralForm
 
 
@@ -119,3 +120,22 @@ def evolve_branch(model: MeasurementModel, phi_a, k: int) -> np.ndarray:
     phi_a = validate_state(phi_a, model.dim_a)
     v = model.observable.blocks[validate_outcome_index(k, model.outcomes)]
     return model.isometry @ (v @ (v.conj().T @ phi_a))
+
+
+def check_reconstruction(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> CheckReport:
+    """Final-state reconstruction: one residual, ||decompose_final(...).reconstruct() - W phi_a||."""
+    final = premeasure(model, phi_a)
+    residual = np.linalg.norm(decompose_final(model, phi_a, eps).reconstruct() - final)
+    return CheckReport([residual], eps)
+
+
+def verify(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS):
+    """(name, CheckReport) of each check of a model on one object state, in one fixed order. A
+    generator: each check runs when its pair is reached, so a caller can time it alone, and a bad
+    eps or a phi_a not a finite unit (dim_a,) vector raises ValueError at the first pair."""
+    validate_tolerance(eps)
+    phi_a = validate_unit_state(phi_a, model.dim_a, eps)
+    yield "calibration", check_calibration(model, eps)
+    yield "dynamical", check_dynamical(model, eps)
+    yield "prc", check_prc(model, phi_a, eps)
+    yield "final-reconstruction", check_reconstruction(model, phi_a, eps)

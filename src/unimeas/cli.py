@@ -15,11 +15,10 @@ import time
 
 import numpy as np
 
-from .branches import check_prc, decompose_final
+from .branches import decompose_final, verify
 from .collapse import sample, weights
 from .linalg import DEFAULT_EPS, uniform_ket, validate_tolerance, validate_unit_state
-from .measurement import CheckReport, build_canonical_model, check_calibration, check_dynamical
-from .measurement import premeasure
+from .measurement import build_canonical_model
 from .modelio import (
     ModelFormatError,
     load_matrix,
@@ -29,20 +28,6 @@ from .modelio import (
     save_model,
 )
 from .probability import forms_triple
-
-
-def _timed(name: str, fn) -> dict:
-    """The verify report row of the check fn, which returns a CheckReport."""
-    start = time.perf_counter()
-    report = fn()
-    elapsed = time.perf_counter() - start
-    return {
-        "name": name,
-        "passed": report.passed,
-        "max_residual": report.max_residual,
-        "elapsed_s": elapsed,
-        "witness": report.witness,
-    }
 
 
 def _load_phi(path, model, tol: float) -> np.ndarray:
@@ -77,18 +62,12 @@ def _cmd_verify(args) -> tuple[dict, int]:
     tol = args.tol
     model = load_model(args.model, tol)
     phi = uniform_ket(model.dim_a) if args.phi is None else _load_phi(args.phi, model, tol)
-
-    def reconstruction() -> CheckReport:
-        final = premeasure(model, phi)
-        residual = np.linalg.norm(decompose_final(model, phi, tol).reconstruct() - final)
-        return CheckReport([residual], tol)
-
-    checks = [
-        _timed("calibration", lambda: check_calibration(model, tol)),
-        _timed("dynamical", lambda: check_dynamical(model, tol)),
-        _timed("prc", lambda: check_prc(model, phi, tol)),
-        _timed("final-reconstruction", reconstruction),
-    ]
+    checks, start = [], time.perf_counter()
+    for name, report in verify(model, phi, tol):  # each check runs as its pair is reached
+        elapsed = time.perf_counter() - start
+        checks.append(dict(name=name, passed=report.passed, max_residual=report.max_residual,
+                           elapsed_s=elapsed, witness=report.witness))
+        start = time.perf_counter()
     passed = all(row["passed"] for row in checks)
     return {"checks": checks, "passed": passed}, 0 if passed else 1
 

@@ -22,6 +22,7 @@ from .linalg import (
     sum_defect,
     validate_hermitian,
     validate_outcome_index,
+    validate_projector,
     validate_tolerance,
 )
 
@@ -230,9 +231,10 @@ def range_basis(projector, eps: float = DEFAULT_EPS) -> list[np.ndarray]:
     """Deterministic orthonormal basis of a projector's range.
 
     Raises:
-        ValueError: projector is non-finite, not square, or not Hermitian within eps.
+        ValueError: eps is bad, or projector is non-finite, not square, or not a projector within eps.
     """
-    in_range, vecs = _ranges(validate_hermitian(projector, eps, "projector")[None])
+    validate_tolerance(eps)
+    in_range, vecs = _ranges(validate_projector(projector, eps)[None])
     return [vecs[0][:, i] for i in np.flatnonzero(in_range[0])]
 
 

@@ -8,11 +8,14 @@ import pytest
 from test_projector_stack import rotated_instrument
 from test_range_basis import lifted_pointer
 
+from unimeas import branches
 from unimeas.branches import (
     check_prc,
+    check_reconstruction,
     decompose_final,
     decompose_initial,
     evolve_branch,
+    verify,
 )
 from unimeas.linalg import basis_ket, ket, uniform_ket
 from unimeas.measurement import build_canonical_model, premeasure
@@ -198,6 +201,38 @@ class TestDecomposeFinal:
         finally:
             tracemalloc.stop()
         assert peak <= 6e6
+
+
+class TestVerify:
+    CHECKS = ("check_calibration", "check_dynamical", "check_prc", "check_reconstruction")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The names of the checks verify has run, in order."""
+        calls = []
+        for name in self.CHECKS:
+            check = getattr(branches, name)
+            monkeypatch.setattr(branches, name, lambda *a, c=check: calls.append(c.__name__) or c(*a))
+        return calls
+
+    def test_each_check_runs_when_its_pair_is_reached(self, calls, rng):
+        rows = verify(rand_model(3, rng), rand_ket(3, rng))
+        assert calls == []
+        for n, (_, report) in enumerate(rows, 1):
+            assert calls == list(self.CHECKS[:n]) and report.passed
+
+    def test_bad_state_raises_before_any_check_runs(self, calls, rng):
+        rows = verify(rand_model(3, rng), np.full(3, np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            next(rows)
+        assert calls == []
+
+    def test_reconstruction_residual(self, rng):
+        model, phi = rand_model(4, rng), 3.0 * rand_ket(4, rng)  # a linear map: any finite state
+        report = check_reconstruction(model, phi)
+        expected = np.linalg.norm(decompose_final(model, phi).reconstruct() - premeasure(model, phi))
+        assert report.per_outcome_residuals.tolist() == [expected] and report.passed
+        assert report.witness is None
 
 
 class TestEvolveBranch:

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from unimeas.branches import verify
 from unimeas.cli import main
 from unimeas.collapse import butcher
 from unimeas.linalg import uniform_ket
@@ -181,6 +182,12 @@ class TestVerify:
             "final-reconstruction",
         ]
         assert all(c["max_residual"] <= 1e-10 for c in doc["checks"])
+
+    def test_json_rows_are_the_verify_table(self, workspace, capsys):
+        assert main(["--json", "verify", str(workspace / "swapped.json")]) == 1
+        names = [row["name"] for row in json.loads(capsys.readouterr().out)["checks"]]
+        model = load_model(workspace / "swapped.json")
+        assert names == [name for name, _ in verify(model, uniform_ket(model.dim_a))]
 
     def test_json_report_on_failure(self, workspace, capsys):
         assert main(["--json", "verify", str(workspace / "swapped.json")]) == 1

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from test_range_basis import TOL, assert_same, dense_calibration, dense_dynamical, dense_sector
 
-from unimeas.linalg import validate_projector
+from unimeas.branches import verify
+from unimeas.linalg import uniform_ket, validate_projector
 from unimeas.measurement import MeasurementModel, check_calibration, check_dynamical
 from unimeas.rand import (
     perturb_model,
@@ -189,27 +190,43 @@ def assert_dense_parity(model: MeasurementModel):
     assert_same(check_dynamical(model, TOL), dense_dynamical(e, f, w))
 
 
+NAN_ENTRIES = pytest.mark.parametrize(
+    "variant,coindexed",
+    [(v, c) for v in ("plain", "degenerate", "redundant") for c in (True, False)]
+    + [("one-outcome", True)],
+)
+
+
 class TestNonFiniteIsometry:
     """A nan in W, in a row of the coindexed pointer outcome or of another one: the checks mask
     rows by multiplying, so no row holding the nan is dropped and both report it as the dense
     references do. A one-outcome pointer has no other outcome: every row is coindexed."""
 
-    @pytest.mark.parametrize(
-        "variant,coindexed",
-        [(v, c) for v in ("plain", "degenerate", "redundant") for c in (True, False)]
-        + [("one-outcome", True)],
-    )
-    def test_nan_entry(self, variant, coindexed):
+    @staticmethod
+    def broken(variant, coindexed):
         rng = np.random.default_rng(7)
         model = rand_model(3, rng, [3]) if variant == "one-outcome" else zoo_model(variant, 4, rng)
         # the first range-basis vector is outcome 0's, so pointer outcome 0 is its coindexed one
         j = int(np.flatnonzero((model.pointer.labels == 0) == coindexed)[0])
         w = np.array(model.isometry)
         w[(model.dim_a - 1) * model.dim_b + j, model.dim_a - 1] = np.nan
-        broken = dataclasses.replace(model, isometry=w)
+        return dataclasses.replace(model, isometry=w)
+
+    @NAN_ENTRIES
+    def test_nan_entry(self, variant, coindexed):
+        broken = self.broken(variant, coindexed)
         assert_dense_parity(broken)
         for report in (check_calibration(broken), check_dynamical(broken)):
             assert np.isnan(report.max_residual) and report.witness.endswith("residual nan")
+
+    @NAN_ENTRIES
+    def test_every_verify_row_fails(self, variant, coindexed):
+        """prc and reconstruction read the nan through W phi on a state with no zero amplitude."""
+        broken = self.broken(variant, coindexed)
+        rows = list(verify(broken, uniform_ket(broken.dim_a)))
+        assert [report.passed for _, report in rows] == [False] * 4
+        # final-reconstruction has one residual and names no witness
+        assert all(report.witness is not None for _, report in rows[:3])
 
 
 class TestJoint1024Parity:

@@ -1,6 +1,7 @@
-"""Property tests over seeded zoo models: both condition checks agree with each other
-and with the construction; positive models reproduce probabilities and final states,
-and butcher equals the pinching of their final state.
+"""Property tests over seeded zoo models, through verify's checks: both condition checks
+agree with each other and with the construction; positive models pass every check, so
+they reproduce probabilities and final states, and butcher equals the pinching of their
+final state.
 
 The variants follow the benchmark zoo: plain and degenerate canonical models, a
 redundant (uncoupled) pointer factor, a perturbed isometry and a swapped pointer.
@@ -12,9 +13,9 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from unimeas.branches import check_prc, decompose_final
+from unimeas.branches import verify
 from unimeas.collapse import butcher
-from unimeas.measurement import check_calibration, check_dynamical, premeasure
+from unimeas.measurement import premeasure
 from unimeas.rand import (
     perturb_model,
     rand_ket,
@@ -59,16 +60,17 @@ def test_zoo_model_verdicts(dim_a, variant, seed):
     rng = np.random.default_rng(seed)
     model = _model(dim_a, variant, rng)
     positive = variant in POSITIVE
-    cal = check_calibration(model, TOL)
-    dyn = check_dynamical(model, TOL)
+    phi = rand_ket(dim_a, rng)
+    rows = list(verify(model, phi, TOL))
+    assert [name for name, _ in rows] == ["calibration", "dynamical", "prc", "final-reconstruction"]
+    reports = dict(rows)
+    cal, dyn = reports["calibration"], reports["dynamical"]
     assert cal.passed == dyn.passed == positive
     if not positive:
         assert cal.witness is not None and dyn.witness is not None
         return
-    phi = rand_ket(dim_a, rng)
-    assert check_prc(model, phi, TOL).passed
+    assert all(report.passed for _, report in rows)
     final = premeasure(model, phi)
-    assert np.linalg.norm(decompose_final(model, phi, TOL).reconstruct() - final) <= TOL
     # butchering is the pinching sum_k F_k |Phi_f><Phi_f| F_k
     rho = np.outer(final, final.conj())
     pinched = sum(lifted_pointer(model, k) @ rho @ lifted_pointer(model, k) for k in range(model.outcomes))

@@ -55,6 +55,7 @@ def test_library_example():
         "True",
         "True",
         "<= 1e-10",
+        "True",
         "weights (0.5, 0.5)",
         "decohered mixture",
         "(|00> + |11>)/sqrt(2)",

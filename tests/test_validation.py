@@ -20,6 +20,7 @@ from unimeas.branches import (
     decompose_final,
     decompose_initial,
     evolve_branch,
+    verify,
 )
 from unimeas.collapse import OutcomeDistribution, SampleReport, final_density, sample
 from unimeas.linalg import (
@@ -94,6 +95,17 @@ PROBES = {
     "final_density-nan": (lambda: final_density(MODEL, NAN_STATE), "non-finite"),
     "check_prc-nan": (lambda: check_prc(MODEL, NAN_STATE), "non-finite"),
     "check_prc-unnormalized": (lambda: check_prc(MODEL, UNNORMALIZED), "norm"),
+    # verify is a generator: it raises when its first pair is asked for
+    "verify-nan": (lambda: list(verify(MODEL, NAN_STATE)), r"^state contains non-finite amplitudes$"),
+    "verify-wrong-shape": (
+        lambda: list(verify(MODEL, uniform_ket(3))),
+        r"^state has shape \(3,\), expected \(2,\)$",
+    ),
+    "verify-unnormalized": (lambda: list(verify(MODEL, UNNORMALIZED)), r"^state norm 5\.0 is not 1"),
+    "verify-nan-eps": (
+        lambda: list(verify(MODEL, uniform_ket(2), float("nan"))),
+        r"^tolerance must lie in \(0, 1\), got nan$",
+    ),
     "expectation_form-nan": (lambda: expectation_form(NAN_STATE, P0), "non-finite"),
     "expectation_form-unnormalized": (lambda: expectation_form(UNNORMALIZED, P0), "norm"),
     "born_form-nan": (lambda: born_form(NAN_STATE, E0), "non-finite"),
@@ -106,6 +118,18 @@ PROBES = {
     "range_basis-nan": (lambda: range_basis(np.full((2, 2), np.nan)), "non-finite"),
     "range_basis-not-square": (lambda: range_basis(np.zeros((2, 3))), "must be square"),
     "range_basis-empty": (lambda: range_basis(np.zeros((0, 0))), r"^projector must be non-empty$"),
+    "range_basis-not-idempotent": (
+        lambda: range_basis(0.7 * np.eye(3)),
+        r"^projector is not idempotent$",
+    ),
+    "range_basis-nan-eps": (
+        lambda: range_basis(P0, float("nan")),
+        r"^tolerance must lie in \(0, 1\), got nan$",
+    ),
+    "range_basis-negative-eps": (
+        lambda: range_basis(P0, -1.0),
+        r"^tolerance must lie in \(0, 1\), got -1\.0$",
+    ),
     "spectral_decompose-empty": (
         lambda: spectral_decompose(np.zeros((0, 0))),
         r"^observable must be non-empty$",

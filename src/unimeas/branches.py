@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, _integers, as_complex, frozen, validate_outcome_index
+from .linalg import DEFAULT_EPS, _distinct_labels, _integers, as_complex, frozen, validate_outcome_index
 from .linalg import validate_state, validate_tolerance, validate_unit_state
 from .measurement import CheckReport, MeasurementModel, check_calibration, check_dynamical
 from .measurement import premeasure
@@ -29,7 +29,8 @@ class BranchDecomposition:
     Outcomes whose amplitude falls below the drop threshold appear in
     `dropped` and carry no branch state. Outcomes, amplitudes and branch states
     must be coindexed, and no amplitude negative; a nan amplitude is kept, so that
-    a non-finite isometry fails reconstruction visibly.
+    a non-finite isometry fails reconstruction visibly. Kept and dropped outcomes
+    together are distinct nonnegative labels.
     """
 
     outcomes: np.ndarray
@@ -47,6 +48,9 @@ class BranchDecomposition:
             raise ValueError("outcomes and amplitudes must be vectors coindexed with branch_states rows")
         if (self.amplitudes < 0.0).any():
             raise ValueError("amplitudes must be nonnegative")
+        if self.dropped.ndim != 1:
+            raise ValueError(f"dropped must be a vector, got ndim {self.dropped.ndim}")
+        _distinct_labels(self.outcomes.tolist() + self.dropped.tolist(), "kept and dropped outcomes")
 
     def reconstruct(self) -> np.ndarray:
         """Amplitude-weighted sum of the branch states; the zero vector when no branch is kept."""

@@ -15,7 +15,8 @@ from typing import ClassVar
 import numpy as np
 
 from .branches import decompose_final
-from .linalg import DEFAULT_EPS, _integers, _is_int, frozen, validate_tolerance, validate_unit_state
+from .linalg import DEFAULT_EPS, _distinct_labels, _integers, _is_int, frozen, validate_tolerance
+from .linalg import validate_unit_state
 from .measurement import MeasurementModel, premeasure
 from .spectral import SpectralForm
 
@@ -32,7 +33,8 @@ def _seed(seed) -> int:
 
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
-    """Finite nonnegative outcome weights; sample() renormalizes them over its support."""
+    """Finite nonnegative weights of distinct nonnegative outcomes; sample() renormalizes them over
+    its support."""
 
     outcomes: np.ndarray
     weights: np.ndarray
@@ -46,6 +48,7 @@ class OutcomeDistribution:
             raise ValueError("weights must be finite")
         if (self.weights < 0.0).any():
             raise ValueError("weights must be nonnegative")
+        _distinct_labels(self.outcomes.tolist(), "outcomes")
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,6 +33,16 @@ def _integers(a, name: str) -> np.ndarray:
     return frozen(a.astype(np.int64, copy=False))
 
 
+def _distinct_labels(labels: list, name: str) -> None:
+    """Raises unless the integer outcome labels are nonnegative and distinct. A set finds a repeat,
+    so memory follows how many labels there are, not how large they are (np.bincount's would)."""
+    if labels and min(labels) < 0:
+        raise ValueError(f"{name} must be nonnegative, got {min(labels)}")
+    if len(set(labels)) < len(labels):
+        values, counts = np.unique(labels, return_counts=True)
+        raise ValueError(f"{name} must be distinct, got {values[counts > 1][0]} more than once")
+
+
 def _vector(v, name: str = "state") -> np.ndarray:
     """v as complex128, raising "<name> must be a vector" unless it is 1-D."""
     v = as_complex(v)

@@ -36,8 +36,9 @@ from .spectral import SpectralForm
 
 @dataclass(frozen=True, eq=False)
 class CheckReport:
-    """Outcome of a condition check, from at least one residual. max_residual and passed are
-    derived and cannot be set: passed iff max_residual <= tolerance, so a nan residual fails."""
+    """Outcome of a condition check, from a vector of at least one residual. max_residual and
+    passed are derived and cannot be set: passed iff max_residual <= tolerance, so a nan
+    residual fails."""
 
     per_outcome_residuals: np.ndarray
     tolerance: float
@@ -50,6 +51,8 @@ class CheckReport:
         residuals = frozen(np.asarray(self.per_outcome_residuals, dtype=np.float64))
         if not residuals.size:
             raise ValueError("per_outcome_residuals must be non-empty")
+        if residuals.ndim != 1:
+            raise ValueError(f"per_outcome_residuals must be a vector, got ndim {residuals.ndim}")
         object.__setattr__(self, "per_outcome_residuals", residuals)
         object.__setattr__(self, "max_residual", float(residuals.max()))
         object.__setattr__(self, "passed", bool(self.max_residual <= self.tolerance))

@@ -7,6 +7,8 @@ from unimeas.measurement import build_canonical_model
 from unimeas.modelio import model_to_document
 from unimeas.spectral import spectral_decompose
 
+pytest.register_assert_rewrite("support")  # before any test module imports it
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:

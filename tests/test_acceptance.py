@@ -8,7 +8,7 @@ pytest summary.
 from __future__ import annotations
 
 import numpy as np
-from test_range_basis import lifted_pointer
+from support import lifted_pointer
 
 from unimeas.branches import check_prc, decompose_final, evolve_branch
 from unimeas.cli import main

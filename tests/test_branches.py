@@ -5,8 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_projector_stack import rotated_instrument
-from test_range_basis import lifted_pointer
+from support import lifted_pointer, rotated_instrument, z_model
 
 from unimeas import branches
 from unimeas.branches import (
@@ -18,13 +17,9 @@ from unimeas.branches import (
     verify,
 )
 from unimeas.linalg import basis_ket, ket, uniform_ket
-from unimeas.measurement import build_canonical_model, premeasure
+from unimeas.measurement import premeasure
 from unimeas.rand import rand_ket, rand_model, rand_observable, with_redundant_pointer
 from unimeas.spectral import spectral_decompose
-
-
-def z_model():
-    return build_canonical_model(spectral_decompose(np.diag([1.0, -1.0])))
 
 
 class TestDecomposeInitial:

@@ -6,12 +6,12 @@ import re
 
 import numpy as np
 import pytest
+from support import z_model
 
 from unimeas.branches import verify
 from unimeas.cli import main
 from unimeas.collapse import butcher
 from unimeas.linalg import uniform_ket
-from unimeas.measurement import build_canonical_model
 from unimeas.modelio import (
     ModelFormatError,
     load_model,
@@ -22,7 +22,6 @@ from unimeas.modelio import (
     save_vector,
 )
 from unimeas.rand import perturb_model, rand_ket, rand_model, swap_pointer
-from unimeas.spectral import spectral_decompose
 
 
 @pytest.fixture
@@ -31,7 +30,7 @@ def workspace(tmp_path):
     obs = tmp_path / "obs.json"
     save_matrix(np.diag([1.0, -1.0]), obs)
     model_path = tmp_path / "model.json"
-    model = build_canonical_model(spectral_decompose(np.diag([1.0, -1.0])))
+    model = z_model()
     save_model(model, model_path)
     phi = tmp_path / "phi.json"
     save_vector(uniform_ket(2), phi)
@@ -54,7 +53,7 @@ class TestBuild:
         main(["build", str(workspace / "obs.json"), "--out", str(out_path)])
         capsys.readouterr()
         loaded = load_model(out_path)
-        direct = build_canonical_model(spectral_decompose(np.diag([1.0, -1.0])))
+        direct = z_model()
         np.testing.assert_array_equal(loaded.isometry, direct.isometry)
 
     def test_identity_observable_single_pointer_dim(self, tmp_path, capsys):
@@ -112,7 +111,7 @@ class TestVerify:
         assert captured.out == ""
 
     def test_transposed_isometry_exits_2(self, tmp_path, capsys):
-        doc = model_to_document(build_canonical_model(spectral_decompose(np.diag([1.0, -1.0]))))
+        doc = model_to_document(z_model())
         doc["isometry"] = [list(column) for column in zip(*doc["isometry"])]
         bad = tmp_path / "model.json"
         bad.write_text(json.dumps(doc))

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from test_range_basis import lifted_pointer
+from support import lifted_pointer, z_model
 
 from unimeas.collapse import (
     GENERATOR,
@@ -17,13 +17,8 @@ from unimeas.collapse import (
 )
 from unimeas.branches import decompose_final
 from unimeas.linalg import basis_ket, density_eigh, ket, uniform_ket
-from unimeas.measurement import build_canonical_model
 from unimeas.rand import rand_ket, rand_model, with_redundant_pointer
 from unimeas.spectral import spectral_decompose
-
-
-def z_model():
-    return build_canonical_model(spectral_decompose(np.diag([1.0, -1.0])))
 
 
 class TestFinalDensity:

@@ -7,6 +7,10 @@ The benchmark's workloads look their functions up by module and name when
 they set up; reading that table here turns a deleted or renamed function into
 a failing test instead of a crash at benchmark set-up. The table is read from
 the source, so perfbench is neither imported nor changed.
+
+The code rules: the CLI loads only numpy and the standard library, no module
+imports a name it never uses or defines a private helper nothing uses, and no
+test module imports another.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from support import ROOT, WORKLOADS
 
 import unimeas
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 SRC = Path(unimeas.__file__).resolve().parents[1]
 
 
@@ -126,3 +130,59 @@ def test_an_unknown_attribute_raises_attribute_error_naming_it(name):
     message = f"^module 'unimeas' has no attribute '{name}'$"
     with pytest.raises(AttributeError, match=message):
         getattr(unimeas, name)
+
+
+def test_runtime_imports_are_numpy_and_the_standard_library_only():
+    added = _fresh(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import unimeas.cli\n"
+        "print(json.dumps(sorted({name.partition('.')[0] for name in set(sys.modules) - before})))\n"
+    )
+    extra = sorted(set(added) - {"numpy", "unimeas"} - set(sys.stdlib_module_names))
+    assert not extra, "import unimeas.cli loads " + ", ".join(extra)
+
+
+def test_no_unused_module_level_imports_or_private_helpers():
+    unused = []
+    for path in sorted([*ROOT.glob("src/unimeas/*.py"), *ROOT.glob("tests/*.py")]):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).partition(".")[0]
+                    if name not in used:
+                        unused.append(f"{path}:{node.lineno}: {name} is imported and never used")
+    # a private helper is used when src/ names it, reads it as an attribute or imports it
+    src = {path: ast.parse(path.read_text(), str(path)) for path in sorted(ROOT.glob("src/unimeas/*.py"))}
+    uses = set()
+    for node in (node for tree in src.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            uses.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            uses.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            uses.update(alias.name for alias in node.names)
+    uses.update({"__getattr__", "__dir__"})  # module hooks that Python calls itself (PEP 562)
+    for path, tree in src.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") and node.name not in uses:
+                unused.append(f"{path}:{node.lineno}: {node.name} is defined and never used")
+    assert not unused, "\n".join(unused)
+
+
+def test_no_test_module_imports_another():
+    """Shared test code lives in tests/support.py; a test module importing another breaks when
+    run alone (and nests hypothesis tests when it imports one that defines @given)."""
+    found = []
+    for path in sorted(ROOT.glob("tests/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: imports {m}" for m in modules if m.startswith("test_")]
+    assert not found, "\n".join(found)

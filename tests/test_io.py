@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from support import set_entry
 
 from unimeas.cli import main
 from unimeas.measurement import build_canonical_model
@@ -180,13 +181,6 @@ class TestUnitaryFilesRefused:
         assert captured.out == ""
 
 
-def _set(doc, path, value):
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-
-
 PAIR = r"expected a \[re, im\] pair"
 
 # case: (field path in the document, replacement, message the loader must give)
@@ -248,7 +242,7 @@ class TestMalformedArrays:
     def test_rejected_with_field_path(self, tmp_path, model, case, dense_document):
         where, value, message = MALFORMED[case]
         doc = (dense_document if "projectors" in where else model_to_document)(model)
-        _set(doc, where, value)
+        set_entry(doc, where, value)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=message):

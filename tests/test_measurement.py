@@ -4,8 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from test_projector_stack import rotated_instrument
-from test_range_basis import lifted_pointer
+from support import lifted_pointer, rotated_instrument, z_model
 
 from unimeas.linalg import basis_ket, uniform_ket
 from unimeas.measurement import (
@@ -24,10 +23,6 @@ from unimeas.rand import (
     with_redundant_pointer,
 )
 from unimeas.spectral import spectral_decompose
-
-
-def z_model():
-    return build_canonical_model(spectral_decompose(np.diag([1.0, -1.0])))
 
 
 class TestBuildCanonicalModel:

@@ -1,8 +1,8 @@
 """Dense projector stacks: the checks from_projectors makes on them, and parity.
 
 from_projectors and the basis-block calibration check are compared with
-per-projector loops kept here as references: equal verdicts, equal witness
-and error strings, and residuals within 1e-14, a bound set by complex128
+the per-projector loops kept in support as references: equal verdicts, equal
+witness and error strings, and residuals within 1e-14, a bound set by complex128
 rounding of the same products taken in a different grouping.
 """
 
@@ -13,114 +13,29 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_range_basis import TOL, assert_same, dense_calibration, dense_dynamical, dense_sector
+from support import (
+    LOOP_RESIDUAL_TOL,
+    VARIANTS,
+    _outcome,
+    assert_model_matches,
+    loop_calibration,
+    loop_validate_projectors,
+    rotated_instrument,
+    zoo_model,
+)
 
 from unimeas.branches import verify
-from unimeas.linalg import uniform_ket, validate_projector
-from unimeas.measurement import MeasurementModel, check_calibration, check_dynamical
-from unimeas.rand import (
-    perturb_model,
-    rand_hermitian,
-    rand_model,
-    rand_unitary,
-    swap_pointer,
-    with_redundant_pointer,
-)
-from unimeas.spectral import SpectralForm, from_projectors, range_basis, refine, spectral_decompose
+from unimeas.linalg import uniform_ket
+from unimeas.measurement import check_calibration, check_dynamical
+from unimeas.rand import perturb_model, rand_hermitian, rand_model, with_redundant_pointer
+from unimeas.spectral import from_projectors, refine, spectral_decompose
 
-RESIDUAL_TOL = 1e-14
-VARIANTS = ("plain", "degenerate", "redundant", "perturbed", "swapped")
 DIMS = (2, 3, 4, 5, 6, 7, 8, 16, 32)
-
-
-def loop_validate_projectors(projectors, dim, eps=1e-9, label="projector"):
-    """The projector checks of from_projectors as one check per projector, then one
-    product of range bases per pair; every shape is checked before any content.
-
-    Pairs are compared through their range bases, max |B_k^dag B_k'|, as
-    from_projectors reads them from the Gram matrix. Earlier versions took
-    max |E_k E_k'|, which differs from it near eps when a projector is only
-    idempotent within about eps (the "scale" corruption).
-    """
-    for k, p in enumerate(projectors):
-        if p.shape != (dim, dim):
-            raise ValueError(f"{label} {k} has shape {p.shape}, expected {(dim, dim)}")
-    for k, p in enumerate(projectors):
-        validate_projector(p, eps, f"{label} {k}")
-    bases = [range_basis(p, eps) for p in projectors]
-    for k, basis in enumerate(bases):
-        if not basis:
-            raise ValueError(f"{label} {k} is zero")
-    for k in range(len(bases)):
-        for kp in range(k + 1, len(bases)):
-            if np.max(np.abs(np.column_stack(bases[k]).conj().T @ np.column_stack(bases[kp]))) > eps:
-                raise ValueError(f"{label}s {k} and {kp} are not orthogonal")
-
-
-def loop_calibration(model: MeasurementModel, eps: float = 1e-9):
-    """(per-outcome residuals, witness) of check_calibration, one range_basis per outcome,
-    the pointer projectors applied as dense matrices."""
-    column_residuals = []
-    for k in range(model.outcomes):
-        basis = range_basis(model.observable.projectors[k], eps)
-        if not basis:
-            column_residuals.append(np.zeros(0))
-            continue
-        finals = model.isometry @ np.column_stack(basis)
-        column_residuals.append(
-            np.linalg.norm(dense_sector(model.pointer.projectors, k, finals) - finals, axis=0)
-        )
-    residuals = np.array([np.max(r, initial=0.0) for r in column_residuals])
-    for k, r in enumerate(column_residuals):
-        above = np.flatnonzero(~(r <= eps))
-        if above.size:
-            j = int(above[0])
-            return residuals, f"outcome {k}, range basis vector {j}: residual {r[j]:.3e}"
-    return residuals, None
-
-
-def zoo_model(variant: str, dim: int, rng: np.random.Generator) -> MeasurementModel:
-    if variant == "degenerate":
-        k = int(rng.integers(2, dim)) if dim > 2 else 1
-        cuts = np.sort(rng.choice(np.arange(1, dim), size=k - 1, replace=False))
-        model = rand_model(dim, rng, np.diff(np.concatenate(([0], cuts, [dim]))).tolist())
-    else:
-        model = rand_model(dim, rng)
-    if variant == "redundant":
-        return with_redundant_pointer(model, 2, rng)
-    if variant == "perturbed":
-        return perturb_model(model, rng)
-    if variant == "swapped" and model.outcomes > 1:
-        return swap_pointer(model)
-    return model
-
-
-def rotated_instrument(model: MeasurementModel, rng: np.random.Generator) -> MeasurementModel:
-    """The model in a random complex instrument basis V: F_k -> V F_k V^dag, W -> (I (x) V) W."""
-    v = rand_unitary(model.dim_b, rng)
-    w = v @ model.isometry.reshape(model.dim_a, model.dim_b, model.dim_a)
-    p = model.pointer
-    return dataclasses.replace(
-        model,
-        pointer=SpectralForm(p.eigenvalues, p.ranks, v @ p.basis),
-        instrument_state=v @ model.instrument_state,
-        isometry=w.reshape(model.dim, model.dim_a),
-    )
-
-
 ZOO = [(v, d, seed) for v in VARIANTS for d in DIMS for seed in range(2)]
 
 
 def _zoo(variant, dim, seed):
     return zoo_model(variant, dim, np.random.default_rng([VARIANTS.index(variant), dim, seed]))
-
-
-def _outcome(call) -> str | None:
-    try:
-        call()
-    except ValueError as exc:
-        return str(exc)
-    return None
 
 
 def _corruptions(mats: list[np.ndarray], rng: np.random.Generator):
@@ -165,8 +80,8 @@ class TestLoopParity:
             residuals, witness = loop_calibration(m)
             assert report.witness == witness
             assert report.passed == (witness is None)
-            np.testing.assert_allclose(report.per_outcome_residuals, residuals, rtol=0, atol=RESIDUAL_TOL)
-            assert report.max_residual == pytest.approx(np.max(residuals), rel=0, abs=RESIDUAL_TOL, nan_ok=True)
+            np.testing.assert_allclose(report.per_outcome_residuals, residuals, rtol=0, atol=LOOP_RESIDUAL_TOL)
+            assert report.max_residual == pytest.approx(np.max(residuals), rel=0, abs=LOOP_RESIDUAL_TOL, nan_ok=True)
 
     @pytest.mark.parametrize("mutate", ["nan", "hermitian"])
     def test_calibration_errors(self, mutate):
@@ -181,13 +96,6 @@ class TestLoopParity:
         with pytest.raises(ValueError) as loop:
             loop_validate_projectors(e, 4)
         assert str(batched.value) == str(loop.value)
-
-
-def assert_dense_parity(model: MeasurementModel):
-    """Calibration and dynamical against the dense references on the model's own arrays."""
-    e, f, w = model.observable.projectors, model.pointer.projectors, model.isometry
-    assert_same(check_calibration(model, TOL), dense_calibration(e, f, w))
-    assert_same(check_dynamical(model, TOL), dense_dynamical(e, f, w))
 
 
 NAN_ENTRIES = pytest.mark.parametrize(
@@ -215,7 +123,7 @@ class TestNonFiniteIsometry:
     @NAN_ENTRIES
     def test_nan_entry(self, variant, coindexed):
         broken = self.broken(variant, coindexed)
-        assert_dense_parity(broken)
+        assert_model_matches(broken, uniform_ket(broken.dim_a))
         for report in (check_calibration(broken), check_dynamical(broken)):
             assert np.isnan(report.max_residual) and report.witness.endswith("residual nan")
 
@@ -239,7 +147,7 @@ class TestJoint1024Parity:
             model = perturb_model(model, rng)
         assert model.dim == 1024
         assert check_calibration(model).passed != perturbed
-        assert_dense_parity(model)
+        assert_model_matches(model, uniform_ket(model.dim_a))
 
 
 class TestCalibrationMemory:

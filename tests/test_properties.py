@@ -2,63 +2,25 @@
 agree with each other and with the construction; positive models pass every check, so
 they reproduce probabilities and final states, and butcher equals the pinching of their
 final state.
-
-The variants follow the benchmark zoo: plain and degenerate canonical models, a
-redundant (uncoupled) pointer factor, a perturbed isometry and a swapped pointer.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import seed
+from support import POSITIVE, TOL, ZOO_EXAMPLES, ZOO_SETTINGS, hypothesis_zoo_model, lifted_pointer
 
 from unimeas.branches import verify
 from unimeas.collapse import butcher
 from unimeas.measurement import premeasure
-from unimeas.rand import (
-    perturb_model,
-    rand_ket,
-    rand_model,
-    swap_pointer,
-    with_redundant_pointer,
-)
-
-TOL = 1e-9
-POSITIVE = ("plain", "degenerate", "redundant")
-NEGATIVE = ("perturbed", "swapped")
-MAX_JOINT_DIM = 256
+from unimeas.rand import rand_ket
 
 
-def _model(dim_a: int, variant: str, rng: np.random.Generator):
-    if variant == "degenerate":
-        k = int(rng.integers(1, dim_a))
-        cuts = np.sort(rng.choice(np.arange(1, dim_a), size=k - 1, replace=False))
-        multiplicities = np.diff(np.concatenate(([0], cuts, [dim_a]))).tolist()
-        return rand_model(dim_a, rng, multiplicities)
-    model = rand_model(dim_a, rng)
-    if variant == "redundant":
-        return with_redundant_pointer(model, 2, rng)
-    if variant == "perturbed":
-        return perturb_model(model, rng)
-    if variant == "swapped":
-        return swap_pointer(model)
-    return model
-
-
-@settings(derandomize=True, deadline=None, max_examples=40, database=None)
-@given(
-    dim_a=st.integers(2, 16),
-    variant=st.sampled_from(POSITIVE + NEGATIVE),
-    seed=st.integers(0, 2**32 - 1),
-)
+@seed(0x29dc084ae195908c8238516f527916bdafd2fa76ec895e9e26f780d6a3aee0151cb0d6d1375bd76413b4a8da1abe1ad6)
+@ZOO_SETTINGS
+@ZOO_EXAMPLES
 def test_zoo_model_verdicts(dim_a, variant, seed):
-    from test_range_basis import lifted_pointer  # imported here: test_range_basis imports this module
-
-    # the canonical instrument has one dimension per outcome, doubled by a redundant factor
-    assume(dim_a * dim_a * (2 if variant == "redundant" else 1) <= MAX_JOINT_DIM)
-    rng = np.random.default_rng(seed)
-    model = _model(dim_a, variant, rng)
+    model, rng = hypothesis_zoo_model(dim_a, variant, seed)
     positive = variant in POSITIVE
     phi = rand_ket(dim_a, rng)
     rows = list(verify(model, phi, TOL))

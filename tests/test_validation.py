@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 import pytest
-from test_range_basis import lifted_pointer
+from support import lifted_pointer, set_entry, z_model
 
 from unimeas.branches import (
     BranchDecomposition,
@@ -53,7 +53,7 @@ from unimeas.rand import (
 )
 from unimeas.spectral import SpectralForm, from_projectors, range_basis, refine, spectral_decompose
 
-MODEL = build_canonical_model(spectral_decompose(np.diag([1.0, -1.0])))
+MODEL = z_model()
 ONE_OUTCOME = build_canonical_model(spectral_decompose(np.eye(2)))  # dim_b 1
 NAN_STATE = np.array([np.nan, 0.0])
 UNNORMALIZED = np.array([3.0, 4.0])
@@ -69,10 +69,7 @@ ALMOST_PSD = np.diag([1.0 + 99 * 0.9e-9] + [-0.9e-9] * 99)
 def _document(path, value) -> dict:
     """MODEL's document with the entry at path replaced, as a caller assembling one in memory may."""
     doc = model_to_document(MODEL)
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    set_entry(doc, path, value)
     return doc
 
 
@@ -249,6 +246,42 @@ PROBES = {
     "BranchDecomposition-float-outcomes": (
         lambda: BranchDecomposition([0.7], [1.0], [[1.0]]),
         r"^outcomes must be integers, got dtype float64$",
+    ),
+    "BranchDecomposition-kept-and-dropped": (
+        lambda: BranchDecomposition([0], [1.0], [[1.0]], dropped=[0]),
+        r"^kept and dropped outcomes must be distinct, got 0 more than once$",
+    ),
+    "BranchDecomposition-duplicate-outcome": (
+        lambda: BranchDecomposition([1, 1], [0.6, 0.8], [[1.0, 0.0], [0.0, 1.0]]),
+        r"^kept and dropped outcomes must be distinct, got 1 more than once$",
+    ),
+    "BranchDecomposition-negative-outcome": (
+        lambda: BranchDecomposition([-3], [1.0], [[1.0]]),
+        r"^kept and dropped outcomes must be nonnegative, got -3$",
+    ),
+    "BranchDecomposition-2d-dropped": (
+        lambda: BranchDecomposition([0], [1.0], [[1.0]], dropped=[[1]]),
+        r"^dropped must be a vector, got ndim 2$",
+    ),
+    "OutcomeDistribution-negative-duplicate-outcomes": (
+        lambda: sample(OutcomeDistribution([-1, -1], [0.5, 0.5]), 10, 0),
+        r"^outcomes must be nonnegative, got -1$",
+    ),
+    "OutcomeDistribution-duplicate-outcomes": (
+        lambda: OutcomeDistribution([2, 5, 2], [0.2, 0.3, 0.5]),
+        r"^outcomes must be distinct, got 2 more than once$",
+    ),
+    "OutcomeDistribution-large-outcome-labels": (
+        lambda: OutcomeDistribution([2**62, 2**62], [0.5, 0.5]),
+        r"^outcomes must be distinct, got 4611686018427387904 more than once$",
+    ),
+    "CheckReport-matrix-residuals": (
+        lambda: CheckReport([[0.1, 0.2]], 0.5),
+        r"^per_outcome_residuals must be a vector, got ndim 2$",
+    ),
+    "CheckReport-scalar-residual": (
+        lambda: CheckReport(0.1, 0.5),
+        r"^per_outcome_residuals must be a vector, got ndim 0$",
     ),
     "rand_projector-rank-zero": (
         lambda: rand_projector(2, 0, np.random.default_rng(0)),

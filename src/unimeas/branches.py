@@ -4,18 +4,19 @@ An object state splits over the observable's eigenprojectors into weighted
 orthogonal branches; the joint final state splits the same way over the
 lifted pointer projectors, one (dim, outcomes) array of branches, with
 matching weights whenever the model measures exactly (probability
-reproducibility); both splits are SpectralForm.pieces. Each branch also
-evolves independently: applying the unitary to a single initial branch lands
-on the matching pointer branch. verify is the one list of a model's checks.
+reproducibility); both splits are SpectralForm.pieces, and outcome k is
+piece k. Each branch also evolves independently: applying the unitary to a
+single initial branch lands on the matching pointer branch. verify is the one
+list of a model's checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, _distinct_labels, _integers, as_complex, frozen, validate_outcome_index
+from .linalg import DEFAULT_EPS, as_complex, frozen, validate_outcome_index
 from .linalg import validate_state, validate_tolerance, validate_unit_state
 from .measurement import CheckReport, MeasurementModel, check_calibration, check_dynamical
 from .measurement import premeasure
@@ -24,46 +25,35 @@ from .spectral import SpectralForm
 
 @dataclass(frozen=True, eq=False)
 class BranchDecomposition:
-    """Per-outcome weights and normalized branch states (one per row) of a decomposed ket.
+    """Norms (`amplitudes`) and normalized branch states (one per row) of the unnormalized pieces
+    P_k ket, one per column, which the record does not keep; outcome k is column k. Outcomes whose
+    norm is below eps are `dropped` and carry no branch state; a nan norm is kept, so that a
+    non-finite isometry fails reconstruction visibly."""
 
-    Outcomes whose amplitude falls below the drop threshold appear in
-    `dropped` and carry no branch state. Outcomes, amplitudes and branch states
-    must be coindexed, and no amplitude negative; a nan amplitude is kept, so that
-    a non-finite isometry fails reconstruction visibly. Kept and dropped outcomes
-    together are distinct nonnegative labels.
-    """
+    pieces: InitVar[np.ndarray]
+    eps: float = DEFAULT_EPS
+    outcomes: np.ndarray = field(init=False)
+    amplitudes: np.ndarray = field(init=False)
+    branch_states: np.ndarray = field(init=False, repr=False)
+    dropped: np.ndarray = field(init=False)
 
-    outcomes: np.ndarray
-    amplitudes: np.ndarray
-    branch_states: np.ndarray = field(repr=False)
-    dropped: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
-
-    def __post_init__(self):
-        object.__setattr__(self, "outcomes", _integers(self.outcomes, "outcomes"))
-        object.__setattr__(self, "amplitudes", frozen(np.asarray(self.amplitudes, dtype=np.float64)))
-        object.__setattr__(self, "branch_states", frozen(as_complex(self.branch_states)))
-        object.__setattr__(self, "dropped", _integers(self.dropped, "dropped"))
-        states = self.branch_states
-        if states.ndim != 2 or not self.outcomes.shape == self.amplitudes.shape == states.shape[:1]:
-            raise ValueError("outcomes and amplitudes must be vectors coindexed with branch_states rows")
-        if (self.amplitudes < 0.0).any():
-            raise ValueError("amplitudes must be nonnegative")
-        if self.dropped.ndim != 1:
-            raise ValueError(f"dropped must be a vector, got ndim {self.dropped.ndim}")
-        _distinct_labels(self.outcomes.tolist() + self.dropped.tolist(), "kept and dropped outcomes")
+    def __post_init__(self, pieces):
+        validate_tolerance(self.eps)
+        pieces = as_complex(pieces)
+        if pieces.ndim != 2:
+            raise ValueError(f"pieces must be a matrix, got ndim {pieces.ndim}")
+        amplitudes = np.linalg.norm(pieces, axis=0)
+        kept = ~(amplitudes < self.eps)  # a nan norm is kept, as nan < eps is False
+        with np.errstate(invalid="ignore"):  # a nan norm makes a nan branch state, silently
+            states = (pieces[:, kept] / amplitudes[kept]).T
+        object.__setattr__(self, "outcomes", frozen(np.flatnonzero(kept)))
+        object.__setattr__(self, "amplitudes", frozen(amplitudes[kept]))
+        object.__setattr__(self, "branch_states", frozen(states))
+        object.__setattr__(self, "dropped", frozen(np.flatnonzero(~kept)))
 
     def reconstruct(self) -> np.ndarray:
         """Amplitude-weighted sum of the branch states; the zero vector when no branch is kept."""
         return self.amplitudes @ self.branch_states
-
-
-def _decompose(pieces: np.ndarray, eps: float) -> BranchDecomposition:
-    """Decomposition from the unnormalized pieces P_k state, one per column; drops norms below eps."""
-    amplitudes = np.linalg.norm(pieces, axis=0)
-    kept = ~(amplitudes < eps)  # a nan norm is kept, as nan < eps is False
-    with np.errstate(invalid="ignore"):  # a nan norm makes a nan branch state, silently
-        states = (pieces[:, kept] / amplitudes[kept]).T
-    return BranchDecomposition(np.flatnonzero(kept), amplitudes[kept], states, np.flatnonzero(~kept))
 
 
 def decompose_initial(phi, observable: SpectralForm, eps: float = DEFAULT_EPS) -> BranchDecomposition:
@@ -72,8 +62,7 @@ def decompose_initial(phi, observable: SpectralForm, eps: float = DEFAULT_EPS) -
     Amplitude k is ||E_k phi||, equal to <phi|E_k|phi>**(1/2) by projector
     idempotency; branch states keep the phase inherited from E_k phi = V_k V_k^dag phi.
     """
-    validate_tolerance(eps)
-    return _decompose(observable.pieces(validate_state(phi, observable.dim)), eps)
+    return BranchDecomposition(observable.pieces(validate_state(phi, observable.dim)), eps)
 
 
 def check_prc(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> CheckReport:
@@ -109,9 +98,8 @@ def decompose_final(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) ->
     For exact models the amplitudes equal <phi|E_k|phi>**(1/2), the same
     weights the initial decomposition assigns.
     """
-    validate_tolerance(eps)
     sectors = (model.isometry @ validate_state(phi_a, model.dim_a)).reshape(model.dim_a, model.dim_b)
-    return _decompose(model.pointer.pieces(sectors).reshape(model.dim, -1), eps)
+    return BranchDecomposition(model.pointer.pieces(sectors).reshape(model.dim, -1), eps)
 
 
 def evolve_branch(model: MeasurementModel, phi_a, k: int) -> np.ndarray:

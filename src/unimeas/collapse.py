@@ -5,6 +5,7 @@ pointer sectors. Butchering deletes them, leaving a mixture of the kept
 pointer branches (one matrix product; its trace needs only the branches)
 whose statistical weights are the object-side probabilities <phi|E_k|phi>.
 The mixture step is realized operationally as seeded sampling from them.
+Weight, count and branch k belong to outcome k: an outcome is a position.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from .branches import decompose_final
-from .linalg import DEFAULT_EPS, _distinct_labels, _integers, _is_int, frozen, validate_tolerance
-from .linalg import validate_unit_state
+from .linalg import DEFAULT_EPS, _is_int, frozen, validate_tolerance, validate_unit_state
 from .measurement import MeasurementModel, premeasure
 from .spectral import SpectralForm
 
@@ -33,22 +33,24 @@ def _seed(seed) -> int:
 
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
-    """Finite nonnegative weights of distinct nonnegative outcomes; sample() renormalizes them over
-    its support."""
+    """A vector of finite nonnegative weights, weight k that of outcome k; sample() renormalizes
+    them over its support."""
 
-    outcomes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "outcomes", _integers(self.outcomes, "outcomes"))
         object.__setattr__(self, "weights", frozen(np.asarray(self.weights, dtype=np.float64)))
-        if self.outcomes.ndim != 1 or self.outcomes.shape != self.weights.shape:
-            raise ValueError("outcomes and weights must be coindexed vectors")
+        if self.weights.ndim != 1:
+            raise ValueError(f"weights must be a vector, got ndim {self.weights.ndim}")
         if not np.isfinite(self.weights).all():
             raise ValueError("weights must be finite")
         if (self.weights < 0.0).any():
             raise ValueError("weights must be nonnegative")
-        _distinct_labels(self.outcomes.tolist(), "outcomes")
+
+    @property
+    def outcomes(self) -> np.ndarray:
+        """The outcome of each weight, its position."""
+        return np.arange(self.weights.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +62,12 @@ class SampleReport:
     generator: ClassVar[str] = GENERATOR
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", _integers(self.counts, "counts"))
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+        if not np.can_cast(counts.dtype, np.int64) and (counts >= 2**63).any():
+            raise ValueError(f"counts must be below 2**63, got {counts.max()}")
+        object.__setattr__(self, "counts", frozen(counts.astype(np.int64, copy=False)))
         if self.counts.ndim != 1 or (self.counts < 0).any():
             raise ValueError("counts must be a vector of nonnegative integers")
         object.__setattr__(self, "seed", _seed(self.seed))
@@ -79,7 +86,7 @@ def weights(phi_a, observable: SpectralForm, eps: float = DEFAULT_EPS) -> Outcom
     """
     validate_tolerance(eps)
     phi_a = validate_unit_state(phi_a, observable.dim, eps)
-    return OutcomeDistribution(np.arange(observable.outcomes), observable.probabilities(phi_a))
+    return OutcomeDistribution(observable.probabilities(phi_a))
 
 
 def final_density(model: MeasurementModel, phi_a) -> np.ndarray:
@@ -120,6 +127,8 @@ def sample(dist: OutcomeDistribution, n: int, seed: int) -> SampleReport:
     if not support.size:
         raise ValueError("distribution has no weight above threshold")
     w = dist.weights[support]
-    counts = np.zeros(dist.outcomes.size, dtype=np.int64)
+    with np.errstate(over="ignore"):  # weights whose sum overflows are first divided by the largest
+        w = w if w.sum() < np.inf else w / w.max()
+    counts = np.zeros(dist.weights.size, dtype=np.int64)
     counts[support] = np.random.default_rng(seed).multinomial(n, w / w.sum())
     return SampleReport(counts, seed)

@@ -23,26 +23,6 @@ def _is_int(n) -> bool:
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
-def _integers(a, name: str) -> np.ndarray:
-    """a as a read-only int64 array; raises unless its dtype is integer, not bool, and it fits int64."""
-    a = np.asarray(a)
-    if a.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
-    if not np.can_cast(a.dtype, np.int64) and (a >= 2**63).any():
-        raise ValueError(f"{name} must be below 2**63, got {a.max()}")
-    return frozen(a.astype(np.int64, copy=False))
-
-
-def _distinct_labels(labels: list, name: str) -> None:
-    """Raises unless the integer outcome labels are nonnegative and distinct. A set finds a repeat,
-    so memory follows how many labels there are, not how large they are (np.bincount's would)."""
-    if labels and min(labels) < 0:
-        raise ValueError(f"{name} must be nonnegative, got {min(labels)}")
-    if len(set(labels)) < len(labels):
-        values, counts = np.unique(labels, return_counts=True)
-        raise ValueError(f"{name} must be distinct, got {values[counts > 1][0]} more than once")
-
-
 def _vector(v, name: str = "state") -> np.ndarray:
     """v as complex128, raising "<name> must be a vector" unless it is 1-D."""
     v = as_complex(v)
@@ -55,10 +35,21 @@ def ket(amplitudes) -> np.ndarray:
     """Normalized state vector built from a 1-D sequence of amplitudes."""
     v = _vector(amplitudes)
     v = validate_state(v, v.size)
-    n = np.linalg.norm(v)
+    n = _norm(v)
     if n == 0:
         raise ValueError("cannot normalize the zero vector")
-    return v / n
+    return v / n if n < np.inf else ket(v / 2.0)  # a norm beyond the float range: halve, exactly
+
+
+def _norm(v: np.ndarray):
+    """||v|| of a finite vector: np.linalg.norm's where its sum of squares is a normal float, else
+    that of v over its largest real or imaginary part, scaled back; inf only beyond the float range."""
+    with np.errstate(over="ignore"):  # the sum of squares overflows from a norm of about 1e154
+        n = np.linalg.norm(v)
+        if not 1e-150 < n < np.inf and v.any():
+            m = max(abs(v.real).max(), abs(v.imag).max())
+            n = m * np.linalg.norm(v / m)
+    return n
 
 
 def basis_ket(dim: int, index: int) -> np.ndarray:
@@ -120,7 +111,7 @@ def validate_outcome_index(k, outcomes: int) -> int:
 def validate_unit_state(v, dim: int, eps: float = DEFAULT_EPS, name: str = "state") -> np.ndarray:
     """validate_state, and also raise unless the norm is 1 within eps."""
     v = validate_state(v, dim, name)
-    n = np.linalg.norm(v)
+    n = _norm(v)
     if abs(n - 1.0) > eps:
         raise ValueError(f"{name} norm {n} is not 1 within {eps}")
     return v
@@ -165,10 +156,10 @@ def stack_defect(stack: np.ndarray, eps: float, idempotent: bool = False) -> tup
     finite = np.isfinite(stack).all(axis=(1, 2))
     n = len(stack) if finite.all() else int(finite.argmin())
     head = stack[:n]  # the finite prefix: inf - inf would warn
-    herm = abs(head - head.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    bad = herm > eps
-    if idempotent:
-        with np.errstate(over="ignore", invalid="ignore"):  # huge finite entries overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # huge finite entries overflow to inf
+        herm = abs(head - head.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        bad = herm > eps
+        if idempotent:
             bad |= ~(abs(head @ head - head).max(axis=(1, 2)) <= eps)  # nan fails too
     if bad.any():
         k = int(bad.argmax())
@@ -208,15 +199,16 @@ def density_eigh(rho, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray,
     run holds every negative eigenvalue. Kept pairs descend, ties in eigh's order.
     """
     rho = validate_hermitian(rho, eps, "density operator")
-    vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    tail = abs(vals).cumsum()  # eigh's eigenvalues ascend, so the negative ones lead
+    vals, vecs = np.linalg.eigh(rho / 2.0 + rho.conj().T / 2.0)  # (rho + rho^dag) / 2 would overflow
+    with np.errstate(over="ignore"):  # sums of huge finite eigenvalues overflow to inf, refused below
+        tail = abs(vals).cumsum()  # eigh's eigenvalues ascend, so the negative ones lead
+        tr = complex(rho.trace())
     dropped = min(int(tail.searchsorted(eps, side="right")), vals.size - 1)
     negatives = np.count_nonzero(vals < 0)
     if negatives > dropped:
         raise ValueError(
             f"density operator has negative eigenvalues summing to {-tail[negatives - 1]:.3e}"
         )
-    tr = complex(rho.trace())
     if abs(tr - 1.0) > eps:
         raise ValueError(f"density operator trace {tr} is not 1 within {eps}")
     kept = dropped + (-vals[dropped:]).argsort(kind="stable")

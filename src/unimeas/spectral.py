@@ -133,16 +133,23 @@ def spectral_decompose(h, eps: float = DEFAULT_EPS) -> SpectralForm:
     eigenvalue so indexing is deterministic.
 
     Raises:
-        ValueError: input is non-finite or not Hermitian within eps.
+        ValueError: input is non-finite or not Hermitian within eps, or has eigenvalues beyond the
+            float range.
     """
     validate_tolerance(eps)
     h = validate_hermitian(h, eps, "observable")
-    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    vals, vecs = np.linalg.eigh(h / 2.0 + h.conj().T / 2.0)  # (h + h^dag) / 2 would overflow
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    # a new outcome starts wherever the gap to the previous eigenvalue is large
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(vals) < -DEGENERACY_TOL) + 1))
-    ranks = np.diff(np.append(starts, vals.size))
-    return SpectralForm(np.add.reduceat(vals, starts) / ranks, ranks, vecs)
+    with np.errstate(over="ignore"):  # near the float maximum a gap, still large, or a sum overflows
+        # a new outcome starts wherever the gap to the previous eigenvalue is large
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(vals) < -DEGENERACY_TOL) + 1))
+        ranks = np.diff(np.append(starts, vals.size))
+        means = np.add.reduceat(vals, starts) / ranks
+    # floats whose sum overflows lie far more than DEGENERACY_TOL apart: one value repeated, its mean
+    means = np.where(np.isinf(means), vals[starts], means)
+    if not np.isfinite(means).all():  # eigh's nan, where an entry's modulus exceeds the float range
+        raise ValueError("observable has eigenvalues beyond the float range")
+    return SpectralForm(means, ranks, vecs)
 
 
 def from_projectors(
@@ -245,5 +252,5 @@ def _ranges(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     above 1/2) says it belongs to the range basis. The one range rule behind
     range_basis and from_projectors.
     """
-    vals, vecs = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2.0)
+    vals, vecs = np.linalg.eigh(stack / 2.0 + stack.conj().transpose(0, 2, 1) / 2.0)
     return vals > 0.5, vecs

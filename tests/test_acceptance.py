@@ -176,7 +176,7 @@ def test_acceptance_8_overmeasurement_additivity():
 
 
 def test_acceptance_9_sampling_statistics():
-    dist = OutcomeDistribution(np.arange(2), np.array([0.5, 0.5]))
+    dist = OutcomeDistribution(np.array([0.5, 0.5]))
     ok = True
     for seed in (0, 1, 42, 2024):
         report = sample(dist, 100000, seed)

@@ -9,6 +9,7 @@ from support import lifted_pointer, rotated_instrument, z_model
 
 from unimeas import branches
 from unimeas.branches import (
+    BranchDecomposition,
     check_prc,
     check_reconstruction,
     decompose_final,
@@ -62,6 +63,17 @@ class TestDecomposeInitial:
             for k, a in zip(dec.outcomes, dec.amplitudes):
                 w = np.vdot(phi, obs.projectors[k] @ phi).real
                 assert abs(a - np.sqrt(w)) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-9, 0.5])
+    def test_is_the_record_of_the_pieces(self, rng, eps):
+        """decompose_initial is the record made from the observable's pieces of phi, field by field."""
+        sf = rand_model(4, rng, multiplicities=[2, 1, 1]).observable
+        for phi in (rand_ket(4, rng), basis_ket(4, 3), np.zeros(4)):
+            dec, record = decompose_initial(phi, sf, eps), BranchDecomposition(sf.pieces(phi), eps)
+            assert dec.eps == record.eps == eps
+            for name in ("outcomes", "amplitudes", "branch_states", "dropped"):
+                a, b = getattr(dec, name), getattr(record, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError, match="expected"):

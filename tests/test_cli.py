@@ -64,6 +64,13 @@ class TestBuild:
         capsys.readouterr()
         assert load_model(out_path).dim_b == 1
 
+    def test_huge_degenerate_observable(self, tmp_path, capsys):
+        obs, out_path = tmp_path / "huge.json", tmp_path / "built.json"
+        save_matrix(np.diag([1.7e308, 1.7e308]), obs)
+        assert main(["build", str(obs), "--out", str(out_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert load_model(out_path).observable.eigenvalues.tolist() == [1.7e308]
+
     def test_non_hermitian_observable_exits_2(self, tmp_path, capsys):
         obs = tmp_path / "bad.json"
         save_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), obs)
@@ -101,6 +108,16 @@ class TestVerify:
         save_vector(uniform_ket(3), phi3)
         assert main(["verify", str(workspace / "model.json"), "--phi", str(phi3)]) == 2
         assert "phi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "collapse"])
+    def test_huge_phi_exits_2_quietly(self, command, workspace, capsys):
+        """phi's sum of squares overflows; the refusal is the message alone, with the true norm."""
+        phi = workspace / "huge.json"
+        save_vector(np.array([1e200, 1e200]), phi)
+        args = ["--phi", str(phi)] if command == "verify" else [str(phi)]
+        assert main([command, str(workspace / "model.json"), *args]) == 2
+        message = "error: phi: state norm 1.414213562373095e+200 is not 1 within 1e-09\n"
+        assert capsys.readouterr().err == message
 
     def test_outcome_count_mismatch_exits_2(self, tmp_path, capsys, outcome_mismatch_document):
         bad = tmp_path / "model.json"

@@ -135,19 +135,19 @@ class TestWeights:
 
 class TestSample:
     def test_certain_event(self):
-        report = sample(OutcomeDistribution(np.arange(2), np.array([1.0, 0.0])), 1000, 7)
+        report = sample(OutcomeDistribution(np.array([1.0, 0.0])), 1000, 7)
         np.testing.assert_array_equal(report.counts, [1000, 0])
         assert report.total == 1000
 
     @pytest.mark.parametrize("seed", [0, 1, 42, 12345])
     def test_binomial_bound(self, seed):
-        dist = OutcomeDistribution(np.arange(2), np.array([0.5, 0.5]))
+        dist = OutcomeDistribution(np.array([0.5, 0.5]))
         report = sample(dist, 100000, seed)
         for count in report.counts:
             assert abs(int(count) - 50000) <= 632
 
     def test_seed_determinism(self):
-        dist = OutcomeDistribution(np.arange(3), np.array([0.2, 0.5, 0.3]))
+        dist = OutcomeDistribution(np.array([0.2, 0.5, 0.3]))
         a = sample(dist, 5000, 99)
         b = sample(dist, 5000, 99)
         np.testing.assert_array_equal(a.counts, b.counts)
@@ -155,50 +155,55 @@ class TestSample:
         assert a.generator == GENERATOR == "pcg64"
 
     def test_different_seeds_differ(self):
-        dist = OutcomeDistribution(np.arange(2), np.array([0.5, 0.5]))
+        dist = OutcomeDistribution(np.array([0.5, 0.5]))
         a = sample(dist, 100000, 0)
         b = sample(dist, 100000, 1)
         assert not np.array_equal(a.counts, b.counts)
 
     def test_counts_sum_to_n(self):
-        dist = OutcomeDistribution(np.arange(4), np.array([0.1, 0.2, 0.3, 0.4]))
+        dist = OutcomeDistribution(np.array([0.1, 0.2, 0.3, 0.4]))
         report = sample(dist, 12345, 3)
         assert int(np.sum(report.counts)) == 12345
 
     def test_zero_n_rejected(self):
-        dist = OutcomeDistribution(np.arange(2), np.array([0.5, 0.5]))
+        dist = OutcomeDistribution(np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="positive"):
             sample(dist, 0, 0)
 
     def test_negative_n_rejected(self):
-        dist = OutcomeDistribution(np.arange(2), np.array([0.5, 0.5]))
+        dist = OutcomeDistribution(np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="positive"):
             sample(dist, -5, 0)
 
     def test_huge_n_needs_no_per_draw_memory(self):
-        dist = OutcomeDistribution(np.arange(3), np.array([0.2, 0.5, 0.3]))
+        dist = OutcomeDistribution(np.array([0.2, 0.5, 0.3]))
         report = sample(dist, 10**12, 0)
         assert int(np.sum(report.counts)) == report.total == 10**12
 
     def test_n_beyond_int64_rejected(self):
-        dist = OutcomeDistribution(np.arange(2), np.array([0.5, 0.5]))
+        dist = OutcomeDistribution(np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="positive int64"):
             sample(dist, 2**63, 0)
 
     @pytest.mark.parametrize("n", [10.5, True, "10", None])
     def test_non_integer_n_rejected(self, n):
-        dist = OutcomeDistribution(np.arange(2), np.array([0.5, 0.5]))
+        dist = OutcomeDistribution(np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="positive int64"):
             sample(dist, n, 0)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5, True, "0", None])
     def test_seed_outside_uint64_rejected(self, seed):
-        dist = OutcomeDistribution(np.arange(2), np.array([0.5, 0.5]))
+        dist = OutcomeDistribution(np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="uint64"):
             sample(dist, 10, seed)
 
+    def test_weights_whose_sum_overflows(self):
+        """Renormalized without overflow, to the counts of equal weights."""
+        huge = sample(OutcomeDistribution([1e308, 1e308]), 100000, 0)
+        np.testing.assert_array_equal(huge.counts, sample(OutcomeDistribution([0.5, 0.5]), 100000, 0).counts)
+
     def test_numpy_integers_accepted(self):
-        dist = OutcomeDistribution(np.arange(2), np.array([0.5, 0.5]))
+        dist = OutcomeDistribution(np.array([0.5, 0.5]))
         report = sample(dist, np.int64(10), np.uint64(2**64 - 1))
         assert report.total == 10 and report.seed == 2**64 - 1
         assert sample(dist, 10, 2**64 - 1).counts.tolist() == report.counts.tolist()
@@ -215,21 +220,17 @@ class TestSampleReport:
 
 
 class TestOutcomeDistribution:
-    def test_coindexing_enforced(self):
-        with pytest.raises(ValueError, match="coindexed"):
-            OutcomeDistribution(np.arange(3), np.array([0.5, 0.5]))
+    def test_outcomes_are_positions(self):
+        dist = OutcomeDistribution([0.2, 0.0, 0.8])
+        assert dist.outcomes.dtype == np.int64 and dist.outcomes.tolist() == [0, 1, 2]
+        with pytest.raises(AttributeError):
+            dist.outcomes = np.array([2, 1, 0])
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            OutcomeDistribution(np.arange(2), np.array([-0.1, 1.1]))
+            OutcomeDistribution(np.array([-0.1, 1.1]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weight_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            OutcomeDistribution(np.arange(2), np.array([bad, 1.0]))
-
-    def test_unsigned_outcomes_accepted(self):
-        dist = OutcomeDistribution(np.arange(2, dtype=np.uint8), [0.5, 0.5])
-        assert dist.outcomes.dtype == np.int64 and dist.outcomes.tolist() == [0, 1]
-        largest = OutcomeDistribution(np.array([2**63 - 1], dtype=np.uint64), [1.0])
-        assert largest.outcomes.tolist() == [2**63 - 1]
+            OutcomeDistribution(np.array([bad, 1.0]))

@@ -35,6 +35,20 @@ class TestKets:
         with pytest.raises(ValueError, match="non-finite"):
             ket([bad, 1.0])
 
+    @pytest.mark.parametrize(
+        "v,direction",
+        [
+            ([1e200, 1e200], [1, 1]),
+            ([1e-200, 1e-200], [1, 1]),
+            ([1e300j, 1e300j], [1j, 1j]),
+            ([1.7e308 + 1.7e308j, 1.7e308], [1 + 1j, 1]),
+        ],
+    )
+    def test_ket_of_a_huge_or_tiny_vector(self, v, direction):
+        """Its sum of squares overflows or underflows, or its norm lies beyond the float range."""
+        want = np.array(direction) / np.linalg.norm(direction)
+        np.testing.assert_allclose(ket(v), want, rtol=1e-15)
+
     def test_basis_ket(self):
         np.testing.assert_array_equal(basis_ket(3, 1), [0, 1, 0])
 
@@ -140,6 +154,24 @@ class TestValidators:
             validate_unit_state([3.0, 4.0], 2)
         with pytest.raises(ValueError, match="expected"):
             validate_unit_state(uniform_ket(3), 2)
+
+    @pytest.mark.parametrize(
+        "v,norm", [([1e200, 1e200], "1.414213562373095e+200"), ([1e-200, 0.0], "1e-200")]
+    )
+    def test_validate_unit_state_reports_a_huge_or_tiny_norm(self, v, norm):
+        with pytest.raises(ValueError, match=f"^state norm {re.escape(norm)} is not 1 within 1e-09$"):
+            validate_unit_state(v, 2)
+
+    @pytest.mark.parametrize(
+        "diagonal,message",
+        [
+            ([1.7e308, -1.7e308], r"^density operator has negative eigenvalues summing to -1\.700e\+308$"),
+            ([1.7e308, 1.7e308], r"^density operator trace \(inf\+0j\) is not 1 within 1e-09$"),
+        ],
+    )
+    def test_density_eigh_refuses_huge_entries_quietly(self, diagonal, message):
+        with pytest.raises(ValueError, match=message):
+            density_eigh(np.diag(diagonal))
 
 
 class TestDefects:

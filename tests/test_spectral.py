@@ -71,6 +71,19 @@ class TestSpectralDecompose:
         with pytest.raises(ValueError, match="non-finite"):
             spectral_decompose(np.full((2, 2), np.nan))
 
+    @pytest.mark.parametrize(
+        "diagonal,eigenvalues,ranks",
+        [
+            ([1.7e308, 1.7e308], [1.7e308], [2]),
+            ([1.7e308, -1.7e308, 1.7e308, 1.7e308], [1.7e308, -1.7e308], [3, 1]),
+        ],
+    )
+    def test_huge_eigenvalues(self, diagonal, eigenvalues, ranks):
+        """h + h^dag and a degenerate outcome's eigenvalue sum would overflow; the form does not."""
+        sf = spectral_decompose(np.diag(diagonal))
+        assert sf.eigenvalues.tolist() == eigenvalues and sf.ranks.tolist() == ranks
+        sf.validate()
+
 
 class TestVerifyCompleteness:
     """A form's ranks add up to dim and its basis is unitary, so its projectors sum to I."""

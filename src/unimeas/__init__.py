@@ -27,14 +27,12 @@ _EXPORTS = {
         "CheckReport", "MeasurementModel", "build_canonical_model", "check_calibration",
         "check_dynamical", "premeasure",
     ),
-    "mixed": ("Purification", "mixed_probability", "purified_probability", "purify"),
+    "mixed": ("mixed_probability", "purified_probability", "purify"),
     "modelio": (
         "ModelFormatError", "load_matrix", "load_model", "load_observable", "load_vector",
         "model_from_document", "model_to_document", "save_matrix", "save_model", "save_vector",
     ),
-    "probability": (
-        "ProbabilityTriple", "born_form", "expectation_form", "forms_triple", "trace_form",
-    ),
+    "probability": ("ProbabilityTriple", "forms_triple"),
     "spectral": (
         "DEGENERACY_TOL", "SpectralForm", "from_projectors", "range_basis", "refine",
         "spectral_decompose",

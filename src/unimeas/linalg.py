@@ -23,11 +23,11 @@ def _is_int(n) -> bool:
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
-def _vector(v, name: str = "state") -> np.ndarray:
-    """v as complex128, raising "<name> must be a vector" unless it is 1-D."""
+def _vector(v) -> np.ndarray:
+    """v as complex128, raising "state must be a vector" unless it is 1-D."""
     v = as_complex(v)
     if v.ndim != 1:
-        raise ValueError(f"{name} must be a vector, got ndim {v.ndim}")
+        raise ValueError(f"state must be a vector, got ndim {v.ndim}")
     return v
 
 

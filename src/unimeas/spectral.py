@@ -223,10 +223,16 @@ def refine(
         raise ValueError(f"sub-projectors do not sum to projector {k} (defect {defect:.3e})")
     vals, m = sf.eigenvalues, len(subs)
     lower = np.max(vals[vals < vals[k]], initial=-np.inf)
-    step = (vals[k] - lower) / m if np.isfinite(lower) else max(1.0 / m, np.spacing(abs(vals[k])))
-    labels = vals[k] - step * np.arange(m)
+    with np.errstate(over="ignore"):  # only a gap beyond the float range overflows
+        step = (vals[k] - lower) / m if np.isfinite(lower) else max(1.0 / m, np.spacing(abs(vals[k])))
+    if np.isfinite(step):
+        labels = vals[k] - step * np.arange(m)
+    else:  # spread in halves, which are exact, so neither the step nor its multiples overflow
+        labels = (vals[k] / 2 - (vals[k] / 2 - lower / 2) / m * np.arange(m)) * 2
     if not (np.all(np.diff(labels) < 0) and labels[-1] > lower):
-        raise ValueError(f"outcome {k}: no room for {m} distinct labels below eigenvalue {vals[k]!r}")
+        raise ValueError(
+            f"outcome {k}: no room for {m} distinct labels below eigenvalue {float(vals[k])!r}"
+        )
     return SpectralForm(
         np.concatenate([vals[:k], labels, vals[k + 1 :]]),
         np.concatenate([sf.ranks[:k], sub_ranks, sf.ranks[k + 1 :]]),

@@ -151,8 +151,8 @@ def test_acceptance_7_purification():
     for _ in range(100):
         dim = int(rng.integers(2, 6))
         rho = rand_density(dim, rng)
-        pur = purify(rho)
-        ok = ok and np.max(np.abs(pur.reduced() - rho)) <= 1e-10
+        psi = purify(rho)
+        ok = ok and np.max(np.abs(psi @ psi.conj().T - rho)) <= 1e-10
         obs = rand_observable(dim, rng)
         proj = obs.projectors[int(rng.integers(obs.outcomes))]
         route_purified = purified_probability(rho, proj)

@@ -4,57 +4,58 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from unimeas import mixed
 from unimeas.linalg import DEFAULT_EPS, basis_ket, density_eigh
 from unimeas.mixed import mixed_probability, purified_probability, purify
-from unimeas.probability import expectation_form
+from unimeas.probability import forms_triple
 from unimeas.rand import rand_density, rand_ket, rand_observable, rand_projector, rand_unitary
 
 
 class TestPurify:
     def test_pure_input(self):
-        pur = purify(np.diag([1.0, 0.0]))
-        assert pur.dims == (2, 1)
-        np.testing.assert_allclose(pur.state, basis_ket(2, 0), atol=1e-12)
+        psi = purify(np.diag([1.0, 0.0]))
+        assert psi.shape == (2, 1)
+        np.testing.assert_allclose(psi.reshape(-1), basis_ket(2, 0), atol=1e-12)
 
     def test_maximally_mixed_qubit(self):
-        pur = purify(np.eye(2) / 2.0)
-        assert pur.dims == (2, 2)
+        psi = purify(np.eye(2) / 2.0)
+        assert psi.shape == (2, 2)
         expected = (
             np.kron(basis_ket(2, 0), basis_ket(2, 0)) + np.kron(basis_ket(2, 1), basis_ket(2, 1))
         ) / np.sqrt(2.0)
-        np.testing.assert_allclose(pur.state, expected, atol=1e-12)
+        np.testing.assert_allclose(psi.reshape(-1), expected, atol=1e-12)
 
     def test_random_reduction(self, rng):
         rho = rand_density(3, rng)
-        pur = purify(rho)
-        assert np.max(np.abs(pur.reduced() - rho)) <= 1e-10
+        psi = purify(rho)
+        assert np.max(np.abs(psi @ psi.conj().T - rho)) <= 1e-10
 
     def test_reduction_across_dims(self, rng):
         for _ in range(100):
             dim = int(rng.integers(2, 6))
             rho = rand_density(dim, rng)
-            pur = purify(rho)
-            joint = np.outer(pur.state, pur.state.conj()).reshape(pur.dims * 2)
+            psi = purify(rho)
+            state = psi.reshape(-1)
+            joint = np.outer(state, state.conj()).reshape(psi.shape * 2)
             reduced = np.einsum("ajbj->ab", joint)  # the ancilla traced out
             assert np.max(np.abs(reduced - rho)) <= 1e-10
-            assert np.max(np.abs(pur.reduced() - reduced)) <= 1e-14
+            assert np.max(np.abs(psi @ psi.conj().T - reduced)) <= 1e-14
 
     def test_state_is_normalized(self, rng):
-        pur = purify(rand_density(4, rng))
-        assert np.linalg.norm(pur.state) == pytest.approx(1.0, abs=1e-10)
+        psi = purify(rand_density(4, rng))
+        assert np.linalg.norm(psi.reshape(-1)) == pytest.approx(1.0, abs=1e-10)
 
     def test_ancilla_dim_counts_positive_eigenvalues(self):
         rho = np.diag([0.5, 0.5, 0.0])
-        pur = purify(rho)
-        assert pur.dims == (3, 2)
+        assert purify(rho).shape == (3, 2)
 
     def test_largest_eigenvalue_kept(self):
         """With eps >= 0.5 a whole accepted spectrum can sum to at most eps: the largest
         eigenpair stays, so the purified state is never empty."""
-        assert purify(np.eye(2) / 4, eps=0.6).dims == (2, 1)
+        assert purify(np.eye(2) / 4, eps=0.6).shape == (2, 1)
 
     def test_non_psd_rejected(self):
         with pytest.raises(ValueError, match="negative eigenvalue"):
@@ -106,16 +107,16 @@ class TestPurifiedRoute:
         expected = sum(
             np.sqrt(vals[i]) * np.kron(vecs[:, i], ancilla[slot]) for slot, i in enumerate(order)
         )
-        np.testing.assert_allclose(purify(rho).state, expected, atol=1e-12)
+        np.testing.assert_allclose(purify(rho).reshape(-1), expected, atol=1e-12)
 
     def test_matches_dense_lift(self, rng):
         """<Psi|(E (x) I)|Psi> on the reshape equals the dense Kronecker lift."""
         for dim, rank in [(2, 1), (4, 2), (6, 3)]:
             rho = rand_density(dim, rng)
             proj = rand_projector(dim, rank, rng)
-            pur = purify(rho)
-            lifted = np.kron(proj, np.eye(pur.dims[1]))
-            dense = np.vdot(pur.state, lifted @ pur.state).real
+            psi = purify(rho)
+            lifted = np.kron(proj, np.eye(psi.shape[1]))
+            dense = np.vdot(psi.reshape(-1), lifted @ psi.reshape(-1)).real
             assert abs(purified_probability(rho, proj) - dense) <= 1e-12
 
     def test_rank_deficient_state(self, rng):
@@ -123,9 +124,9 @@ class TestPurifiedRoute:
         rho = np.outer(psi, psi.conj())
         proj = rand_projector(3, 2, rng)
         lifted = np.kron(proj, np.eye(1))
-        pur = purify(rho)
-        assert pur.dims == (3, 1)
-        dense = np.vdot(pur.state, lifted @ pur.state).real
+        psi = purify(rho)
+        assert psi.shape == (3, 1)
+        dense = np.vdot(psi.reshape(-1), lifted @ psi.reshape(-1)).real
         assert abs(purified_probability(rho, proj) - dense) <= 1e-12
 
     def test_dimension_mismatch_rejected(self, rng):
@@ -142,7 +143,7 @@ class TestMixedProbability:
         psi = rand_ket(3, rng)
         rho = np.outer(psi, psi.conj())
         proj = rand_projector(3, 2, rng)
-        assert abs(mixed_probability(rho, proj) - expectation_form(psi, proj)) <= 1e-12
+        assert abs(mixed_probability(rho, proj) - forms_triple(psi, proj).expectation_form) <= 1e-12
 
     def test_dual_routes_agree(self, rng):
         """The purified expectation and the direct trace are one number."""
@@ -195,6 +196,26 @@ class TestMixedProbability:
             with pytest.raises(ValueError, match=message):
                 mixed_probability(rho, projector)
 
+    def test_tail_of_eps_dropped_without_refusal(self):
+        """The dropped eigenvalue 1e-9 is eps itself: the routes differ by eps and one rounding."""
+        assert mixed_probability(np.diag([1 - 1e-9, 1e-9]), np.eye(2)) == 1.0
+
+    def test_rounding_alone_never_refuses(self, rng):
+        """At eps = 1e-15 the routes' rounding is comparable to eps; every pair is accepted."""
+        for _ in range(300):
+            dim = int(rng.integers(2, 8))
+            rho = rand_density(dim, rng)
+            proj = rand_projector(dim, int(rng.integers(1, dim + 1)), rng)
+            assert abs(mixed_probability(rho, proj, 1e-15) - np.trace(rho @ proj).real) <= 1e-12
+
+    def test_dropped_weight_above_eps_refused(self, monkeypatch):
+        """A purification missing an eigenvalue above eps disagrees with the trace route."""
+        full = mixed.purify
+        monkeypatch.setattr(mixed, "purify", lambda rho, eps: full(rho, eps)[:, :-1])
+        weight = 1.01 * DEFAULT_EPS
+        with pytest.raises(ValueError, match=r"^purified route 0\.999999998\d+ disagrees with trace route 1\.0$"):
+            mixed_probability(np.diag([1 - weight, weight]), np.eye(2))
+
     def test_many_tiny_eigenvalues_dropped_within_eps(self):
         """1200 eigenvalues of 1e-12, none negative, sum to 1.2e-9 > eps. The longest run of
         them summing to at most eps (999: 1000 copies add up to just above 1e-9 in floating
@@ -202,11 +223,12 @@ class TestMixedProbability:
         rho = np.diag([1.0 - 1200e-12] + [1e-12] * 1200)
         projector = np.diag([0.0] + [1.0] * 1200)
         assert mixed_probability(rho, projector) == pytest.approx(1.2e-9, rel=1e-9)
-        pur = purify(rho)
-        assert pur.dims == (1201, 202)
-        assert np.max(np.abs(pur.reduced() - rho)) <= DEFAULT_EPS
+        psi = purify(rho)
+        assert psi.shape == (1201, 202)
+        assert np.max(np.abs(psi @ psi.conj().T - rho)) <= DEFAULT_EPS
 
 
+@seed(0x2fdde10994a25d0cc67ce4448edb691c9cb42f192217b4d512a77dcd483c8b74b5dca0a497108edbbfc1b9c41cd9469a)
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
 @given(
     large=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3),
@@ -231,6 +253,6 @@ def test_tiny_tail_of_either_sign(large, tail, seed):
     projector = tail_vecs @ tail_vecs.conj().T
     p = mixed_probability(rho, projector)
     assert abs(p - np.trace(rho @ projector).real) <= DEFAULT_EPS
-    pur = purify(rho)
-    assert np.max(np.abs(pur.reduced() - rho)) <= DEFAULT_EPS
-    assert pur.dims == (lam.size, lam.size - np.count_nonzero(run <= DEFAULT_EPS))
+    psi = purify(rho)
+    assert np.max(np.abs(psi @ psi.conj().T - rho)) <= DEFAULT_EPS
+    assert psi.shape == (lam.size, lam.size - np.count_nonzero(run <= DEFAULT_EPS))

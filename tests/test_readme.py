@@ -27,7 +27,7 @@ def _expected(value, comment: str) -> None:
     elif comment == "decohered mixture":
         np.testing.assert_allclose(value, np.diag([0.5, 0.0, 0.0, 0.5]), rtol=0, atol=1e-12)
     elif comment == "(|00> + |11>)/sqrt(2)":
-        np.testing.assert_allclose(value.state, np.array([1, 0, 0, 1]) / np.sqrt(2), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(value.reshape(-1), np.array([1, 0, 0, 1]) / np.sqrt(2), rtol=0, atol=1e-12)
     else:
         raise AssertionError(f"README comment {comment!r} has no check")
 
@@ -59,4 +59,5 @@ def test_library_example():
         "weights (0.5, 0.5)",
         "decohered mixture",
         "(|00> + |11>)/sqrt(2)",
+        "<= 1e-10",
     ]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -157,7 +158,8 @@ class TestRefine:
         top = 1.0 + 2**-52 * ulps
         sf = SpectralForm(np.array([top, 1.0]), [m, 1], np.eye(m + 1))
         subs = [np.diag(np.eye(m + 1)[j]) for j in range(m)]
-        with pytest.raises(ValueError, match=rf"^outcome 0: no room for {m} distinct labels below eigenvalue"):
+        message = f"outcome 0: no room for {m} distinct labels below eigenvalue {top!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             refine(sf, 0, subs)
 
     def test_gap_of_a_few_floats_holds_as_many_labels(self):
@@ -166,6 +168,26 @@ class TestRefine:
         fine = refine(sf, 0, [np.diag(np.eye(4)[j]) for j in range(3)])
         assert np.all(np.diff(fine.eigenvalues) < 0)
         fine.validate()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "diagonal,eigenvalues",
+        [
+            ([1.7e308, -1.7e308], [1.7e308, -1.7e308]),
+            ([1.7e308, 1.7e308, -1.7e308], [1.7e308, 0.0, -1.7e308]),
+            (
+                [1.7e308] * 3 + [-1.7e308],
+                [1.7e308, 5.666666666666666e307, -5.666666666666668e307, -1.7e308],
+            ),
+        ],
+    )
+    def test_gap_beyond_the_float_range_holds_labels(self, diagonal, eigenvalues):
+        """The gap to the next eigenvalue overflows, and so would twice a third of it: the labels,
+        one to three, are spread over halves of it, without a warning."""
+        m = len(diagonal) - 1
+        subs = [np.diag(np.eye(m + 1)[j]) for j in range(m)]
+        fine = refine(spectral_decompose(np.diag(diagonal)), 0, subs)
+        assert fine.eigenvalues.tolist() == eigenvalues
 
     def test_one_outcome_of_many_read_alone(self):
         """Outcome 0 of 255 is compared with its sub-projectors as V_0 V_0^dag: the dense

@@ -40,9 +40,9 @@ from unimeas.measurement import (
     check_dynamical,
     premeasure,
 )
-from unimeas.mixed import Purification, mixed_probability
+from unimeas.mixed import mixed_probability
 from unimeas.modelio import model_from_document, model_to_document
-from unimeas.probability import born_form, expectation_form, forms_triple, trace_form
+from unimeas.probability import forms_triple
 from unimeas.rand import (
     perturb_model,
     rand_ket,
@@ -59,7 +59,6 @@ ONE_OUTCOME = build_canonical_model(spectral_decompose(np.eye(2)))  # dim_b 1
 NAN_STATE = np.array([np.nan, 0.0])
 UNNORMALIZED = np.array([3.0, 4.0])
 P0 = np.diag([1.0, 0.0])
-E0 = [np.array([1.0, 0.0])]
 
 THREE = build_canonical_model(spectral_decompose(np.diag([1.0, 2.0, 3.0])))
 # every eigenvalue is >= -eps, but their negative part sums to -8.91e-8: density_eigh
@@ -104,13 +103,6 @@ PROBES = {
         lambda: list(verify(MODEL, uniform_ket(2), float("nan"))),
         r"^tolerance must lie in \(0, 1\), got nan$",
     ),
-    "expectation_form-nan": (lambda: expectation_form(NAN_STATE, P0), "non-finite"),
-    "expectation_form-unnormalized": (lambda: expectation_form(UNNORMALIZED, P0), "norm"),
-    "born_form-nan": (lambda: born_form(NAN_STATE, E0), "non-finite"),
-    "born_form-unnormalized": (lambda: born_form(UNNORMALIZED, E0), "norm"),
-    "born_form-nan-basis": (lambda: born_form(np.array([1.0, 0.0]), [NAN_STATE]), "not orthonormal"),
-    "trace_form-nan": (lambda: trace_form(NAN_STATE, P0), "non-finite"),
-    "trace_form-unnormalized": (lambda: trace_form(UNNORMALIZED, P0), "norm"),
     "forms_triple-nan": (lambda: forms_triple(NAN_STATE, P0), "non-finite"),
     "forms_triple-unnormalized": (lambda: forms_triple(UNNORMALIZED, P0), "norm"),
     "range_basis-nan": (lambda: range_basis(np.full((2, 2), np.nan)), "non-finite"),
@@ -208,14 +200,6 @@ PROBES = {
     "SampleReport-2d-counts": (
         lambda: SampleReport([[1, 2]], 0),
         r"^counts must be a vector of nonnegative integers$",
-    ),
-    "Purification-vector": (
-        lambda: Purification(np.ones(4)),
-        r"^psi must be a non-empty matrix, got shape \(4,\)$",
-    ),
-    "Purification-empty": (
-        lambda: Purification(np.zeros((2, 0))),
-        r"^psi must be a non-empty matrix, got shape \(2, 0\)$",
     ),
     "CheckReport-zero-tolerance": (
         lambda: CheckReport([0.0], 0.0),
@@ -322,10 +306,6 @@ PROBES = {
         r"^eigenvalues must be a vector, got ndim 2$",
     ),
     "ket-matrix": (lambda: ket([[1.0, 0.0], [0.0, 1.0]]), r"^state must be a vector, got ndim 2$"),
-    "born_form-matrix-basis-entry": (
-        lambda: born_form(uniform_ket(4), [np.eye(2) / np.sqrt(2)]),
-        r"^range basis entry 0 must be a vector, got ndim 2$",
-    ),
     "OutcomeDistribution-2d-weights": (
         lambda: OutcomeDistribution([[0.5, 0.5]]),
         r"^weights must be a vector, got ndim 2$",
@@ -390,7 +370,6 @@ def test_records_store_only_what_they_cannot_derive():
     for record, arguments in (
         (CheckReport, ["per_outcome_residuals", "tolerance", "witness"]),
         (SampleReport, ["counts", "seed"]),
-        (Purification, ["psi"]),
         (OutcomeDistribution, ["weights"]),
         (BranchDecomposition, ["pieces", "eps"]),
     ):

@@ -2,12 +2,13 @@
 
 An object state splits over the observable's eigenprojectors into weighted
 orthogonal branches; the joint final state splits the same way over the
-lifted pointer projectors, one (dim, outcomes) array of branches, with
-matching weights whenever the model measures exactly (probability
-reproducibility); both splits are SpectralForm.pieces, and outcome k is
-piece k. Each branch also evolves independently: applying the unitary to a
-single initial branch lands on the matching pointer branch. verify is the one
-list of a model's checks.
+lifted pointer projectors, one (dim, outcomes) array of branches whose
+weights ||F_k Phi_f||^2 equal the object weights <phi|E_k|phi> whenever the
+model measures exactly (probability reproducibility, check_prc); both splits
+are SpectralForm.pieces, and outcome k is piece k. Each branch also evolves
+independently: applying the unitary to a single initial branch lands on the
+matching pointer branch. verify is the one list of a model's checks:
+calibration, dynamical and prc.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from .linalg import DEFAULT_EPS, as_complex, frozen, validate_outcome_index
 from .linalg import validate_state, validate_tolerance, validate_unit_state
 from .measurement import CheckReport, MeasurementModel, check_calibration, check_dynamical
-from .measurement import premeasure
 from .spectral import SpectralForm
 
 
@@ -28,7 +28,7 @@ class BranchDecomposition:
     """Norms (`amplitudes`) and normalized branch states (one per row) of the unnormalized pieces
     P_k ket, one per column, which the record does not keep; outcome k is column k. Outcomes whose
     norm is below eps are `dropped` and carry no branch state; a nan norm is kept, so that a
-    non-finite isometry fails reconstruction visibly."""
+    non-finite isometry makes a nan butchered state."""
 
     pieces: InitVar[np.ndarray]
     eps: float = DEFAULT_EPS
@@ -114,13 +114,6 @@ def evolve_branch(model: MeasurementModel, phi_a, k: int) -> np.ndarray:
     return model.isometry @ (v @ (v.conj().T @ phi_a))
 
 
-def check_reconstruction(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> CheckReport:
-    """Final-state reconstruction: one residual, ||decompose_final(...).reconstruct() - W phi_a||."""
-    final = premeasure(model, phi_a)
-    residual = np.linalg.norm(decompose_final(model, phi_a, eps).reconstruct() - final)
-    return CheckReport([residual], eps)
-
-
 def verify(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS):
     """(name, CheckReport) of each check of a model on one object state, in one fixed order. A
     generator: each check runs when its pair is reached, so a caller can time it alone, and a bad
@@ -130,4 +123,3 @@ def verify(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS):
     yield "calibration", check_calibration(model, eps)
     yield "dynamical", check_dynamical(model, eps)
     yield "prc", check_prc(model, phi_a, eps)
-    yield "final-reconstruction", check_reconstruction(model, phi_a, eps)

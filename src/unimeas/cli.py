@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .branches import decompose_final, verify
+from .branches import verify
 from .collapse import sample, weights
 from .linalg import DEFAULT_EPS, uniform_ket, validate_tolerance, validate_unit_state
 from .measurement import build_canonical_model
@@ -89,15 +89,11 @@ def _cmd_collapse(args) -> tuple[dict, int]:
     model = load_model(args.model, tol)
     phi = _load_phi(args.phi, model, tol)
     dist = weights(phi, model.observable, tol)
-    dec = decompose_final(model, phi, tol)  # trace sum_kept w_k ||beta_k||^2, no dim^2 array
-    norms = np.linalg.norm(dec.branch_states, axis=1) ** 2
-    trace_residual = abs(float(dist.weights[dec.outcomes] @ norms) - 1.0)
     report = sample(dist, args.n, args.seed)
     return {
         "outcomes": [int(k) for k in dist.outcomes],
         "weights": [float(w) for w in dist.weights],
         "counts": [int(c) for c in report.counts],
-        "butcher_trace_residual": trace_residual,
         "total": report.total,
         "seed": report.seed,
         "generator": report.generator,
@@ -108,10 +104,7 @@ def _text_collapse(doc: dict) -> list[str]:
     lines = ["outcome  weight                  count"]
     for k, w, c in zip(doc["outcomes"], doc["weights"], doc["counts"]):
         lines.append(f"{k:<7d}  {w!r:<22}  {c}")
-    return lines + [
-        f"butchered trace residual: {doc['butcher_trace_residual']:.3e}",
-        f"total: {doc['total']}  seed: {doc['seed']}  generator: {doc['generator']}",
-    ]
+    return lines + [f"total: {doc['total']}  seed: {doc['seed']}  generator: {doc['generator']}"]
 
 
 def _cmd_forms(args) -> tuple[dict, int]:
@@ -159,7 +152,7 @@ def _parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=_cmd_verify, render=_text_verify)
 
     p_collapse = sub.add_parser(
-        "collapse", parents=[common], help="weights, butchered state, sampled counts"
+        "collapse", parents=[common], help="weights and sampled counts"
     )
     p_collapse.add_argument("model", help="JSON model file")
     p_collapse.add_argument("phi", help="object state file")

@@ -2,9 +2,9 @@
 
 The coherent final density operator contains off-diagonal terms between
 pointer sectors. Butchering deletes them, leaving a mixture of the kept
-pointer branches (one matrix product; its trace needs only the branches)
-whose statistical weights are the object-side probabilities <phi|E_k|phi>.
-The mixture step is realized operationally as seeded sampling from them.
+pointer branches (one matrix product) whose weights ||F_k Phi_f||^2 equal
+the object-side probabilities <phi|E_k|phi> on exact models. The mixture
+step is realized operationally as seeded sampling from the object-side ones.
 Weight, count and branch k belong to outcome k: an outcome is a position.
 """
 
@@ -96,16 +96,21 @@ def final_density(model: MeasurementModel, phi_a) -> np.ndarray:
 
 
 def butcher(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Decohered mixture sum_k w_k |beta_k><beta_k| of pointer branches.
+    """Decohered mixture sum_k w_k |beta_k><beta_k| of pointer branches: the pinching
+    sum_k F_k |Phi_f><Phi_f| F_k of every model, off-diagonal blocks removed.
 
     beta_k ranges over the normalized pointer branches F_k Phi_f / ||F_k Phi_f||
-    that decompose_final keeps and w_k is the object-side weight: one product
-    (B diag(w)) B^dag, with the beta_k as columns of B. Equals the pinching
-    sum_k F_k |Phi_f><Phi_f| F_k for exact models, off-diagonal blocks removed.
+    that decompose_final keeps and w_k = ||F_k Phi_f||^2, which equals the
+    object-side weight <phi|E_k|phi> on exact models: one product
+    (B diag(w)) B^dag, with the beta_k as columns of B. A dropped branch has
+    norm below eps, so leaving it out moves no entry by more than eps**2.
+
+    Raises:
+        ValueError: eps is outside (0, 1), or phi_a is not a finite unit vector of shape (dim_a,).
     """
-    w = weights(phi_a, model.observable, eps).weights  # validates eps and phi_a
-    dec = decompose_final(model, phi_a, eps)
-    return (dec.branch_states.T * w[dec.outcomes]) @ dec.branch_states.conj()
+    validate_tolerance(eps)
+    dec = decompose_final(model, validate_unit_state(phi_a, model.dim_a, eps), eps)
+    return (dec.branch_states.T * dec.amplitudes**2) @ dec.branch_states.conj()
 
 
 def sample(dist: OutcomeDistribution, n: int, seed: int) -> SampleReport:
@@ -113,19 +118,19 @@ def sample(dist: OutcomeDistribution, n: int, seed: int) -> SampleReport:
 
     The generator is numpy's PCG64 seeded with `seed`, so identical seeds
     reproduce identical counts; cost and memory grow with the number of
-    outcomes, not with n. Weights below DEFAULT_EPS are excluded from the
-    support. Counts for a given seed differ from those of the earlier
+    outcomes, not with n. The support is every positive weight, however
+    small. Counts for a given seed differ from those of the earlier
     inverse-CDF sampler, which drew n uniforms.
 
     Raises:
-        ValueError: n is not a positive int64, seed not a uint64, or no weight is sampleable.
+        ValueError: n is not a positive int64, seed not a uint64, or every weight is zero.
     """
     if not _is_int(n) or not 1 <= n < 2**63:
         raise ValueError(f"sample size must be a positive int64, got {n!r}")
     seed = _seed(seed)
-    support = np.flatnonzero(dist.weights >= DEFAULT_EPS)
+    support = np.flatnonzero(dist.weights > 0.0)
     if not support.size:
-        raise ValueError("distribution has no weight above threshold")
+        raise ValueError("distribution has no positive weight")
     w = dist.weights[support]
     with np.errstate(over="ignore"):  # weights whose sum overflows are first divided by the largest
         w = w if w.sum() < np.inf else w / w.max()

@@ -10,18 +10,16 @@ from support import z_model
 
 from unimeas.branches import verify
 from unimeas.cli import main
-from unimeas.collapse import butcher
 from unimeas.linalg import uniform_ket
 from unimeas.modelio import (
     ModelFormatError,
     load_model,
-    load_vector,
     model_to_document,
     save_matrix,
     save_model,
     save_vector,
 )
-from unimeas.rand import perturb_model, rand_ket, rand_model, swap_pointer
+from unimeas.rand import rand_model, swap_pointer
 
 
 @pytest.fixture
@@ -90,7 +88,7 @@ class TestVerify:
         assert main(["verify", str(workspace / "model.json")]) == 0
         out = capsys.readouterr().out
         assert "overall: PASS" in out
-        for name in ("calibration", "dynamical", "prc", "final-reconstruction"):
+        for name in ("calibration", "dynamical", "prc"):
             assert name in out
 
     def test_pointer_swapped_fails_naming_outcome(self, workspace, capsys):
@@ -102,6 +100,29 @@ class TestVerify:
     def test_explicit_phi(self, workspace, capsys):
         code = main(["verify", str(workspace / "model.json"), "--phi", str(workspace / "eigen.json")])
         assert code == 0
+
+    def test_branches_below_tolerance_pass(self, tmp_path, capsys):
+        """Two amplitudes of 0.8e-9, below the tolerance: their branches are dropped, and the
+        canonical model of diag(0, 1, 2) still passes every check on that state."""
+        obs, model, phi = tmp_path / "obs.json", tmp_path / "model.json", tmp_path / "phi.json"
+        save_matrix(np.diag([0.0, 1.0, 2.0]), obs)
+        a = 0.8e-9
+        save_vector(np.array([np.sqrt(1.0 - 2.0 * a * a), a, a]), phi)
+        assert main(["build", str(obs), "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(model), "--phi", str(phi)]) == 0
+        assert capsys.readouterr().out.endswith("overall: PASS\n")
+
+    def test_identity_interaction_fails_prc(self, workspace, capsys):
+        """The identity interaction leaves the pointer at |0>, so outcome 0 gets pointer
+        probability 1 against object probability 1/2."""
+        identity = workspace / "identity.json"
+        z = load_model(workspace / "model.json")
+        save_model(dataclasses.replace(z, isometry=np.eye(4)[:, ::2]), identity)
+        args = ["--json", "verify", str(identity), "--phi", str(workspace / "phi.json")]
+        assert main(args) == 1
+        prc = {row["name"]: row for row in json.loads(capsys.readouterr().out)["checks"]}["prc"]
+        assert not prc["passed"] and prc["witness"].startswith("outcome 0:")
 
     def test_wrong_phi_dimension_exits_2(self, workspace, tmp_path, capsys):
         phi3 = tmp_path / "phi3.json"
@@ -191,12 +212,7 @@ class TestVerify:
         assert main(["--json", "verify", str(workspace / "model.json")]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is True
-        assert [c["name"] for c in doc["checks"]] == [
-            "calibration",
-            "dynamical",
-            "prc",
-            "final-reconstruction",
-        ]
+        assert [c["name"] for c in doc["checks"]] == ["calibration", "dynamical", "prc"]
         assert all(c["max_residual"] <= 1e-10 for c in doc["checks"])
 
     def test_json_rows_are_the_verify_table(self, workspace, capsys):
@@ -230,30 +246,6 @@ class TestCollapse:
             assert abs(count - 50000) <= 632
         assert doc["seed"] == 42
         assert doc["generator"] == "pcg64"
-        assert doc["butcher_trace_residual"] <= 1e-10
-
-    @pytest.mark.parametrize("kind", ["workspace", "perturbed", "identity"])
-    def test_trace_residual_matches_butcher(self, kind, workspace, rng, capsys):
-        """The residual read from the kept branches equals the dense butchered state's.
-
-        The identity interaction leaves the pointer at |0>, so branch 1 is dropped
-        and the butchered trace is w_0 = 1/2.
-        """
-        model_path, phi_path = workspace / "model.json", workspace / "phi.json"
-        if kind == "perturbed":
-            model_path, phi_path = workspace / "perturbed.json", workspace / "phi3.json"
-            save_model(perturb_model(rand_model(3, rng), rng), model_path)
-            save_vector(rand_ket(3, rng), phi_path)
-        elif kind == "identity":
-            model_path = workspace / "identity.json"
-            z = load_model(workspace / "model.json")
-            save_model(dataclasses.replace(z, isometry=np.eye(4)[:, ::2]), model_path)
-        assert main(["--json", "collapse", str(model_path), str(phi_path)]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        rho = butcher(load_model(model_path), load_vector(phi_path))
-        assert abs(doc["butcher_trace_residual"] - abs(np.trace(rho).real - 1.0)) <= 1e-12
-        if kind == "identity":
-            assert doc["butcher_trace_residual"] == pytest.approx(0.5, abs=1e-12)
 
     def test_eigenstate_all_counts_on_one_outcome(self, workspace, capsys):
         assert main([
@@ -375,7 +367,7 @@ _VERIFY_PASS_JSON = (
     '{\n  "checks": [\n'
     + ",\n".join(
         _check_row_json(name, "true", "0.0", "null")
-        for name in ("calibration", "dynamical", "prc", "final-reconstruction")
+        for name in ("calibration", "dynamical", "prc")
     )
     + '\n  ],\n  "passed": true\n}\n'
 )
@@ -388,7 +380,6 @@ _VERIFY_SWAPPED_JSON = (
         ),
         _check_row_json("dynamical", "false", "1.0", '"outcome 0, basis vector 0: residual 1.000e+00"'),
         _check_row_json("prc", "true", "0.0", "null"),
-        _check_row_json("final-reconstruction", "true", "0.0", "null"),
     ])
     + '\n  ],\n  "passed": false\n}\n'
 )
@@ -400,35 +391,32 @@ EXACT_OUTPUT = {
     "build-json": (["--json", "build", "obs.json", "--out", "built.json"], 0,
                    '{\n  "out": "built.json",\n  "dim_a": 2,\n  "dim_b": 2,\n  "outcomes": 2\n}\n'),
     "verify": (["verify", "model.json"], 0,
-               "check                 passed  max_residual  time\n"
-               "calibration           yes     0.000e+00     T\n"
-               "dynamical             yes     0.000e+00     T\n"
-               "prc                   yes     0.000e+00     T\n"
-               "final-reconstruction  yes     0.000e+00     T\n"
+               "check        passed  max_residual  time\n"
+               "calibration  yes     0.000e+00     T\n"
+               "dynamical    yes     0.000e+00     T\n"
+               "prc          yes     0.000e+00     T\n"
                "overall: PASS\n"),
     "verify-json": (["verify", "model.json", "--json"], 0, _VERIFY_PASS_JSON),
     "verify-swapped": (["verify", "swapped.json"], 1,
-                       "check                 passed  max_residual  time\n"
-                       "calibration           NO      1.000e+00     T\n"
+                       "check        passed  max_residual  time\n"
+                       "calibration  NO      1.000e+00     T\n"
                        "  calibration: outcome 0, range basis vector 0: residual 1.000e+00\n"
-                       "dynamical             NO      1.000e+00     T\n"
+                       "dynamical    NO      1.000e+00     T\n"
                        "  dynamical: outcome 0, basis vector 0: residual 1.000e+00\n"
-                       "prc                   yes     0.000e+00     T\n"
-                       "final-reconstruction  yes     0.000e+00     T\n"
+                       "prc          yes     0.000e+00     T\n"
                        "overall: FAIL\n"),
     "verify-swapped-json": (["--json", "verify", "swapped.json"], 1, _VERIFY_SWAPPED_JSON),
     "collapse": (["collapse", "model.json", "phi68.json", "--n", "1000", "--seed", "7"], 0,
                  "outcome  weight                  count\n"
                  "0        0.36                    361\n"
                  "1        0.6400000000000001      639\n"
-                 "butchered trace residual: 0.000e+00\n"
                  "total: 1000  seed: 7  generator: pcg64\n"),
     "collapse-json": (["--json", "collapse", "model.json", "phi68.json", "--n", "1000", "--seed", "7"],
                       0,
                       '{\n  "outcomes": [\n    0,\n    1\n  ],\n'
                       '  "weights": [\n    0.36,\n    0.6400000000000001\n  ],\n'
                       '  "counts": [\n    361,\n    639\n  ],\n'
-                      '  "butcher_trace_residual": 0.0,\n  "total": 1000,\n'
+                      '  "total": 1000,\n'
                       '  "seed": 7,\n  "generator": "pcg64"\n}\n'),
     "forms": (["forms", "phi68.json", "proj.json"], 0,
               "expectation_form: 0.36\nborn_form: 0.36\ntrace_form: 0.36\n"

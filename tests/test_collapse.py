@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -17,7 +18,7 @@ from unimeas.collapse import (
 )
 from unimeas.branches import decompose_final
 from unimeas.linalg import basis_ket, density_eigh, ket, uniform_ket
-from unimeas.rand import rand_ket, rand_model, with_redundant_pointer
+from unimeas.rand import perturb_model, rand_ket, rand_model, swap_pointer, with_redundant_pointer
 from unimeas.spectral import spectral_decompose
 
 
@@ -58,7 +59,7 @@ class TestButcher:
         np.testing.assert_allclose(rho, expected, atol=1e-12)
 
     def test_matches_pinching(self, rng):
-        """Deleting cross terms equals conjugating by each pointer projector."""
+        """Deleting cross terms equals conjugating by each pointer projector, on every model."""
         cases = []
         for _ in range(100):
             dim = int(rng.integers(2, 6))
@@ -73,6 +74,14 @@ class TestButcher:
         zero_weight = ket((e[0] + e[2]) @ rand_ket(3, rng))
         assert decompose_final(model, zero_weight).dropped.tolist() == [1]
         cases.append((model, zero_weight))
+        # negatives: a swapped pointer, a perturbed isometry, and the identity interaction
+        # W = I (x) phi_B, which leaves the pointer in its ready state and drops branch 1
+        for dim in (2, 3, 5):
+            base = rand_model(dim, rng)
+            identity = np.kron(np.eye(dim), base.instrument_state[:, None])
+            for model in (swap_pointer(base), perturb_model(base, rng),
+                          dataclasses.replace(base, isometry=identity)):
+                cases.append((model, rand_ket(dim, rng)))
         for model, phi in cases:
             rho = final_density(model, phi)
             pinched = sum(
@@ -174,6 +183,11 @@ class TestSample:
         dist = OutcomeDistribution(np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="positive"):
             sample(dist, -5, 0)
+
+    def test_draws_every_positive_weight(self):
+        """A weight of 9e-10 lies below the tolerance and is still drawn: about 900 of 10**12."""
+        report = sample(OutcomeDistribution([1.0 - 9e-10, 9e-10]), 10**12, 0)
+        assert report.total == 10**12 and abs(int(report.counts[1]) - 900) <= 6 * 30
 
     def test_huge_n_needs_no_per_draw_memory(self):
         dist = OutcomeDistribution(np.array([0.2, 0.5, 0.3]))

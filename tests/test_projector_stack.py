@@ -129,12 +129,11 @@ class TestNonFiniteIsometry:
 
     @NAN_ENTRIES
     def test_every_verify_row_fails(self, variant, coindexed):
-        """prc and reconstruction read the nan through W phi on a state with no zero amplitude."""
+        """prc reads the nan through W phi on a state with no zero amplitude."""
         broken = self.broken(variant, coindexed)
         rows = list(verify(broken, uniform_ket(broken.dim_a)))
-        assert [report.passed for _, report in rows] == [False] * 4
-        # final-reconstruction has one residual and names no witness
-        assert all(report.witness is not None for _, report in rows[:3])
+        assert [report.passed for _, report in rows] == [False] * 3
+        assert all(report.witness is not None for _, report in rows)
 
 
 class TestJoint1024Parity:

@@ -23,7 +23,7 @@ from unimeas.branches import (
     evolve_branch,
     verify,
 )
-from unimeas.collapse import OutcomeDistribution, SampleReport, final_density, sample
+from unimeas.collapse import OutcomeDistribution, SampleReport, butcher, final_density, sample
 from unimeas.linalg import (
     basis_ket,
     density_eigh,
@@ -92,6 +92,11 @@ PROBES = {
     "final_density-nan": (lambda: final_density(MODEL, NAN_STATE), "non-finite"),
     "check_prc-nan": (lambda: check_prc(MODEL, NAN_STATE), "non-finite"),
     "check_prc-unnormalized": (lambda: check_prc(MODEL, UNNORMALIZED), "norm"),
+    "butcher-unnormalized": (lambda: butcher(MODEL, UNNORMALIZED), r"^state norm 5\.0 is not 1"),
+    "butcher-nan-eps": (
+        lambda: butcher(MODEL, uniform_ket(2), float("nan")),
+        r"^tolerance must lie in \(0, 1\), got nan$",
+    ),
     # verify is a generator: it raises when its first pair is asked for
     "verify-nan": (lambda: list(verify(MODEL, NAN_STATE)), r"^state contains non-finite amplitudes$"),
     "verify-wrong-shape": (
@@ -170,8 +175,8 @@ PROBES = {
         r"^basis must be a non-empty square matrix, got shape \(2, 3\)$",
     ),
     "sample-no-weight": (
-        lambda: sample(OutcomeDistribution([1e-10, 0.0]), 10, 0),
-        r"^distribution has no weight above threshold$",
+        lambda: sample(OutcomeDistribution([0.0, 0.0]), 10, 0),
+        r"^distribution has no positive weight$",
     ),
     "SampleReport-float-counts": (
         lambda: SampleReport([1.9, 2.2], 0),

@@ -1,14 +1,14 @@
 """Branch structure of states before and after premeasurement.
 
 An object state splits over the observable's eigenprojectors into weighted
-orthogonal branches; the joint final state splits the same way over the
-lifted pointer projectors, one (dim, outcomes) array of branches whose
-weights ||F_k Phi_f||^2 equal the object weights <phi|E_k|phi> whenever the
-model measures exactly (probability reproducibility, check_prc); both splits
-are SpectralForm.pieces, and outcome k is piece k. Each branch also evolves
-independently: applying the unitary to a single initial branch lands on the
-matching pointer branch. verify is the one list of a model's checks:
-calibration, dynamical and prc.
+orthogonal branches; the premeasured state Phi_f = W phi (premeasure, the one
+product of W with a state) splits over the lifted pointer projectors into the
+pieces (I (x) F_k) Phi_f, the columns of P, of weights ||(I (x) F_k) Phi_f||^2:
+check_prc compares them with <phi|E_k|phi>, `unimeas collapse` samples them,
+decompose_final wraps P and collapse.butcher returns P P^dag. Both splits are
+SpectralForm.pieces, and outcome k is piece k. A branch evolves on its own onto
+its pointer branch. verify is the one list of a model's checks: calibration,
+dynamical and prc.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import DEFAULT_EPS, as_complex, frozen, validate_outcome_index
 from .linalg import validate_state, validate_tolerance, validate_unit_state
-from .measurement import CheckReport, MeasurementModel, check_calibration, check_dynamical
+from .measurement import CheckReport, MeasurementModel, check_calibration, check_dynamical, premeasure
 from .spectral import SpectralForm
 
 
@@ -28,7 +28,7 @@ class BranchDecomposition:
     """Norms (`amplitudes`) and normalized branch states (one per row) of the unnormalized pieces
     P_k ket, one per column, which the record does not keep; outcome k is column k. Outcomes whose
     norm is below eps are `dropped` and carry no branch state; a nan norm is kept, so that a
-    non-finite isometry makes a nan butchered state."""
+    non-finite isometry makes a nan reconstruction instead of losing its branch."""
 
     pieces: InitVar[np.ndarray]
     eps: float = DEFAULT_EPS
@@ -65,6 +65,18 @@ def decompose_initial(phi, observable: SpectralForm, eps: float = DEFAULT_EPS) -
     return BranchDecomposition(observable.pieces(validate_state(phi, observable.dim)), eps)
 
 
+def _pointer_weights(model: MeasurementModel, phi_a) -> np.ndarray:
+    """The pointer weights ||(I (x) F_k) Phi_f||^2 of the premeasured state, one per outcome k."""
+    sectors = premeasure(model, phi_a).reshape(model.dim_a, model.dim_b)
+    return model.pointer.probabilities(sectors.T).sum(axis=1)
+
+
+def _pointer_pieces(model: MeasurementModel, phi_a) -> np.ndarray:
+    """The pointer pieces (I (x) F_k) Phi_f of the premeasured state, as the columns of P."""
+    sectors = premeasure(model, phi_a).reshape(model.dim_a, model.dim_b)
+    return model.pointer.pieces(sectors).reshape(model.dim, -1)
+
+
 def check_prc(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> CheckReport:
     """Probability reproducibility: pointer statistics reproduce object statistics.
 
@@ -77,8 +89,7 @@ def check_prc(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> Check
     """
     validate_tolerance(eps)
     phi_a = validate_unit_state(phi_a, model.dim_a, eps)
-    sectors = (model.isometry @ phi_a).reshape(model.dim_a, model.dim_b)
-    pointer_probs = model.pointer.probabilities(sectors.T).sum(axis=1)
+    pointer_probs = _pointer_weights(model, phi_a)
     object_probs = model.observable.probabilities(phi_a)
     residuals = np.abs(pointer_probs - object_probs)
     witness = None
@@ -98,8 +109,7 @@ def decompose_final(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) ->
     For exact models the amplitudes equal <phi|E_k|phi>**(1/2), the same
     weights the initial decomposition assigns.
     """
-    sectors = (model.isometry @ validate_state(phi_a, model.dim_a)).reshape(model.dim_a, model.dim_b)
-    return BranchDecomposition(model.pointer.pieces(sectors).reshape(model.dim, -1), eps)
+    return BranchDecomposition(_pointer_pieces(model, phi_a), eps)
 
 
 def evolve_branch(model: MeasurementModel, phi_a, k: int) -> np.ndarray:
@@ -111,7 +121,7 @@ def evolve_branch(model: MeasurementModel, phi_a, k: int) -> np.ndarray:
     """
     phi_a = validate_state(phi_a, model.dim_a)
     v = model.observable.blocks[validate_outcome_index(k, model.outcomes)]
-    return model.isometry @ (v @ (v.conj().T @ phi_a))
+    return premeasure(model, v @ (v.conj().T @ phi_a))
 
 
 def verify(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS):

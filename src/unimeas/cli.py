@@ -1,9 +1,9 @@
 """Command-line surface: build models, verify them, collapse, evaluate forms.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 unreadable or invalid
-input. Each command's handler returns one report document and its exit
-code; --json prints that document, and otherwise its text renderer turns the
-same document into lines, so both modes carry the same content.
+Exit codes: 0 all checks passed, 1 a check failed (collapse: prc), 2 unreadable
+or invalid input. Each command's handler returns one report document and its
+exit code; --json prints that document, and otherwise its text renderer turns
+the same document into lines, so both modes carry the same content.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import time
 
 import numpy as np
 
-from .branches import verify
-from .collapse import sample, weights
+from .branches import _pointer_weights, check_prc, verify
+from .collapse import OutcomeDistribution, sample, weights
 from .linalg import DEFAULT_EPS, uniform_ket, validate_tolerance, validate_unit_state
 from .measurement import build_canonical_model
 from .modelio import (
@@ -88,23 +88,30 @@ def _cmd_collapse(args) -> tuple[dict, int]:
     tol = args.tol
     model = load_model(args.model, tol)
     phi = _load_phi(args.phi, model, tol)
-    dist = weights(phi, model.observable, tol)
+    dist = OutcomeDistribution(_pointer_weights(model, phi))
+    prc = check_prc(model, phi, tol)
     report = sample(dist, args.n, args.seed)
     return {
         "outcomes": [int(k) for k in dist.outcomes],
         "weights": [float(w) for w in dist.weights],
+        "object_weights": [float(w) for w in weights(phi, model.observable, tol).weights],
         "counts": [int(c) for c in report.counts],
         "total": report.total,
         "seed": report.seed,
         "generator": report.generator,
-    }, 0
+        "max_residual": prc.max_residual,
+        "witness": prc.witness,
+        "passed": prc.passed,
+    }, 0 if prc.passed else 1
 
 
 def _text_collapse(doc: dict) -> list[str]:
     lines = ["outcome  weight                  count"]
     for k, w, c in zip(doc["outcomes"], doc["weights"], doc["counts"]):
         lines.append(f"{k:<7d}  {w!r:<22}  {c}")
-    return lines + [f"total: {doc['total']}  seed: {doc['seed']}  generator: {doc['generator']}"]
+    lines.append(f"total: {doc['total']}  seed: {doc['seed']}  generator: {doc['generator']}")
+    lines.append(f"prc: max_residual {doc['max_residual']:.3e}  {'PASS' if doc['passed'] else 'FAIL'}")
+    return lines + ([] if doc["witness"] is None else [f"  prc: {doc['witness']}"])
 
 
 def _cmd_forms(args) -> tuple[dict, int]:
@@ -152,7 +159,7 @@ def _parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=_cmd_verify, render=_text_verify)
 
     p_collapse = sub.add_parser(
-        "collapse", parents=[common], help="weights and sampled counts"
+        "collapse", parents=[common], help="pointer weights, sampled counts and the prc check"
     )
     p_collapse.add_argument("model", help="JSON model file")
     p_collapse.add_argument("phi", help="object state file")

@@ -1,10 +1,10 @@
 """Two-step collapse: decohere the joint final state, then sample outcomes.
 
 The coherent final density operator contains off-diagonal terms between
-pointer sectors. Butchering deletes them, leaving a mixture of the kept
-pointer branches (one matrix product) whose weights ||F_k Phi_f||^2 equal
-the object-side probabilities <phi|E_k|phi> on exact models. The mixture
-step is realized operationally as seeded sampling from the object-side ones.
+pointer sectors. Butchering deletes them, leaving the pinching P P^dag of the
+pointer pieces P, whose weights ||F_k Phi_f||^2 equal the object-side weights
+<phi|E_k|phi> on exact models. The mixture step is realized as seeded sampling:
+`unimeas collapse` samples the pointer weights, which check_prc checks.
 Weight, count and branch k belong to outcome k: an outcome is a position.
 """
 
@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .branches import decompose_final
+from .branches import _pointer_pieces
 from .linalg import DEFAULT_EPS, _is_int, frozen, validate_tolerance, validate_unit_state
 from .measurement import MeasurementModel, premeasure
 from .spectral import SpectralForm
@@ -96,21 +96,19 @@ def final_density(model: MeasurementModel, phi_a) -> np.ndarray:
 
 
 def butcher(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Decohered mixture sum_k w_k |beta_k><beta_k| of pointer branches: the pinching
-    sum_k F_k |Phi_f><Phi_f| F_k of every model, off-diagonal blocks removed.
+    """Decohered mixture of the pointer branches: the pinching sum_k F_k |Phi_f><Phi_f| F_k
+    of every model, the coherent final density operator with its off-diagonal blocks removed.
 
-    beta_k ranges over the normalized pointer branches F_k Phi_f / ||F_k Phi_f||
-    that decompose_final keeps and w_k = ||F_k Phi_f||^2, which equals the
-    object-side weight <phi|E_k|phi> on exact models: one product
-    (B diag(w)) B^dag, with the beta_k as columns of B. A dropped branch has
-    norm below eps, so leaving it out moves no entry by more than eps**2.
+    With the pointer pieces F_k Phi_f as the columns of P, the pinching is the one product
+    P P^dag. Its diagonal block k has trace ||F_k Phi_f||^2, which equals the object-side
+    weight <phi|E_k|phi> on exact models; every piece counts, however small its norm.
 
     Raises:
         ValueError: eps is outside (0, 1), or phi_a is not a finite unit vector of shape (dim_a,).
     """
     validate_tolerance(eps)
-    dec = decompose_final(model, validate_unit_state(phi_a, model.dim_a, eps), eps)
-    return (dec.branch_states.T * dec.amplitudes**2) @ dec.branch_states.conj()
+    pieces = _pointer_pieces(model, validate_unit_state(phi_a, model.dim_a, eps))
+    return pieces @ pieces.conj().T
 
 
 def sample(dist: OutcomeDistribution, n: int, seed: int) -> SampleReport:

@@ -6,11 +6,13 @@ import re
 
 import numpy as np
 import pytest
-from support import z_model
+from support import bench_workloads, lifted_pointer, z_model
 
-from unimeas.branches import verify
+from unimeas.branches import check_prc, verify
 from unimeas.cli import main
+from unimeas.collapse import OutcomeDistribution, sample, weights
 from unimeas.linalg import uniform_ket
+from unimeas.measurement import build_canonical_model, premeasure
 from unimeas.modelio import (
     ModelFormatError,
     load_model,
@@ -19,7 +21,8 @@ from unimeas.modelio import (
     save_model,
     save_vector,
 )
-from unimeas.rand import rand_model, swap_pointer
+from unimeas.rand import perturb_model, rand_hermitian, rand_ket, rand_model, swap_pointer
+from unimeas.spectral import spectral_decompose
 
 
 @pytest.fixture
@@ -293,6 +296,44 @@ class TestCollapse:
         assert main(["collapse", str(workspace / "model.json"), str(phi)]) == 2
         assert capsys.readouterr().err.startswith("error: phi: state norm 5.0")
 
+    @pytest.mark.parametrize("negative", ["swapped", "perturbed"])
+    def test_negative_model_samples_pointer_weights_and_exits_1(self, negative, tmp_path, capsys):
+        """On a joint-256 negative, collapse samples the pointer weights, which differ from the
+        object weights, and fails with check_prc's verdict on the same state."""
+        rng = np.random.default_rng(0)
+        model = build_canonical_model(spectral_decompose(rand_hermitian(16, rng)))
+        phi = rand_ket(16, rng)
+        model = swap_pointer(model) if negative == "swapped" else perturb_model(model, rng)
+        save_model(model, tmp_path / "model.json")
+        save_vector(phi, tmp_path / "phi.json")
+        args = ["--json", "collapse", str(tmp_path / "model.json"), str(tmp_path / "phi.json")]
+        assert main(args) == 1
+        doc = json.loads(capsys.readouterr().out)
+        prc = check_prc(model, phi)
+        assert not doc["passed"] and doc["witness"] == prc.witness and "outcome" in doc["witness"]
+        assert doc["max_residual"] == prc.max_residual
+        assert doc["object_weights"] == weights(phi, model.observable).weights.tolist()
+        final = premeasure(model, phi)
+        pointer_weights = [np.linalg.norm(lifted_pointer(model, k) @ final) ** 2 for k in range(16)]
+        np.testing.assert_allclose(doc["weights"], pointer_weights, rtol=0, atol=1e-12)
+        assert np.max(np.abs(np.subtract(doc["weights"], doc["object_weights"]))) > 1e-3
+        assert doc["counts"] == sample(OutcomeDistribution(doc["weights"]), 100000, 0).counts.tolist()
+        assert doc["total"] == sum(doc["counts"]) == 100000
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_model_counts_match_object_weights(self, seed, tmp_path, capsys):
+        """On the benchmark's CLI inputs, the built model's pointer weights lie within 1e-15 of
+        the object weights and give the same seeded counts, which the benchmark compares with."""
+        pipeline = bench_workloads().CliPipeline(seed, tmp_path)
+        for inp in [*pipeline.inputs, pipeline.warmup_input]:
+            assert main(["build", str(inp.observable), "--out", str(inp.model)]) == 0
+            capsys.readouterr()
+            args = ["--json", "collapse", str(inp.model), str(inp.phi), "--seed", str(inp.seed)]
+            assert main(args) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["passed"] and doc["counts"] == inp.counts.tolist()
+            np.testing.assert_allclose(doc["weights"], inp.weights, rtol=0, atol=1e-15)
+
 
 class TestForms:
     def test_eigenstate_triple(self, workspace, tmp_path, capsys):
@@ -410,14 +451,24 @@ EXACT_OUTPUT = {
                  "outcome  weight                  count\n"
                  "0        0.36                    361\n"
                  "1        0.6400000000000001      639\n"
-                 "total: 1000  seed: 7  generator: pcg64\n"),
+                 "total: 1000  seed: 7  generator: pcg64\n"
+                 "prc: max_residual 0.000e+00  PASS\n"),
     "collapse-json": (["--json", "collapse", "model.json", "phi68.json", "--n", "1000", "--seed", "7"],
                       0,
                       '{\n  "outcomes": [\n    0,\n    1\n  ],\n'
                       '  "weights": [\n    0.36,\n    0.6400000000000001\n  ],\n'
+                      '  "object_weights": [\n    0.36,\n    0.6400000000000001\n  ],\n'
                       '  "counts": [\n    361,\n    639\n  ],\n'
                       '  "total": 1000,\n'
-                      '  "seed": 7,\n  "generator": "pcg64"\n}\n'),
+                      '  "seed": 7,\n  "generator": "pcg64",\n'
+                      '  "max_residual": 0.0,\n  "witness": null,\n  "passed": true\n}\n'),
+    "collapse-swapped": (["collapse", "swapped.json", "phi68.json", "--n", "1000", "--seed", "7"], 1,
+                         "outcome  weight                  count\n"
+                         "0        0.6400000000000001      639\n"
+                         "1        0.36                    361\n"
+                         "total: 1000  seed: 7  generator: pcg64\n"
+                         "prc: max_residual 2.800e-01  FAIL\n"
+                         "  prc: outcome 0: pointer probability 0.64 vs object probability 0.36\n"),
     "forms": (["forms", "phi68.json", "proj.json"], 0,
               "expectation_form: 0.36\nborn_form: 0.36\ntrace_form: 0.36\n"
               "max pairwise difference: 0.000e+00\n"),

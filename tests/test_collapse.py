@@ -18,6 +18,7 @@ from unimeas.collapse import (
 )
 from unimeas.branches import decompose_final
 from unimeas.linalg import basis_ket, density_eigh, ket, uniform_ket
+from unimeas.measurement import build_canonical_model
 from unimeas.rand import perturb_model, rand_ket, rand_model, swap_pointer, with_redundant_pointer
 from unimeas.spectral import spectral_decompose
 
@@ -89,6 +90,15 @@ class TestButcher:
                 for k in range(model.outcomes)
             )
             assert np.max(np.abs(butcher(model, phi) - pinched)) <= 1e-12
+
+    def test_keeps_branch_below_tolerance(self):
+        """A pointer piece of norm 1e-10, below eps, still puts its weight 1e-20 on its block."""
+        model = build_canonical_model(spectral_decompose(np.diag([0.0, 1.0, 2.0])))
+        phi = np.array([np.sqrt(1.0 - 1e-20), 1e-10, 0.0])
+        k = int(np.flatnonzero(model.observable.eigenvalues == 1.0)[0])
+        assert k in decompose_final(model, phi).dropped
+        block = np.trace(lifted_pointer(model, k) @ butcher(model, phi)).real
+        assert block == pytest.approx(1e-20, rel=1e-12, abs=0)
 
     def test_off_diagonal_blocks_vanish(self, rng):
         model = rand_model(4, rng)

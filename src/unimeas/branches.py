@@ -1,14 +1,13 @@
 """Branch structure of states before and after premeasurement.
 
-An object state splits over the observable's eigenprojectors into weighted
-orthogonal branches; the premeasured state Phi_f = W phi (premeasure, the one
-product of W with a state) splits over the lifted pointer projectors into the
-pieces (I (x) F_k) Phi_f, the columns of P, of weights ||(I (x) F_k) Phi_f||^2:
-check_prc compares them with <phi|E_k|phi>, `unimeas collapse` samples them,
-decompose_final wraps P and collapse.butcher returns P P^dag. Both splits are
-SpectralForm.pieces, and outcome k is piece k. A branch evolves on its own onto
-its pointer branch. verify is the one list of a model's checks: calibration,
-dynamical and prc.
+An object state splits over the observable's eigenprojectors into weighted orthogonal
+branches; the premeasured state Phi_f = W phi (premeasure) splits over the lifted pointer
+projectors into the pieces (I (x) F_k) Phi_f, the columns of P: decompose_final wraps P and
+collapse.butcher returns P P^dag. Their weights ||(I (x) F_k) Phi_f||^2 come from the rule
+that calibration reads on the eigenstates: check_prc compares them with <phi|E_k|phi>, and
+`unimeas collapse` samples them. Both splits are SpectralForm.pieces, and outcome k is piece
+k. A branch evolves on its own onto its pointer branch. verify is the one list of a model's
+checks: calibration, dynamical and prc.
 """
 
 from __future__ import annotations
@@ -19,7 +18,8 @@ import numpy as np
 
 from .linalg import DEFAULT_EPS, as_complex, frozen, validate_outcome_index
 from .linalg import validate_state, validate_tolerance, validate_unit_state
-from .measurement import CheckReport, MeasurementModel, check_calibration, check_dynamical, premeasure
+from .measurement import CheckReport, MeasurementModel, _pointer_pieces, _pointer_weights, premeasure
+from .measurement import check_calibration, check_dynamical
 from .spectral import SpectralForm
 
 
@@ -65,24 +65,13 @@ def decompose_initial(phi, observable: SpectralForm, eps: float = DEFAULT_EPS) -
     return BranchDecomposition(observable.pieces(validate_state(phi, observable.dim)), eps)
 
 
-def _pointer_weights(model: MeasurementModel, phi_a) -> np.ndarray:
-    """The pointer weights ||(I (x) F_k) Phi_f||^2 of the premeasured state, one per outcome k."""
-    sectors = premeasure(model, phi_a).reshape(model.dim_a, model.dim_b)
-    return model.pointer.probabilities(sectors.T).sum(axis=1)
-
-
-def _pointer_pieces(model: MeasurementModel, phi_a) -> np.ndarray:
-    """The pointer pieces (I (x) F_k) Phi_f of the premeasured state, as the columns of P."""
-    sectors = premeasure(model, phi_a).reshape(model.dim_a, model.dim_b)
-    return model.pointer.pieces(sectors).reshape(model.dim, -1)
-
-
+@np.errstate(invalid="ignore")  # a non-finite W makes nan residuals, silently
 def check_prc(model: MeasurementModel, phi_a, eps: float = DEFAULT_EPS) -> CheckReport:
     """Probability reproducibility: pointer statistics reproduce object statistics.
 
     For each outcome k, compares <Phi_f|F_k|Phi_f> against <phi|E_k|phi>,
-    where Phi_f is the premeasured joint state. Assumes the model passes
-    the dynamical check.
+    where Phi_f is the premeasured joint state. Defined on every model:
+    `unimeas collapse` runs it whatever the other checks say.
 
     Raises:
         ValueError: phi_a is not a finite unit vector of shape (dim_a,).

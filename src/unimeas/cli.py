@@ -15,10 +15,10 @@ import time
 
 import numpy as np
 
-from .branches import _pointer_weights, check_prc, verify
+from .branches import check_prc, verify
 from .collapse import OutcomeDistribution, sample, weights
 from .linalg import DEFAULT_EPS, uniform_ket, validate_tolerance, validate_unit_state
-from .measurement import build_canonical_model
+from .measurement import _pointer_weights, build_canonical_model
 from .modelio import (
     ModelFormatError,
     load_matrix,

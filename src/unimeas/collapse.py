@@ -15,9 +15,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .branches import _pointer_pieces
 from .linalg import DEFAULT_EPS, _is_int, frozen, validate_tolerance, validate_unit_state
-from .measurement import MeasurementModel, premeasure
+from .measurement import MeasurementModel, _pointer_pieces, premeasure
 from .spectral import SpectralForm
 
 # identity of the seeded generator backing sample(); recorded in reports

@@ -1,18 +1,18 @@
 """Premeasurement models: canonical construction, evolution, condition checks.
 
-A model couples an object observable to an instrument pointer through a
-joint unitary U. It carries U only on the initial subspace, as the isometry
-W = U(I_A (x) phi_B) of shape (dim, dim_a): every check, branch and collapse
-reads U there alone, and any isometry extends to a unitary, so W fixes the
-measuring process. The calibration check asks that eigenstates of an object
-projector end up as eigenstates of the coindexed pointer projector; the
-dynamical check asks that the pointer projector commutes past the unitary
-into the object projector on the initial subspace. Both quantify over
-basis vectors only, which linearity extends to arbitrary object states.
-Both spectral forms hold range bases, E_k = V_k V_k^dag; both checks read W
-with its instrument axis in the pointer basis, where F_k keeps outcome k's rows.
-A model is a record: its shapes are checked when it is made, its content by
-validate. On joint states F_k is applied only by SpectralForm.pieces, never lifted.
+A model couples an object observable to an instrument pointer through a joint unitary U.
+It carries U only on the initial subspace, as the isometry W = U(I_A (x) phi_B) of shape
+(dim, dim_a): every check, branch and collapse reads U there alone, and any isometry
+extends to a unitary, so W fixes the measuring process. The calibration check asks that
+eigenstates of an object projector end up as eigenstates of the coindexed pointer
+projector; the dynamical check asks that the pointer projector commutes past the unitary
+into the object projector on the initial subspace. Both quantify over basis vectors only,
+which linearity extends to arbitrary object states. Both spectral forms hold range bases,
+E_k = V_k V_k^dag. premeasure is the one product of W with a state that returns the state;
+_pointer_weights reduces W S at once to the pointer weights ||(I (x) F_k) W s||^2, which
+calibration reads on the observable's eigenstates and check_prc and collapse on one state.
+Dynamical alone reads W in the pointer basis. F_k is never lifted. A model is a record:
+its shapes are checked when it is made, its content by validate.
 """
 
 from __future__ import annotations
@@ -148,6 +148,21 @@ def premeasure(model: MeasurementModel, phi_a) -> np.ndarray:
     return model.isometry @ validate_state(phi_a, model.dim_a)
 
 
+def _pointer_weights(model: MeasurementModel, states: np.ndarray) -> np.ndarray:
+    """Pointer weights ||(I (x) F_k) W s||^2 of a vector s, or of each column of a matrix S. W S
+    enters the pointer basis in one expression, so no local holds it, before it is squared."""
+    p = model.pointer
+    rows = p.basis.conj().T @ (model.isometry @ states).reshape(model.dim_a, model.dim_b, -1)
+    weights = np.add.reduceat((abs(rows) ** 2).sum(axis=0), [s.start for s in p.columns])
+    return weights.reshape(-1, *np.shape(states)[1:])
+
+
+def _pointer_pieces(model: MeasurementModel, phi_a) -> np.ndarray:
+    """The pointer pieces (I (x) F_k) Phi_f of the premeasured state, as the columns of P."""
+    sectors = premeasure(model, phi_a).reshape(model.dim_a, model.dim_b)
+    return model.pointer.pieces(sectors).reshape(model.dim, -1)
+
+
 def _report(residuals: np.ndarray, eps: float, column: str) -> CheckReport:
     """Report from an (outcomes, m) array of per-column residuals, zero-padded on the right.
 
@@ -162,30 +177,25 @@ def _report(residuals: np.ndarray, eps: float, column: str) -> CheckReport:
     return CheckReport(residuals.max(axis=1), eps, witness)
 
 
-def _pointer_rows(model: MeasurementModel) -> np.ndarray:
-    """G = (I_A (x) V_B^dag) W, shape (dim, dim_a): row (a, j) is W's amplitude on e_a (x) pointer
-    basis vector j, of outcome pointer.labels[j], so I_A (x) F_k keeps the rows of outcome k."""
-    w = model.isometry.reshape(model.dim_a, model.dim_b, model.dim_a)
-    return (model.pointer.basis.conj().T @ w).reshape(model.dim, model.dim_a)
-
-
+@np.errstate(invalid="ignore")  # a non-finite W makes nan residuals, silently
 def check_calibration(model: MeasurementModel, eps: float = DEFAULT_EPS) -> CheckReport:
     """Eigenstate condition: object eigenstates yield pointer eigenstates.
 
     For each outcome k and each basis vector v of the range of E_k, verifies
-    F_k W v = W v: the residual is the norm of W v on pointer basis vectors of
-    other outcomes, the root of the probability leaking off outcome k. The mask
-    multiplies the squares, so a nan anywhere in W reaches every residual.
+    F_k W v = W v: the residual is the root of W v's pointer weight on other outcomes,
+    the probability leaking off outcome k. The mask multiplies the weights, so a nan
+    anywhere in W reaches every residual.
     """
     validate_tolerance(eps)
     obs = model.observable
-    finals = (_pointer_rows(model) @ obs.basis).reshape(model.dim_a, model.dim_b, model.dim_a)
-    leaks = (abs(finals) ** 2).sum(axis=0) * (model.pointer.labels[:, None] != obs.labels)
+    others = np.arange(obs.outcomes)[:, None] != obs.labels
+    leaks = (_pointer_weights(model, obs.basis) * others).sum(axis=0)
     residuals = np.zeros((obs.outcomes, obs.ranks.max()))
-    residuals[np.arange(obs.ranks.max()) < obs.ranks[:, None]] = np.sqrt(leaks.sum(axis=0))
+    residuals[np.arange(obs.ranks.max()) < obs.ranks[:, None]] = np.sqrt(leaks)
     return _report(residuals, eps, "range basis vector")
 
 
+@np.errstate(invalid="ignore")  # a non-finite W makes nan residuals, silently
 def check_dynamical(model: MeasurementModel, eps: float = DEFAULT_EPS) -> CheckReport:
     """Operator condition: F_k U equals U E_k on the initial subspace.
 
@@ -194,7 +204,8 @@ def check_dynamical(model: MeasurementModel, eps: float = DEFAULT_EPS) -> CheckR
     column by column: (G V_k) V_k^dag minus G's rows of outcome k, in one array.
     """
     validate_tolerance(eps)
-    g = _pointer_rows(model)
+    w = model.isometry.reshape(model.dim_a, model.dim_b, model.dim_a)
+    g = (model.pointer.basis.conj().T @ w).reshape(model.dim, model.dim_a)  # G = (I (x) V_B^dag) W
     d = np.empty_like(g)  # one (dim, dim_a) array, reused for every outcome
     g_rows, d_rows = (a.reshape(model.dim_a, model.dim_b, -1) for a in (g, d))
     squares = np.empty((model.outcomes, model.dim_a))

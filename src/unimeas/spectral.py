@@ -107,7 +107,7 @@ class SpectralForm:
         return self.basis @ ((x @ self.basis.conj())[..., :, None] * mask)
 
     def probabilities(self, phi: np.ndarray) -> np.ndarray:
-        """<phi|E_k|phi> = ||V_k^dag phi||^2 for each outcome k (rows of a matrix phi), never negative."""
+        """<phi|E_k|phi> = ||V_k^dag phi||^2 for each outcome k of a state vector phi, never negative."""
         return np.add.reduceat(abs(self.basis.conj().T @ phi) ** 2, [s.start for s in self.columns])
 
     def validate(self, eps: float = DEFAULT_EPS) -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from unimeas.linalg import basis_ket, uniform_ket
 from unimeas.measurement import (
     CheckReport,
     MeasurementModel,
+    _pointer_weights,
     build_canonical_model,
     check_calibration,
     check_dynamical,
@@ -268,6 +270,23 @@ class TestCanonicalAtScale:
                     atol=1e-12,
                 )
 
+    def test_pointer_weights_are_the_lifted_pointer(self, dim_a):
+        """_pointer_weights of a (dim_a, m) matrix is ||(I_A (x) F_k) W s||^2 per column s, and of a
+        vector its column, on a redundant pointer and in a random complex instrument basis."""
+        rng = np.random.default_rng(dim_a)
+        redundant = with_redundant_pointer(rand_model(dim_a, rng), 2, rng)
+        for model in (redundant, rotated_instrument(redundant, rng)):
+            kets = [rand_ket(dim_a, rng) for _ in range(2)]
+            states = np.column_stack([model.observable.basis[:, :2], *kets])
+            weights = _pointer_weights(model, states)
+            assert weights.shape == (model.outcomes, states.shape[1])
+            for k in range(model.outcomes):
+                finals = lifted_pointer(model, k) @ model.isometry @ states
+                expected = np.linalg.norm(finals, axis=0) ** 2
+                np.testing.assert_allclose(weights[k], expected, rtol=0, atol=1e-13)
+            for s, column in zip(states.T, weights.T):
+                np.testing.assert_allclose(_pointer_weights(model, s), column, rtol=0, atol=1e-15)
+
     def test_pieces_split_a_state_over_outcomes(self, dim_a):
         """pieces(x)[..., k] is E_k applied to x's last axis, and the pieces sum to x, on degenerate
         observables and on redundant pointers in a random complex instrument basis."""
@@ -314,6 +333,23 @@ class TestCanonicalAtScale:
             for report in (check_calibration(model), check_dynamical(model)):
                 assert not report.passed
                 assert report.witness is not None
+
+
+class TestCalibrationPeak:
+    def test_peak_is_two_isometries_at_joint_4096(self):
+        """Calibration holds W S and its pointer-basis rotation, each W's size, and no more: a
+        named local holding W S while the squares are taken would read 2.5 W's bytes."""
+        model = rand_model(64, np.random.default_rng(64))
+        assert model.dim == 4096
+        check_calibration(model)  # the forms' cached labels and slices are made here, not below
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            check_calibration(model)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * model.isometry.nbytes
 
 
 @pytest.mark.parametrize("dim_a", range(2, 17))

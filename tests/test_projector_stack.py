@@ -98,39 +98,46 @@ class TestLoopParity:
         assert str(batched.value) == str(loop.value)
 
 
-NAN_ENTRIES = pytest.mark.parametrize(
-    "variant,coindexed",
-    [(v, c) for v in ("plain", "degenerate", "redundant") for c in (True, False)]
-    + [("one-outcome", True)],
+ENTRY_ROWS = [(v, c) for v in ("plain", "degenerate", "redundant") for c in (True, False)]
+ENTRY_ROWS += [("one-outcome", True)]
+NON_FINITE_ENTRIES = pytest.mark.parametrize(
+    "variant,coindexed,value",
+    [
+        pytest.param(v, c, x, id=f"{v}-{c}" + ("" if np.isnan(x) else f"-{x}"))
+        for x in (np.nan, np.inf)
+        for v, c in ENTRY_ROWS
+    ],
 )
 
 
+@pytest.mark.filterwarnings("error")
 class TestNonFiniteIsometry:
-    """A nan in W, in a row of the coindexed pointer outcome or of another one: the checks mask
-    rows by multiplying, so no row holding the nan is dropped and both report it as the dense
-    references do. A one-outcome pointer has no other outcome: every row is coindexed."""
+    """A nan or inf in W, in a row of the coindexed pointer outcome or of another one: the checks
+    mask rows by multiplying, so no row holding it is dropped and both report a nan residual as
+    the dense references do (an inf meets a zero in the products), without a numpy warning. A
+    one-outcome pointer has no other outcome: every row is coindexed."""
 
     @staticmethod
-    def broken(variant, coindexed):
+    def broken(variant, coindexed, value):
         rng = np.random.default_rng(7)
         model = rand_model(3, rng, [3]) if variant == "one-outcome" else zoo_model(variant, 4, rng)
         # the first range-basis vector is outcome 0's, so pointer outcome 0 is its coindexed one
         j = int(np.flatnonzero((model.pointer.labels == 0) == coindexed)[0])
         w = np.array(model.isometry)
-        w[(model.dim_a - 1) * model.dim_b + j, model.dim_a - 1] = np.nan
+        w[(model.dim_a - 1) * model.dim_b + j, model.dim_a - 1] = value
         return dataclasses.replace(model, isometry=w)
 
-    @NAN_ENTRIES
-    def test_nan_entry(self, variant, coindexed):
-        broken = self.broken(variant, coindexed)
+    @NON_FINITE_ENTRIES
+    def test_nan_entry(self, variant, coindexed, value):
+        broken = self.broken(variant, coindexed, value)
         assert_model_matches(broken, uniform_ket(broken.dim_a))
         for report in (check_calibration(broken), check_dynamical(broken)):
             assert np.isnan(report.max_residual) and report.witness.endswith("residual nan")
 
-    @NAN_ENTRIES
-    def test_every_verify_row_fails(self, variant, coindexed):
-        """prc reads the nan through W phi on a state with no zero amplitude."""
-        broken = self.broken(variant, coindexed)
+    @NON_FINITE_ENTRIES
+    def test_every_verify_row_fails(self, variant, coindexed, value):
+        """prc reads the entry through W phi on a state with no zero amplitude."""
+        broken = self.broken(variant, coindexed, value)
         rows = list(verify(broken, uniform_ket(broken.dim_a)))
         assert [report.passed for _, report in rows] == [False] * 3
         assert all(report.witness is not None for _, report in rows)

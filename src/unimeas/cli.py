@@ -13,30 +13,12 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from .branches import check_prc, verify
 from .collapse import OutcomeDistribution, sample, weights
 from .linalg import DEFAULT_EPS, uniform_ket, validate_tolerance, validate_unit_state
 from .measurement import _pointer_weights, build_canonical_model
-from .modelio import (
-    ModelFormatError,
-    load_matrix,
-    load_model,
-    load_observable,
-    load_vector,
-    save_model,
-)
+from .modelio import load_matrix, load_model, load_observable, load_vector, save_model
 from .probability import forms_triple
-
-
-def _load_phi(path, model, tol: float) -> np.ndarray:
-    """Object state file, checked to be a finite unit vector of shape (dim_a,)."""
-    phi = load_vector(path)
-    try:
-        return validate_unit_state(phi, model.dim_a, tol)
-    except ValueError as exc:
-        raise ModelFormatError(f"phi: {exc}") from exc
 
 
 def _cmd_build(args) -> tuple[dict, int]:
@@ -61,7 +43,10 @@ def _text_build(doc: dict) -> list[str]:
 def _cmd_verify(args) -> tuple[dict, int]:
     tol = args.tol
     model = load_model(args.model, tol)
-    phi = uniform_ket(model.dim_a) if args.phi is None else _load_phi(args.phi, model, tol)
+    if args.phi is None:
+        phi = uniform_ket(model.dim_a)
+    else:
+        phi = validate_unit_state(load_vector(args.phi), model.dim_a, tol, "phi")
     checks, start = [], time.perf_counter()
     for name, report in verify(model, phi, tol):  # each check runs as its pair is reached
         elapsed = time.perf_counter() - start
@@ -87,7 +72,7 @@ def _text_verify(doc: dict) -> list[str]:
 def _cmd_collapse(args) -> tuple[dict, int]:
     tol = args.tol
     model = load_model(args.model, tol)
-    phi = _load_phi(args.phi, model, tol)
+    phi = validate_unit_state(load_vector(args.phi), model.dim_a, tol, "phi")
     dist = OutcomeDistribution(_pointer_weights(model, phi))
     prc = check_prc(model, phi, tol)
     report = sample(dist, args.n, args.seed)

@@ -132,14 +132,17 @@ def build_canonical_model(observable: SpectralForm) -> MeasurementModel:
 
         |psi>|0>  ->  sum_k (E_k |psi>) (x) |k>
 
-    The model stores only that initial-subspace part, W[(a, k), a'] = E_k[a, a'].
+    The model stores only that initial-subspace part, W[(a, k), a'] = E_k[a, a'], read off
+    the range basis in one product: row (a, k) of (V * mask_k) V^dag is row a of E_k. The
+    product stays inside the call, so no local keeps the masked rows alive beside W.
     """
-    dim_a, dim_b = observable.dim, observable.outcomes
+    v, dim_a, dim_b = observable.basis, observable.dim, observable.outcomes
+    mask = observable.labels == np.arange(dim_b)[:, None]
     return MeasurementModel(
         observable=observable,
         pointer=SpectralForm(np.arange(dim_b, dtype=float), np.ones(dim_b, int), np.eye(dim_b)),
         instrument_state=basis_ket(dim_b, 0),
-        isometry=observable.projectors.transpose(1, 0, 2).reshape(dim_a * dim_b, dim_a),
+        isometry=(v[:, None] * mask).reshape(dim_a * dim_b, dim_a) @ v.conj().T,
     )
 
 

@@ -2,13 +2,16 @@
 
 All generators take an explicit numpy Generator so suites stay reproducible.
 Models are built and changed through their isometry W = U(I (x) phi_B) alone,
-never through a dense unitary. Includes the two negative-model
-constructions: swapping pointer projectors (breaks coindexing outright) and
-rotating one column of W out of its range (breaks the measurement conditions
-for generic models).
+never through a dense unitary. Each variant is dataclasses.replace of its parent,
+naming only the fields it changes, so the others stay the parent's own. Includes
+the two negative-model constructions: swapping pointer projectors (breaks
+coindexing outright) and rotating one column of W out of its range (breaks the
+measurement conditions for generic models).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -99,8 +102,8 @@ def with_redundant_pointer(
     chi = rand_ket(extra_dim, rng)
     p = model.pointer
     basis = (p.basis[:, None, :, None] * np.eye(extra_dim)[:, None]).reshape(p.dim * extra_dim, -1)
-    return MeasurementModel(
-        observable=model.observable,
+    return replace(
+        model,
         pointer=SpectralForm(p.eigenvalues, p.ranks * extra_dim, basis),
         instrument_state=(model.instrument_state[:, None] * chi).reshape(-1),
         isometry=(model.isometry[:, None, :] * chi[:, None]).reshape(-1, model.dim_a),
@@ -139,12 +142,7 @@ def perturb_model(model: MeasurementModel, rng: np.random.Generator) -> Measurem
 
     perturbed = np.array(w)
     perturbed[:, a] = np.cos(theta) * w[:, a] + np.sin(theta) * v
-    return MeasurementModel(
-        observable=model.observable,
-        pointer=model.pointer,
-        instrument_state=model.instrument_state,
-        isometry=perturbed,
-    )
+    return replace(model, isometry=perturbed)
 
 
 def swap_pointer(model: MeasurementModel) -> MeasurementModel:
@@ -154,9 +152,4 @@ def swap_pointer(model: MeasurementModel) -> MeasurementModel:
     p = model.pointer
     blocks = (p.blocks[1], p.blocks[0], *p.blocks[2:])
     pointer = SpectralForm(p.eigenvalues, [len(v.T) for v in blocks], np.hstack(blocks))
-    return MeasurementModel(
-        observable=model.observable,
-        pointer=pointer,
-        instrument_state=model.instrument_state,
-        isometry=model.isometry,
-    )
+    return replace(model, pointer=pointer)

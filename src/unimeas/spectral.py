@@ -96,7 +96,8 @@ class SpectralForm:
 
     @property
     def projectors(self) -> np.ndarray:
-        """Read-only (outcomes, dim, dim) stack of the E_k = (V * mask_k) V^dag, built on each call."""
+        """Read-only (outcomes, dim, dim) stack of the E_k = (V * mask_k) V^dag, built on each call
+        for dense consumers outside the package: the tests and the benchmark's reference checks."""
         mask = self.labels == np.arange(self.outcomes)[:, None, None]
         return frozen((self.basis * mask) @ self.basis.conj().T)
 

@@ -140,7 +140,7 @@ class TestVerify:
         save_vector(np.array([1e200, 1e200]), phi)
         args = ["--phi", str(phi)] if command == "verify" else [str(phi)]
         assert main([command, str(workspace / "model.json"), *args]) == 2
-        message = "error: phi: state norm 1.414213562373095e+200 is not 1 within 1e-09\n"
+        message = "error: phi norm 1.414213562373095e+200 is not 1 within 1e-09\n"
         assert capsys.readouterr().err == message
 
     def test_outcome_count_mismatch_exits_2(self, tmp_path, capsys, outcome_mismatch_document):
@@ -294,7 +294,7 @@ class TestCollapse:
         phi = tmp_path / "phi34.json"
         save_vector(np.array([3.0, 4.0], dtype=complex), phi)
         assert main(["collapse", str(workspace / "model.json"), str(phi)]) == 2
-        assert capsys.readouterr().err.startswith("error: phi: state norm 5.0")
+        assert capsys.readouterr().err == "error: phi norm 5.0 is not 1 within 1e-09\n"
 
     @pytest.mark.parametrize("negative", ["swapped", "perturbed"])
     def test_negative_model_samples_pointer_weights_and_exits_1(self, negative, tmp_path, capsys):

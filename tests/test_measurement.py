@@ -5,7 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from support import lifted_pointer, rotated_instrument, z_model
+from hypothesis import seed
+from support import (
+    ZOO_EXAMPLES,
+    ZOO_SETTINGS,
+    hypothesis_zoo_model,
+    lifted_pointer,
+    rotated_instrument,
+    z_model,
+    zoo_model,
+)
 
 from unimeas.linalg import basis_ket, uniform_ket
 from unimeas.measurement import (
@@ -21,6 +30,7 @@ from unimeas.rand import (
     perturb_model,
     rand_ket,
     rand_model,
+    rand_observable,
     swap_pointer,
     with_redundant_pointer,
 )
@@ -67,6 +77,32 @@ class TestBuildCanonicalModel:
             model.validate(1e-9)
             assert check_calibration(model).max_residual <= 1e-10
             assert check_dynamical(model).max_residual <= 1e-10
+
+
+def stacked_isometry(obs) -> np.ndarray:
+    """W of the canonical model read off the dense stack: W[(a, k), a'] = E_k[a, a']."""
+    return obs.projectors.transpose(1, 0, 2).reshape(obs.dim * obs.outcomes, obs.dim)
+
+
+class TestCanonicalIsometry:
+    """The isometry read off the range basis is the dense stack's, bit for bit."""
+
+    @seed(0x5ba1d0c7e3f24a9e8b6c1d2e3f4a5b6c7d8e9f0a1b2c3d4e5f60718293a4b5c6d7e8f9a0b1c2d3e4f5)
+    @ZOO_SETTINGS
+    @ZOO_EXAMPLES
+    def test_hypothesis_zoo_observables(self, dim_a, variant, seed):
+        obs = hypothesis_zoo_model(dim_a, variant, seed)[0].observable
+        assert np.array_equal(build_canonical_model(obs).isometry, stacked_isometry(obs))
+
+    @pytest.mark.parametrize("variant", ["plain", "degenerate"])
+    @pytest.mark.parametrize("dim_a", [2, 3, 4, 5, 8, 16, 31, 64])
+    def test_plain_and_degenerate(self, variant, dim_a):
+        obs = zoo_model(variant, dim_a, np.random.default_rng(dim_a)).observable
+        assert np.array_equal(build_canonical_model(obs).isometry, stacked_isometry(obs))
+
+    def test_two_outcomes_at_dim_256(self):
+        obs = rand_observable(256, np.random.default_rng(256), [128, 128])
+        assert np.array_equal(build_canonical_model(obs).isometry, stacked_isometry(obs))
 
 
 class TestPremeasure:
@@ -350,6 +386,53 @@ class TestCalibrationPeak:
         finally:
             tracemalloc.stop()
         assert peak <= 2.1 * model.isometry.nbytes
+
+
+class TestBuildPeak:
+    def test_peak_is_two_isometries_at_joint_4096(self):
+        """The build holds the masked rows (V * mask_k) and their product W, then W and the model's
+        copy, each W's size: a named local holding the masked rows would read 3 W's bytes."""
+        obs = rand_observable(64, np.random.default_rng(64))
+        w = build_canonical_model(obs).isometry  # the form's cached labels are made here, not below
+        assert w.shape == (4096, 64)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build_canonical_model(obs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * w.nbytes
+
+
+class TestVariantsKeepWhatTheyDoNotName:
+    """Each variant replaces only the fields it changes; the rest are the parent's own."""
+
+    PARENTS = [(variant, dim) for variant in ("plain", "degenerate", "redundant") for dim in (3, 5, 8)]
+
+    @pytest.mark.parametrize("variant, dim", PARENTS)
+    def test_perturb_changes_one_column_of_w(self, variant, dim):
+        rng = np.random.default_rng(dim)
+        parent = zoo_model(variant, dim, rng)
+        child = perturb_model(parent, rng)
+        assert child.observable is parent.observable and child.pointer is parent.pointer
+        assert child.instrument_state.tobytes() == parent.instrument_state.tobytes()
+        changed = (child.isometry != parent.isometry).any(axis=0)
+        assert np.count_nonzero(changed) == 1
+
+    @pytest.mark.parametrize("variant, dim", PARENTS)
+    def test_swap_keeps_state_and_w(self, variant, dim):
+        parent = zoo_model(variant, dim, np.random.default_rng(dim))  # each has two outcomes or more
+        child = swap_pointer(parent)
+        assert child.observable is parent.observable
+        assert child.instrument_state.tobytes() == parent.instrument_state.tobytes()
+        assert child.isometry.tobytes() == parent.isometry.tobytes()
+
+    @pytest.mark.parametrize("variant, dim", PARENTS)
+    def test_redundant_keeps_observable(self, variant, dim):
+        rng = np.random.default_rng(dim)
+        parent = zoo_model(variant, dim, rng)
+        assert with_redundant_pointer(parent, 2, rng).observable is parent.observable
 
 
 @pytest.mark.parametrize("dim_a", range(2, 17))

@@ -16,7 +16,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, as_complex, frozen, validate_outcome_index
+from .linalg import DEFAULT_EPS, _norm, as_complex, frozen, validate_outcome_index
 from .linalg import validate_state, validate_tolerance, validate_unit_state
 from .measurement import CheckReport, MeasurementModel, _pointer_pieces, _pointer_weights, premeasure
 from .measurement import check_calibration, check_dynamical
@@ -42,7 +42,11 @@ class BranchDecomposition:
         pieces = as_complex(pieces)
         if pieces.ndim != 2:
             raise ValueError(f"pieces must be a matrix, got ndim {pieces.ndim}")
-        amplitudes = np.linalg.norm(pieces, axis=0)
+        with np.errstate(over="ignore"):  # a finite piece's sum of squares may overflow: rescaled below
+            amplitudes = np.linalg.norm(pieces, axis=0)
+        for j in np.flatnonzero(np.isinf(amplitudes)):
+            if np.isfinite(pieces[:, j]).all():
+                amplitudes[j] = _norm(pieces[:, j])
         kept = ~(amplitudes < self.eps)  # a nan norm is kept, as nan < eps is False
         with np.errstate(invalid="ignore"):  # a nan norm makes a nan branch state, silently
             states = (pieces[:, kept] / amplitudes[kept]).T

@@ -38,6 +38,8 @@ class OutcomeDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.weights):
+            raise ValueError("weights must be real")
         object.__setattr__(self, "weights", frozen(np.asarray(self.weights, dtype=np.float64)))
         if self.weights.ndim != 1:
             raise ValueError(f"weights must be a vector, got ndim {self.weights.ndim}")

@@ -134,41 +134,22 @@ def validate_projector(p, eps: float = DEFAULT_EPS, name: str = "projector") -> 
 
 
 def _validate_matrix(a, eps: float, name: str, idempotent: bool) -> np.ndarray:
+    """a as complex128; raises "<name> ..." unless a is a non-empty square matrix that is finite,
+    Hermitian within eps and, with `idempotent`, idempotent within eps, checked in that order."""
     a = as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     if not a.size:
         raise ValueError(f"{name} must be non-empty")
-    bad = stack_defect(a[None], eps, idempotent)
-    if bad is not None:
-        raise ValueError(f"{name} {bad[1]}")
-    return a
-
-
-def stack_defect(stack: np.ndarray, eps: float, idempotent: bool = False) -> tuple[int, str] | None:
-    """(k, defect) for the first matrix k of a complex (n, d, d) stack that fails.
-
-    Each matrix is checked, in order, to be finite, Hermitian within eps and,
-    with `idempotent`, idempotent within eps; defect completes "<name> ...".
-    None when every matrix passes. The one rule behind validate_hermitian,
-    validate_projector and spectral.from_projectors.
-    """
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    n = len(stack) if finite.all() else int(finite.argmin())
-    head = stack[:n]  # the finite prefix: inf - inf would warn
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):  # huge finite entries overflow to inf
-        herm = abs(head - head.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        bad = herm > eps
-        if idempotent:
-            bad |= ~(abs(head @ head - head).max(axis=(1, 2)) <= eps)  # nan fails too
-    if bad.any():
-        k = int(bad.argmax())
-        if herm[k] > eps:
-            return k, f"is not Hermitian (defect {herm[k]:.3e})"
-        return k, "is not idempotent"
-    if n < len(stack):
-        return n, "has non-finite entries"
-    return None
+        herm = abs(a - a.conj().T).max()
+        if herm > eps:
+            raise ValueError(f"{name} is not Hermitian (defect {herm:.3e})")
+        if idempotent and not abs(a @ a - a).max() <= eps:  # nan fails too
+            raise ValueError(f"{name} is not idempotent")
+    return a
 
 
 def projector_stack(

@@ -48,6 +48,8 @@ class CheckReport:
 
     def __post_init__(self):
         validate_tolerance(self.tolerance)
+        if np.iscomplexobj(self.per_outcome_residuals):
+            raise ValueError("per_outcome_residuals must be real")
         residuals = frozen(np.asarray(self.per_outcome_residuals, dtype=np.float64))
         if not residuals.size:
             raise ValueError("per_outcome_residuals must be non-empty")

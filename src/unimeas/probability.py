@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_EPS, validate_projector, validate_tolerance, validate_unit_state
-from .spectral import _ranges
+from .spectral import _range
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,8 @@ class ProbabilityTriple:
 def forms_triple(psi, p, eps: float = DEFAULT_EPS) -> ProbabilityTriple:
     """All three forms, each its own expression, for a unit state psi and a projector p.
 
-    The Born form sums over range_basis's basis of p, taken from the projector validated here
-    without validating it again; it is 0.0 for the empty range of p = 0.
+    The Born form sums over the basis range_basis gives, read by _range off the projector
+    validated here without validating it again; it is 0.0 for the empty range of p = 0.
 
     Raises:
         ValueError: eps is bad, p is not a projector within eps, or psi is not a unit state
@@ -43,9 +43,8 @@ def forms_triple(psi, p, eps: float = DEFAULT_EPS) -> ProbabilityTriple:
     validate_tolerance(eps)
     p = validate_projector(p, eps)
     psi = validate_unit_state(psi, p.shape[0], eps)
-    in_range, vecs = _ranges(p[None])
     return ProbabilityTriple(
         expectation_form=float(np.vdot(psi, p @ psi).real),
-        born_form=float(sum(abs(np.vdot(psi, v)) ** 2 for v in vecs[0].T[in_range[0]])),
+        born_form=float(sum(abs(np.vdot(psi, v)) ** 2 for v in _range(p).T)),
         trace_form=float((p @ np.outer(psi, psi.conj())).trace().real),
     )

@@ -18,7 +18,6 @@ from .linalg import (
     frozen,
     orthonormality_defect,
     projector_stack,
-    stack_defect,
     sum_defect,
     validate_hermitian,
     validate_outcome_index,
@@ -175,29 +174,23 @@ def from_projectors(
 def _dense_basis(stack: np.ndarray, eps: float, label: str) -> tuple[np.ndarray, np.ndarray]:
     """(basis, ranks) of a complex (n, d, d) stack of orthogonal projectors, checked as given.
 
-    The first matrix that stack_defect refuses (with idempotency), or that is zero, is named
-    "<label> k"; then "<label>s k and k'", the first pair in (k, k') order whose block of the
-    Gram matrix V^dag V has an entry above eps, read d rows per product so that none outgrows
-    the stack. Block k of V is matrix k's range basis.
+    The first matrix that validate_projector refuses, or that is zero, is named "<label> k";
+    then "<label>s k and k'", the first pair in (k, k') order whose range bases have a product
+    entry above eps, read as outcome k's block against the basis columns of every later one.
+    Block k of the basis is matrix k's range basis.
     """
-    bad = stack_defect(stack, eps, idempotent=True)
-    if bad is not None:
-        raise ValueError(f"{label} {bad[0]} {bad[1]}")
-    in_range, vecs = _ranges(stack)
-    ranks = in_range.sum(axis=1)
+    for k, p in enumerate(stack):
+        validate_projector(p, eps, f"{label} {k}")
+    blocks = [_range(p) for p in stack]
+    ranks = np.array([b.shape[1] for b in blocks])
     if not ranks.all():
         raise ValueError(f"{label} {int(np.argmin(ranks))} is zero")
-    basis = vecs.transpose(0, 2, 1)[in_range].T
-    d, total = basis.shape
+    basis = np.hstack(blocks)
     labels = np.repeat(np.arange(len(ranks)), ranks)
-    # each Gram row's first later outcome with an entry above eps, len(ranks) where none is
-    partner = np.full(total, len(ranks))
-    for i in range(0, total, d):
-        hits = (abs(basis[:, i : i + d].conj().T @ basis) > eps) & (labels > labels[i : i + d, None])
-        partner[i : i + d] = np.where(hits.any(axis=1), labels[hits.argmax(axis=1)], len(ranks))
-    if (partner < len(ranks)).any():
-        k = labels[np.argmax(partner < len(ranks))]
-        raise ValueError(f"{label}s {k} and {partner[labels == k].min()} are not orthogonal")
+    for k, end in enumerate(ranks.cumsum()[:-1]):
+        hits = (abs(blocks[k].conj().T @ basis[:, end:]) > eps).any(axis=0)
+        if hits.any():
+            raise ValueError(f"{label}s {k} and {labels[end + hits.argmax()]} are not orthogonal")
     return basis, ranks
 
 
@@ -242,22 +235,17 @@ def refine(
 
 
 def range_basis(projector, eps: float = DEFAULT_EPS) -> list[np.ndarray]:
-    """Deterministic orthonormal basis of a projector's range.
+    """Deterministic orthonormal basis of a projector's range, the columns _range reads.
 
     Raises:
         ValueError: eps is bad, or projector is non-finite, not square, or not a projector within eps.
     """
     validate_tolerance(eps)
-    in_range, vecs = _ranges(validate_projector(projector, eps)[None])
-    return [vecs[0][:, i] for i in np.flatnonzero(in_range[0])]
+    return list(_range(validate_projector(projector, eps)).T)
 
 
-def _ranges(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(in_range, vecs) for a complex (n, d, d) stack, from one batched eigh of its Hermitian parts.
-
-    vecs[k][:, i] is an eigenvector of matrix k, and in_range[k, i] (eigenvalue
-    above 1/2) says it belongs to the range basis. The one range rule behind
-    range_basis and from_projectors.
-    """
-    vals, vecs = np.linalg.eigh(stack / 2.0 + stack.conj().transpose(0, 2, 1) / 2.0)
-    return vals > 0.5, vecs
+def _range(p: np.ndarray) -> np.ndarray:
+    """Range basis of a complex projector, as columns: the eigenvectors of one eigh of its Hermitian
+    part with eigenvalues above 1/2. The one range rule behind range_basis, forms_triple, from_projectors."""
+    vals, vecs = np.linalg.eigh(p / 2.0 + p.conj().T / 2.0)
+    return vecs[:, vals > 0.5]

@@ -15,10 +15,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unimeas.branches import check_prc
-from unimeas.linalg import stack_defect, sum_defect, validate_hermitian, validate_projector
+from unimeas.linalg import sum_defect, validate_hermitian, validate_projector
 from unimeas.measurement import MeasurementModel, build_canonical_model, check_calibration, check_dynamical
 from unimeas.rand import perturb_model, rand_model, rand_unitary, swap_pointer, with_redundant_pointer
-from unimeas.spectral import DEGENERACY_TOL, SpectralForm, _ranges, range_basis, spectral_decompose
+from unimeas.spectral import DEGENERACY_TOL, SpectralForm, range_basis, spectral_decompose
 
 TOL = 1e-9
 DENSE_RESIDUAL_TOL = 1e-12
@@ -134,12 +134,52 @@ def dense_report(residuals, eps, column, columns=None):
     return float(np.max(per_outcome)) <= eps, per_outcome, witness
 
 
+def stack_defect(stack: np.ndarray, eps: float, idempotent: bool = False) -> tuple[int, str] | None:
+    """(k, defect) for the first matrix k of a complex (n, d, d) stack that fails.
+
+    Each matrix is checked, in order, to be finite, Hermitian within eps and,
+    with `idempotent`, idempotent within eps; defect completes "<name> ...".
+    None when every matrix passes. The batched rule that validate_hermitian,
+    validate_projector and spectral.from_projectors, which check one matrix at
+    a time, are compared with.
+    """
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    n = len(stack) if finite.all() else int(finite.argmin())
+    head = stack[:n]  # the finite prefix: inf - inf would warn
+    with np.errstate(over="ignore", invalid="ignore"):  # huge finite entries overflow to inf
+        herm = abs(head - head.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        bad = herm > eps
+        if idempotent:
+            bad |= ~(abs(head @ head - head).max(axis=(1, 2)) <= eps)  # nan fails too
+    if bad.any():
+        k = int(bad.argmax())
+        if herm[k] > eps:
+            return k, f"is not Hermitian (defect {herm[k]:.3e})"
+        return k, "is not idempotent"
+    if n < len(stack):
+        return n, "has non-finite entries"
+    return None
+
+
+def dense_ranges(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(in_range, vecs) from one batched eigh of the Hermitian parts of the stack e: vecs[k][:, i]
+    is an eigenvector of matrix k, in its range basis where in_range[k, i] (eigenvalue above 1/2)."""
+    vals, vecs = np.linalg.eigh(e / 2.0 + e.conj().transpose(0, 2, 1) / 2.0)
+    return vals > 0.5, vecs
+
+
+def dense_basis(e: np.ndarray) -> np.ndarray:
+    """The range bases of the stack e side by side, outcome by outcome, read off dense_ranges."""
+    in_range, vecs = dense_ranges(e)
+    return vecs.transpose(0, 2, 1)[in_range].T
+
+
 def dense_calibration(e, f, w, eps=TOL):
     """Range bases from one batched eigh of the object stack e, then F_k W B_k = W B_k."""
     bad = stack_defect(e, eps)
     if bad is not None:
         raise ValueError(f"projector {bad[1]}")
-    in_range, vecs = _ranges(e)
+    in_range, vecs = dense_ranges(e)
     finals = vecs.transpose(0, 2, 1)[in_range] @ w.T
     ends = np.cumsum(in_range.sum(axis=1)).tolist()
     pointed = np.concatenate([

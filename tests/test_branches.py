@@ -78,6 +78,14 @@ class TestDecomposeInitial:
         with pytest.raises(ValueError, match="expected"):
             decompose_initial(rand_ket(3, rng), spectral_decompose(np.diag([1.0, -1.0])))
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_state(self):
+        """A linear map takes any finite vector: amplitudes whose squares overflow stay finite."""
+        phi = np.array([1e200, 1e200])
+        dec = decompose_initial(phi, spectral_decompose(np.diag([1.0, -1.0])))
+        np.testing.assert_array_equal(dec.amplitudes, [1e200, 1e200])
+        np.testing.assert_array_equal(dec.reconstruct(), phi)
+
 
 class TestCheckPrc:
     def test_uniform_superposition_balanced(self):
@@ -207,6 +215,13 @@ class TestDecomposeFinal:
         finally:
             tracemalloc.stop()
         assert peak <= 6e6
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_state(self):
+        phi = np.array([3e160, 4e160])
+        dec = decompose_final(z_model(), phi)
+        np.testing.assert_array_equal(dec.amplitudes, [3e160, 4e160])
+        np.testing.assert_array_equal(dec.reconstruct(), premeasure(z_model(), phi))
 
 
 class TestVerify:

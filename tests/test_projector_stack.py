@@ -13,21 +13,28 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import seed
 from support import (
     LOOP_RESIDUAL_TOL,
+    TOL,
     VARIANTS,
+    ZOO_EXAMPLES,
+    ZOO_SETTINGS,
     _outcome,
     assert_model_matches,
+    dense_basis,
+    hypothesis_zoo_model,
     loop_calibration,
     loop_validate_projectors,
     rotated_instrument,
+    stack_defect,
     zoo_model,
 )
 
 from unimeas.branches import verify
 from unimeas.linalg import uniform_ket
 from unimeas.measurement import check_calibration, check_dynamical
-from unimeas.rand import perturb_model, rand_hermitian, rand_model, with_redundant_pointer
+from unimeas.rand import perturb_model, rand_hermitian, rand_model, rand_observable, with_redundant_pointer
 from unimeas.spectral import from_projectors, refine, spectral_decompose
 
 DIMS = (2, 3, 4, 5, 6, 7, 8, 16, 32)
@@ -39,11 +46,15 @@ def _zoo(variant, dim, seed):
 
 
 def _corruptions(mats: list[np.ndarray], rng: np.random.Generator):
-    """The stack as is, and copies with one defect each at a random projector."""
+    """The stack as is, and copies with one defect each at a random projector, or two at an
+    earlier and a later one (both at the one projector of a one-outcome stack)."""
     n, d = len(mats), mats[0].shape[0]
     k = int(rng.integers(n))
     yield mats
-    for name in ("idempotent", "hermitian", "scale", "nan", "duplicate"):
+    for name in (
+        "idempotent", "hermitian", "scale", "nan", "duplicate",
+        "nan-then-hermitian", "hermitian-then-nan", "inf", "overflow", "zero",
+    ):
         bad = [np.array(p) for p in mats]
         if name == "idempotent":
             bad[k] = bad[k] + 1e-6 * rand_hermitian(d, rng)
@@ -53,20 +64,37 @@ def _corruptions(mats: list[np.ndarray], rng: np.random.Generator):
             bad[k] = bad[k] + 1e-9 * rand_hermitian(d, rng)
         elif name == "nan":
             bad[k][0, d - 1] = np.nan
-        elif n > 1:
-            bad[k] = bad[(k + 1) % n]
+        elif name == "duplicate":
+            if n > 1:
+                bad[k] = bad[(k + 1) % n]
+        elif name in ("nan-then-hermitian", "hermitian-then-nan"):
+            first, second = np.sort(rng.choice(n, 2, replace=False)) if n > 1 else (0, 0)
+            nan, hermitian = (first, second) if name == "nan-then-hermitian" else (second, first)
+            bad[hermitian] = bad[hermitian] + 1e-6 * rng.normal(size=(d, d))
+            bad[nan][0, d - 1] = np.nan
+        elif name == "inf":
+            bad[k][d - 1, 0] = np.inf
+        elif name == "overflow":  # exactly Hermitian, with a square beyond the float range
+            bad[k] = (bad[k] + bad[k].conj().T) * 5e199
+        else:
+            bad[k] = np.zeros_like(bad[k])
         yield bad
 
 
+@pytest.mark.filterwarnings("error")
 class TestLoopParity:
     @pytest.mark.parametrize("variant,dim,seed", ZOO)
     def test_validate_projectors(self, variant, dim, seed):
+        """Equal messages, and the first defect the batched reference stack_defect names."""
         model = _zoo(variant, dim, seed)
         rng = np.random.default_rng([dim, seed])
         for sf in (model.observable, model.pointer):
             for mats in _corruptions(list(sf.projectors), rng):
                 batched = _outcome(lambda: from_projectors(sf.eigenvalues, mats, dim=sf.dim))
                 assert batched == _outcome(lambda: loop_validate_projectors(mats, sf.dim))
+                defect = stack_defect(np.array(mats), TOL, idempotent=True)
+                if defect is not None:
+                    assert batched == f"projector {defect[0]} {defect[1]}"
 
     @pytest.mark.parametrize("variant,dim,seed", ZOO)
     def test_calibration(self, variant, dim, seed):
@@ -173,8 +201,41 @@ class TestCalibrationMemory:
         assert peak < 4 * (model.isometry.nbytes + model.pointer.projectors.nbytes)
 
 
+class TestDenseBasis:
+    """from_projectors checks and reads one projector at a time: its basis is bit for bit the
+    one a single batched eigh of the whole stack gives, and its peak stays near the stack's copy."""
+
+    @seed(0x3c1a9e5d7b2f4068a1c3e5f7092b4d6f8a0c2e4f6a8b0d2f4e6a8c0b2d4f6e8a0c2b4d6f8e0a2c4b6d8f0)
+    @ZOO_SETTINGS
+    @ZOO_EXAMPLES
+    def test_hypothesis_zoo_bases(self, dim_a, variant, seed):
+        model = hypothesis_zoo_model(dim_a, variant, seed)[0]
+        for sf in (model.observable, model.pointer):
+            assert np.array_equal(from_projectors(sf.eigenvalues, sf.projectors).basis, dense_basis(sf.projectors))
+
+    @pytest.mark.parametrize("dim", [32, 64, 128])
+    def test_large_bases(self, dim):
+        sf = rand_observable(dim, np.random.default_rng(dim))
+        assert np.array_equal(from_projectors(sf.eigenvalues, sf.projectors).basis, dense_basis(sf.projectors))
+
+    @pytest.mark.parametrize("dim,ranks,bound", [(128, None, 1.5), (256, [128, 128], 3.0)])
+    def test_peak(self, dim, ranks, bound):
+        """128 rank-1 projectors at dim 128, and 2 outcomes at dim 256; the stack is built first."""
+        sf = rand_observable(dim, np.random.default_rng(dim), ranks)
+        stack = sf.projectors
+        assert len(stack) == (dim if ranks is None else len(ranks))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            from_projectors(sf.eigenvalues, stack)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * stack.nbytes
+
+
 class TestFirstFailure:
-    """A batched validator still reports the first failing item."""
+    """Checked one projector at a time, the first failing item is reported."""
 
     def test_not_idempotent_before_later_not_hermitian(self):
         p0 = np.diag([1.0, 0.5, 0.0])

@@ -226,6 +226,10 @@ PROBES = {
         lambda: CheckReport(0.1, 0.5),
         r"^per_outcome_residuals must be a vector, got ndim 0$",
     ),
+    "CheckReport-complex-residual": (
+        lambda: CheckReport(np.array([1e-3 + 1j]), 1e-2),
+        r"^per_outcome_residuals must be real$",
+    ),
     "rand_projector-rank-zero": (
         lambda: rand_projector(2, 0, np.random.default_rng(0)),
         r"^rank must lie in 1\.\.2, got 0$",
@@ -314,6 +318,14 @@ PROBES = {
     "OutcomeDistribution-2d-weights": (
         lambda: OutcomeDistribution([[0.5, 0.5]]),
         r"^weights must be a vector, got ndim 2$",
+    ),
+    "OutcomeDistribution-complex-array": (
+        lambda: OutcomeDistribution(np.array([0.5 + 0.5j, 0.5])),
+        r"^weights must be real$",
+    ),
+    "OutcomeDistribution-complex-list": (
+        lambda: OutcomeDistribution([0.5 + 0.5j, 0.5]),
+        r"^weights must be real$",
     ),
     "BranchDecomposition-vector-pieces": (
         lambda: BranchDecomposition([1.0, 0.0]),

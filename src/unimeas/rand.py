@@ -15,33 +15,36 @@ from dataclasses import replace
 
 import numpy as np
 
-from .linalg import _is_int, basis_ket
+from .linalg import _is_int, basis_ket, ket
 from .measurement import MeasurementModel, build_canonical_model
 from .spectral import SpectralForm, spectral_decompose
 
 
+def _gaussian(shape, rng: np.random.Generator) -> np.ndarray:
+    """Standard complex Gaussian entries: the real parts drawn first, then the imaginary ones."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 def rand_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random state vector."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+    return ket(_gaussian(dim, rng))
 
 
 def rand_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR with phase correction."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(_gaussian((dim, dim), rng))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
 
 def rand_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (z + z.conj().T) / 2.0
+    z = _gaussian((dim, dim), rng)
+    return z + z.conj().T
 
 
 def rand_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random full-rank density operator."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    z = _gaussian((dim, dim), rng)
     rho = z @ z.conj().T
     return rho / np.trace(rho).real
 
@@ -55,9 +58,7 @@ def rand_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def rand_observable(
-    dim: int,
-    rng: np.random.Generator,
-    multiplicities: list[int] | None = None,
+    dim: int, rng: np.random.Generator, multiplicities: list[int] | None = None
 ) -> SpectralForm:
     """Random Hermitian observable in spectral form.
 
@@ -78,9 +79,7 @@ def rand_observable(
 
 
 def rand_model(
-    dim: int,
-    rng: np.random.Generator,
-    multiplicities: list[int] | None = None,
+    dim: int, rng: np.random.Generator, multiplicities: list[int] | None = None
 ) -> MeasurementModel:
     """Canonical model measuring a random observable."""
     return build_canonical_model(rand_observable(dim, rng, multiplicities))
@@ -136,7 +135,7 @@ def perturb_model(model: MeasurementModel, rng: np.random.Generator) -> Measurem
     if np.linalg.norm(v) < 0.5:
         # the basis vectors' squared distances to range(W) average
         # 1 - dim_a/dim >= 1/2, so the farthest lies at least 1/sqrt(2) away
-        j = int(np.argmin(np.sum(np.abs(w) ** 2, axis=1)))
+        j = int(np.argmin(np.linalg.norm(w, axis=1)))
         v = basis_ket(model.dim, j) - w @ w[j].conj()
     v = v / np.linalg.norm(v)
 

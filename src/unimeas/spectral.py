@@ -142,7 +142,7 @@ def spectral_decompose(h, eps: float = DEFAULT_EPS) -> SpectralForm:
     vals, vecs = vals[::-1], vecs[:, ::-1]
     with np.errstate(over="ignore"):  # near the float maximum a gap, still large, or a sum overflows
         # a new outcome starts wherever the gap to the previous eigenvalue is large
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(vals) < -DEGENERACY_TOL) + 1))
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(vals) <= -DEGENERACY_TOL) + 1))
         ranks = np.diff(np.append(starts, vals.size))
         means = np.add.reduceat(vals, starts) / ranks
     # floats whose sum overflows lie far more than DEGENERACY_TOL apart: one value repeated, its mean

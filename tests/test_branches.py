@@ -18,7 +18,7 @@ from unimeas.branches import (
 )
 from unimeas.linalg import basis_ket, ket, uniform_ket
 from unimeas.measurement import premeasure
-from unimeas.rand import rand_ket, rand_model, rand_observable, with_redundant_pointer
+from unimeas.rand import rand_ket, rand_model, rand_observable, swap_pointer, with_redundant_pointer
 from unimeas.spectral import spectral_decompose
 
 
@@ -74,6 +74,12 @@ class TestDecomposeInitial:
                 a, b = getattr(dec, name), getattr(record, name)
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
+    def test_amplitude_at_eps_is_kept(self):
+        """A branch is dropped only below eps: a norm of exactly eps keeps its outcome."""
+        dec = BranchDecomposition(np.array([[0.5, 0.25], [0.0, 0.0]]), 0.5)
+        assert dec.outcomes.tolist() == [0] and dec.dropped.tolist() == [1]
+        assert dec.amplitudes.tolist() == [0.5]
+
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError, match="expected"):
             decompose_initial(rand_ket(3, rng), spectral_decompose(np.diag([1.0, -1.0])))
@@ -107,6 +113,13 @@ class TestCheckPrc:
         sides = [np.vdot(final, lifted_pointer(model, k) @ final).real for k in range(2)]
         np.testing.assert_allclose(sides, [1.0, 0.0], atol=1e-12)
         assert check_prc(model, phi).passed
+
+    def test_residual_at_eps_passes_without_witness(self):
+        """A residual of exactly eps passes, and names no witness: swapping the pointer of
+        diag(1, -1) on phi = (0.75, 0.25) makes the dyadic residuals |1/16 - 9/16| = 1/2."""
+        report = check_prc(swap_pointer(z_model()), [0.75, 0.25], 0.5)
+        assert report.per_outcome_residuals.tolist() == [0.5, 0.5]
+        assert report.passed and report.witness is None
 
     def test_hundred_random_pairs(self, rng):
         worst = 0.0

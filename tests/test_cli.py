@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -480,7 +481,8 @@ EXACT_OUTPUT = {
 
 @pytest.mark.parametrize("run", sorted(EXACT_OUTPUT))
 def test_exact_output(run, workspace, monkeypatch, capsys):
-    """Every byte of stdout, text and --json, with only the timings masked.
+    """Every byte of stdout, text and --json, with only the timings masked; each timing lies
+    within the call's wall time.
 
     The inputs keep the arithmetic exact or nearly so: a qubit Z model, its
     pointer-swapped negative, phi = (0.6, 0.8) and the projector |0><0|.
@@ -489,8 +491,12 @@ def test_exact_output(run, workspace, monkeypatch, capsys):
     save_vector(np.array([0.6, 0.8], dtype=complex), "phi68.json")
     save_matrix(np.diag([1.0, 0.0]), "proj.json")
     argv, code, expected = EXACT_OUTPUT[run]
+    start = time.perf_counter()
     assert main(argv) == code
+    wall = time.perf_counter() - start
     captured = capsys.readouterr()
+    times = re.findall(r"(\d+\.\d{3})s$|\"elapsed_s\": ([-+.e\d]+)", captured.out, flags=re.MULTILINE)
+    assert all(0 <= float(t) <= wall + 1e-3 for pair in times for t in pair if t)  # text rounds to ms
     out = re.sub(r"\d+\.\d{3}s$", "T", captured.out, flags=re.MULTILINE)
     out = re.sub(r'"elapsed_s": [-+.e\d]+', '"elapsed_s": T', out)
     assert out == expected

@@ -204,6 +204,10 @@ class TestSample:
         report = sample(dist, 10**12, 0)
         assert int(np.sum(report.counts)) == report.total == 10**12
 
+    @pytest.mark.parametrize("n", [1, 2**63 - 1])
+    def test_n_at_either_end_of_int64_accepted(self, n):
+        assert sample(OutcomeDistribution([0.5, 0.5]), n, 0).total == n
+
     def test_n_beyond_int64_rejected(self):
         dist = OutcomeDistribution(np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="positive int64"):
@@ -236,6 +240,11 @@ class TestSample:
 class TestSampleReport:
     def test_total_sums_without_int64_wrap(self):
         assert SampleReport([2**62] * 4, 0).total == 2**64
+
+    @pytest.mark.parametrize("count", [2**63 - 1, 3])
+    def test_uint64_counts_below_2_63_accepted(self, count):
+        report = SampleReport(np.array([count], dtype=np.uint64), 0)
+        assert report.counts.dtype == np.int64 and report.counts.tolist() == [count]
 
     def test_seed_stored_as_int(self):
         report = SampleReport([1, 2], np.uint64(5))

@@ -65,6 +65,9 @@ class TestKets:
         with pytest.raises(ValueError, match=message):
             uniform_ket(bad)
 
+    def test_uniform_ket_of_dimension_one(self):
+        assert uniform_ket(1).tolist() == [1.0]
+
     def test_uniform_ket_accepts_numpy_integer(self):
         np.testing.assert_allclose(uniform_ket(np.int64(4)), np.full(4, 0.5), atol=1e-15)
 

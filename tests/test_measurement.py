@@ -34,7 +34,7 @@ from unimeas.rand import (
     swap_pointer,
     with_redundant_pointer,
 )
-from unimeas.spectral import spectral_decompose
+from unimeas.spectral import SpectralForm, spectral_decompose
 
 
 class TestBuildCanonicalModel:
@@ -149,6 +149,13 @@ class TestCheckCalibration:
         assert report.max_residual == pytest.approx(oracle)
         assert oracle == pytest.approx(1.0)
         assert "outcome 0" in report.witness
+
+    def test_residual_at_eps_passes_without_witness(self):
+        """Column 0 of W leaks amplitude 1/2 into pointer sector 1: a residual of exactly eps."""
+        leaky = dataclasses.replace(z_model(), isometry=[[np.sqrt(0.75), 0], [0.5, 0], [0, 0], [0, 1]])
+        report = check_calibration(leaky, 0.5)
+        assert report.per_outcome_residuals.tolist() == [0.5, 0.0]
+        assert report.passed and report.witness is None
 
     def test_identity_unitary_fails(self):
         base = z_model()
@@ -443,6 +450,21 @@ def test_perturbed_fails_both_with_witnesses(dim_a):
     for report in (check_calibration(model), check_dynamical(model)):
         assert not report.passed
         assert report.witness is not None
+
+
+def test_perturb_fallback_projects_a_complex_row_out_of_range():
+    """One object dimension and a rank-2 pointer: W = (0.6 e^{0.5i}, 0.8 e^{0.7i}), whose shifted
+    column lies within 1/2 of range(W). The farthest basis vector is e_0, with a complex row of W;
+    e_0 - W W^dag e_0, normalized, is a unit vector orthogonal to W, so the new column is still a
+    unit vector and its overlap with the old one is cos(theta), real."""
+    one = SpectralForm([0.0], [1], [[1.0]])
+    w = np.array([[0.6 * np.exp(0.5j)], [0.8 * np.exp(0.7j)]])
+    model = MeasurementModel(one, SpectralForm([0.0], [2], np.eye(2)), [1.0, 0.0], w)
+    for seed in range(4):
+        perturbed = perturb_model(model, np.random.default_rng(seed))
+        perturbed.validate(1e-9)
+        overlap = np.vdot(w[:, 0], perturbed.isometry[:, 0])
+        assert abs(overlap.imag) <= 1e-12 and overlap.real < 1 - 1e-3
 
 
 def test_perturb_falls_back_to_farthest_basis_vector():

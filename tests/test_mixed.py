@@ -216,6 +216,19 @@ class TestMixedProbability:
         with pytest.raises(ValueError, match=r"^purified route 0\.999999998\d+ disagrees with trace route 1\.0$"):
             mixed_probability(np.diag([1 - weight, weight]), np.eye(2))
 
+    @pytest.mark.parametrize("above", [False, True])
+    def test_routes_may_differ_by_eps_and_32_ulps_per_dim(self, monkeypatch, above):
+        """The trace route of diag(1, 0) and diag(0, 1) is 0.0; a purified route of exactly the
+        bound is accepted, and the next float above it refused."""
+        bound = DEFAULT_EPS + 32 * 2 * np.finfo(float).eps
+        purified = np.nextafter(bound, 1.0) if above else bound
+        monkeypatch.setattr(mixed, "purified_probability", lambda rho, projector, eps: purified)
+        if above:
+            with pytest.raises(ValueError, match="^purified route .* disagrees with trace route 0.0$"):
+                mixed_probability(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        else:
+            assert mixed_probability(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == 0.0
+
     def test_many_tiny_eigenvalues_dropped_within_eps(self):
         """1200 eigenvalues of 1e-12, none negative, sum to 1.2e-9 > eps. The longest run of
         them summing to at most eps (999: 1000 copies add up to just above 1e-9 in floating

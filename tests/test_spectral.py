@@ -60,6 +60,10 @@ class TestSpectralDecompose:
         assert sf.outcomes == 1
         np.testing.assert_allclose(sf.projectors[0], np.eye(2), atol=1e-12)
 
+    def test_eigenvalues_exactly_the_tolerance_apart_stay_apart(self):
+        """Only eigenvalues closer than DEGENERACY_TOL merge."""
+        assert spectral_decompose(np.diag([1e-7, 0.0])).eigenvalues.tolist() == [1e-7, 0.0]
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -110,7 +114,7 @@ class TestRefine:
         sf = spectral_decompose(np.eye(2))
         subs = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
         fine = refine(sf, 0, subs)
-        assert fine.outcomes == 2
+        assert fine.eigenvalues.tolist() == [1.0, 0.5]  # the lowest outcome's labels step by 1/m
         np.testing.assert_allclose(fine.projectors[0], subs[0], atol=1e-12)
         np.testing.assert_allclose(fine.projectors[1], subs[1], atol=1e-12)
         fine.validate(1e-9)
@@ -245,6 +249,12 @@ class TestRangeBasis:
         basis = range_basis(np.outer(basis_ket(2, 1), basis_ket(2, 1)))
         assert len(basis) == 1
         np.testing.assert_allclose(np.abs(basis[0]), [0.0, 1.0], atol=1e-12)
+
+    def test_eigenvalue_one_half_lies_outside_the_range(self):
+        """diag(1, 1/2) is idempotent within 0.3 (defect 1/4); its range is |0> alone."""
+        basis = range_basis(np.diag([1.0, 0.5]), 0.3)
+        assert len(basis) == 1
+        np.testing.assert_allclose(np.abs(basis[0]), [1.0, 0.0], atol=1e-12)
 
 
 class TestSpectralFormType:

@@ -30,7 +30,9 @@ from unimeas.linalg import (
     ket,
     projector_stack,
     uniform_ket,
+    validate_hermitian,
     validate_projector,
+    validate_unit_state,
 )
 from unimeas.measurement import (
     CheckReport,
@@ -64,6 +66,9 @@ THREE = build_canonical_model(spectral_decompose(np.diag([1.0, 2.0, 3.0])))
 # every eigenvalue is >= -eps, but their negative part sums to -8.91e-8: density_eigh
 # refuses it, so mixed_probability never sees the purified route drop what the trace route counts
 ALMOST_PSD = np.diag([1.0 + 99 * 0.9e-9] + [-0.9e-9] * 99)
+# the range of |w><w|, w = (0.6, 0.8), against that of P0: their product entry, as from_projectors reads it
+TILTED = np.outer([0.6, 0.8], [0.6, 0.8])
+OVERLAP = float(abs(np.vdot(range_basis(P0)[0], range_basis(TILTED)[0])))
 
 
 def _document(path, value) -> dict:
@@ -125,6 +130,10 @@ PROBES = {
         lambda: range_basis(P0, -1.0),
         r"^tolerance must lie in \(0, 1\), got -1\.0$",
     ),
+    "range_basis-eps-one": (
+        lambda: range_basis(P0, 1.0),
+        r"^tolerance must lie in \(0, 1\), got 1\.0$",
+    ),
     "spectral_decompose-empty": (
         lambda: spectral_decompose(np.zeros((0, 0))),
         r"^observable must be non-empty$",
@@ -145,6 +154,10 @@ PROBES = {
     "density_eigh-empty": (
         lambda: density_eigh(np.zeros((0, 0))),
         r"^density operator must be non-empty$",
+    ),
+    "density_eigh-zero": (  # zero eigenvalues are not negative ones: the trace is refused
+        lambda: density_eigh(np.zeros((2, 2))),
+        r"^density operator trace 0j is not 1 within 1e-09$",
     ),
     "validate_projectors-empty": (
         lambda: projector_stack([np.zeros((0, 0))], dim=0),
@@ -185,6 +198,10 @@ PROBES = {
     "SampleReport-uint64-beyond-int64": (
         lambda: SampleReport(np.array([2**64 - 1], dtype=np.uint64), 0),
         r"^counts must be below 2\*\*63, got 18446744073709551615$",
+    ),
+    "SampleReport-uint64-2**63": (
+        lambda: SampleReport(np.array([2**63], dtype=np.uint64), 0),
+        r"^counts must be below 2\*\*63, got 9223372036854775808$",
     ),
     "SampleReport-float-seed": (
         lambda: SampleReport([1, 2], 0.5),
@@ -233,6 +250,10 @@ PROBES = {
     "rand_projector-rank-zero": (
         lambda: rand_projector(2, 0, np.random.default_rng(0)),
         r"^rank must lie in 1\.\.2, got 0$",
+    ),
+    "rand_observable-zero-multiplicity": (
+        lambda: rand_observable(2, np.random.default_rng(0), [2, 0]),
+        r"^multiplicities \[2, 0\] do not partition dim 2$",
     ),
     "rand_observable-multiplicities": (
         lambda: rand_observable(3, np.random.default_rng(0), [1, 1]),
@@ -372,6 +393,29 @@ def test_rejected_with_value_error(probe):
     call, message = PROBES[probe]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# Each defect is exactly eps, in dyadic arithmetic or read the way the check reads it: every
+# check refuses only a defect above eps.
+AT_EPS = {
+    "validate_unit_state-norm": lambda: validate_unit_state([1.5], 1, 0.5),
+    "validate_hermitian": lambda: validate_hermitian([[0.0, 0.5], [0.0, 0.0]], 0.5),
+    "validate_projector-idempotency": lambda: validate_projector(np.diag([1.0, 0.5]), 0.25),
+    "density_eigh-trace": lambda: density_eigh(np.diag([0.75, 0.5]), 0.25),
+    # W^dag W - I = [[0, 1/2], [1/2, 1/4]], and V^dag V - I the same
+    "MeasurementModel.validate-isometry": lambda: dataclasses.replace(
+        MODEL, isometry=[[1.0, 0.5], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]
+    ).validate(0.5),
+    "SpectralForm.validate-basis": lambda: SpectralForm([1.0, 0.0], [1, 1], [[1.0, 0.5], [0.0, 1.0]]).validate(0.5),
+    "from_projectors-orthogonality": lambda: from_projectors([1.0, 0.0], [P0, TILTED], OVERLAP),
+    # diag(1, 1/2) is a projector within 1/2 with range |0>, and differs from E_0 = P0 by 1/2
+    "refine-sum": lambda: refine(MODEL.observable, 0, [np.diag([1.0, 0.5])], 0.5),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(AT_EPS))
+def test_a_defect_of_exactly_eps_is_accepted(probe):
+    AT_EPS[probe]()
 
 
 def test_lifted_pointer_is_the_dense_stack_lift(rng):

@@ -166,7 +166,7 @@ def projector_stack(
     for k, p in enumerate(mats):
         if p.ndim != 2 or p.shape[0] != p.shape[1] or not p.size:
             raise ValueError(f"{label} {k} must be a non-empty square matrix, got shape {p.shape}")
-        dim = len(p) if dim is None else dim
+        dim = p.shape[0] if dim is None else dim
         if p.shape != (dim, dim):
             raise ValueError(f"{label} {k} has shape {p.shape}, expected {(dim, dim)}")
     return np.array(mats)

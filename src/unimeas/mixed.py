@@ -63,7 +63,7 @@ def mixed_probability(rho, projector, eps: float = DEFAULT_EPS) -> float:
     via_trace = float((rho @ as_complex(projector)).trace().real)
     # Exactly, the routes differ by the dropped tail, at most eps. Each route also rounds sums
     # of products of numbers near or below 1, by a few units in the last place of 1 per dim.
-    if abs(via_purification - via_trace) > eps + 32 * len(rho) * np.finfo(float).eps:
+    if abs(via_purification - via_trace) > eps + 32 * rho.shape[0] * np.finfo(float).eps:
         raise ValueError(
             f"purified route {via_purification!r} disagrees with trace route {via_trace!r}"
         )

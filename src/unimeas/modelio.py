@@ -58,7 +58,7 @@ def _complex_in(node, ndim: int, where: str) -> np.ndarray:
     try:
         a = np.array(node, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
-        a = np.array([])  # 1-D: refused below
+        a = np.empty(0)  # 1-D: refused below
     rows = node if ndim == 2 else [node]
     # np.array converts true/false and numeric strings to floats, so the types are scanned too
     if a.ndim == ndim + 1 and a.shape[-1] == 2 and np.isfinite(a).all() and all(

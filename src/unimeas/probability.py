@@ -42,7 +42,7 @@ def forms_triple(psi, p, eps: float = DEFAULT_EPS) -> ProbabilityTriple:
     """
     validate_tolerance(eps)
     p = validate_projector(p, eps)
-    psi = validate_unit_state(psi, len(p), eps)
+    psi = validate_unit_state(psi, p.shape[0], eps)
     return ProbabilityTriple(
         expectation_form=float(np.vdot(psi, p @ psi).real),
         born_form=float(sum(abs(np.vdot(psi, v)) ** 2 for v in _range(p).T)),

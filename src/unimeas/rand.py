@@ -39,7 +39,7 @@ def rand_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def rand_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = _gaussian((dim, dim), rng)
-    return z + z.conj().T
+    return (z + z.conj().T) / 2.0
 
 
 def rand_density(dim: int, rng: np.random.Generator) -> np.ndarray:

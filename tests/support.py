@@ -237,7 +237,7 @@ def dense_decompose(h, eps=TOL):
     """(eigenvalues, projector stack): eigh blocks multiplied out, descending eigenvalues."""
     h = validate_hermitian(h, eps, "observable")
     vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
-    cuts = [vals.size, *(np.flatnonzero(np.diff(vals) > DEGENERACY_TOL) + 1).tolist()[::-1], 0]
+    cuts = [vals.size, *(np.flatnonzero(np.diff(vals) >= DEGENERACY_TOL) + 1).tolist()[::-1], 0]
     blocks = [vecs[:, cuts[j + 1] : cuts[j]] for j in range(len(cuts) - 1)]
     means = [vals[cuts[j + 1] : cuts[j]].mean() for j in range(len(cuts) - 1)]
     return np.array(means), np.array([b @ b.conj().T for b in blocks])

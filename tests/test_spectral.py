@@ -37,6 +37,12 @@ class TestSpectralDecompose:
         assert np.max(np.abs(sum(v * p for v, p in zip(sf.eigenvalues, sf.projectors)) - h)) <= 1e-9
         sf.validate(1e-9)
 
+    def test_rand_hermitian_is_the_seeded_draw_symmetrized(self):
+        """Seeded observables reproduce: rand_hermitian is (Z + Z^dag) / 2 of Z = X + iY, X drawn first."""
+        rng = np.random.default_rng(64)
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        assert np.array_equal(rand_hermitian(4, np.random.default_rng(64)), (z + z.conj().T) / 2)
+
     def test_invariants_separately(self, rng):
         sf = spectral_decompose(rand_hermitian(5, rng))
         eye = np.eye(sf.dim)

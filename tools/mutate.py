@@ -10,7 +10,9 @@ boundary (< and <=, > and >=, == and !=, is and is not, in and not in), swap + w
 * with / (augmented assignments too), drop a `.conj()`, change a constant (0 to 1, 1 to 0,
 2 to 1, 0.5 to 1) and drop a `not` or `~`.
 
-Each mutant runs in a temporary copy of the repository, so the working tree and its
+Each mutant is the module's tree, mutated and written back with ast.unparse. It runs in a
+temporary copy of the repository whose modules are all written that way, so that the
+unmutated baseline differs from a mutant only by its mutation, and the working tree and its
 .hypothesis/ stay untouched. It first runs the test files that import the mutated module
 (directly, or through tests/support.py), under `-x` with a fixed hypothesis seed; a mutant
 that survives them is run again on every test. A mutant counts as killed when pytest fails
@@ -66,7 +68,7 @@ class Mutant:
     operator: str
     before: str
     after: str
-    source: str  # the whole mutated module
+    source: str  # the whole mutated module, unparsed
 
 
 @dataclass
@@ -105,20 +107,6 @@ def _replacement(node: ast.AST):
         yield "not", copy.deepcopy(node.operand)
 
 
-def _offset(lines: list[str], line: int, col: int) -> int:
-    """Character offset of ast's (line, utf-8 byte column) in the joined lines."""
-    return sum(len(s) for s in lines[: line - 1]) + len(lines[line - 1].encode()[:col].decode())
-
-
-def _splice(source: str, node: ast.AST, new: ast.AST) -> str:
-    """source with node's text replaced by new's, parenthesized unless a statement."""
-    lines = source.splitlines(keepends=True)
-    start = _offset(lines, node.lineno, node.col_offset)
-    end = _offset(lines, node.end_lineno, node.end_col_offset)
-    text = ast.unparse(new)
-    return source[:start] + (text if isinstance(new, ast.stmt) else f"({text})") + source[end:]
-
-
 def mutants(module: str) -> list[Mutant]:
     """Every mutant of src/unimeas/<module>.py."""
     source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
@@ -129,10 +117,8 @@ def mutants(module: str) -> list[Mutant]:
             mutated = copy.deepcopy(tree)
             target = next(n for i, n in enumerate(ast.walk(mutated)) if i == index)
             _replace_in(mutated, target, new)
-            text = _splice(source, node, new)
-            if ast.dump(ast.parse(text)) != ast.dump(mutated):  # a span ast reports wrongly
-                text = ast.unparse(mutated)
             before = ast.get_source_segment(source, node) or ast.unparse(node)
+            text = ast.unparse(mutated)
             found.append(Mutant(module, index, node.lineno, operator, before, ast.unparse(new), text))
     return found
 
@@ -217,6 +203,9 @@ def run(modules: list[str], out: Path) -> list[Result]:
         copies = queue.Queue()
         for j in range(JOBS):
             shutil.copytree(ROOT, Path(scratch) / f"copy{j}", ignore=COPY_IGNORE)
+            for path in (Path(scratch) / f"copy{j}" / "src" / "unimeas").glob("*.py"):
+                # a mutant is an unparsed module, so the baseline runs on unparsed modules too
+                path.write_text(ast.unparse(ast.parse(path.read_text(encoding="utf-8"))), encoding="utf-8")
             copies.put(Path(scratch) / f"copy{j}")
         plan = {m: (selected_tests(m), mutants(m)) for m in modules}
         baseline = {}

@@ -190,12 +190,14 @@ def _dump(doc) -> str:
 
 def _parse(path) -> object:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        # bytes that are not UTF-8, bad syntax and integers past Python's digit limit raise
+        # ValueErrors; nesting past the recursion limit raises RecursionError
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: invalid JSON ({exc})") from exc
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,17 @@ def set_entry(doc, path, value) -> None:
     for key in path[:-1]:
         doc = doc[key]
     doc[path[-1]] = value
+
+
+def traced_peak(call):
+    """(call's result, the peak bytes tracemalloc traced during the call above what it held before)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def bench_workloads():

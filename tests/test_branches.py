@@ -1,11 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
-from support import lifted_pointer, rotated_instrument, z_model
+from support import lifted_pointer, rotated_instrument, traced_peak, z_model
 
 from unimeas import branches
 from unimeas.branches import (
@@ -193,7 +192,6 @@ class TestDecomposeFinal:
                 w = np.vdot(phi, model.observable.projectors[k] @ phi).real
                 assert abs(a - np.sqrt(w)) <= 1e-10
 
-
     @pytest.mark.parametrize("dim_a", [2, 3, 4, 8])
     def test_complex_pointer_branches_are_lifted_pointer_products(self, dim_a):
         """In a random complex instrument basis, amplitude k times branch k is (I (x) F_k) Phi_f."""
@@ -221,13 +219,7 @@ class TestDecomposeFinal:
         assert (model.dim_b, model.outcomes) == (256, 16)
         phi = rand_ket(16, rng)
         decompose_final(model, phi)
-        tracemalloc.start()
-        try:
-            decompose_final(model, phi)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6e6
+        assert traced_peak(lambda: decompose_final(model, phi))[1] <= 6e6
 
     @pytest.mark.filterwarnings("error")
     def test_huge_state(self):

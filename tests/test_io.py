@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -38,25 +39,32 @@ def _legacy_document(model, unitary) -> dict:
     return doc
 
 
+def _saved_twice(tmp_path, model):
+    """(the model loaded from its file, that file's bytes, the bytes of the loaded model's file)."""
+    first, second = tmp_path / "model.json", tmp_path / "again.json"
+    save_model(model, first)
+    loaded = load_model(first)
+    save_model(loaded, second)
+    return loaded, first.read_bytes(), second.read_bytes()
+
+
+def _assert_loads_exactly(loaded, model) -> None:
+    """Every array of loaded is model's bit for bit: assert_array_equal would let 0.0 match -0.0."""
+    assert (loaded.dim_a, loaded.dim_b) == (model.dim_a, model.dim_b)
+    assert loaded.isometry.tobytes() == model.isometry.tobytes()
+    assert loaded.instrument_state.tobytes() == model.instrument_state.tobytes()
+    for sf, ref in ((loaded.observable, model.observable), (loaded.pointer, model.pointer)):
+        assert sf.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert sf.projectors.tobytes() == ref.projectors.tobytes()
+
+
 class TestModelRoundTrip:
     def test_save_load_save_is_byte_identical(self, tmp_path, model):
-        first = tmp_path / "model.json"
-        second = tmp_path / "again.json"
-        save_model(model, first)
-        save_model(load_model(first), second)
-        assert first.read_bytes() == second.read_bytes()
+        _, first, second = _saved_twice(tmp_path, model)
+        assert first == second
 
     def test_load_reproduces_arrays_exactly(self, tmp_path, model):
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.dim_a == model.dim_a
-        assert loaded.dim_b == model.dim_b
-        np.testing.assert_array_equal(loaded.isometry, model.isometry)
-        np.testing.assert_array_equal(loaded.instrument_state, model.instrument_state)
-        np.testing.assert_array_equal(loaded.observable.eigenvalues, model.observable.eigenvalues)
-        for p, q in zip(loaded.pointer.projectors, model.pointer.projectors):
-            np.testing.assert_array_equal(p, q)
+        _assert_loads_exactly(_saved_twice(tmp_path, model)[0], model)
 
     def test_document_round_trip(self, model):
         doc = model_to_document(model)
@@ -110,40 +118,21 @@ class TestLayouts:
     def test_seed_indented_layout_loads_exactly(self, tmp_path, model):
         path = tmp_path / "indented.json"
         path.write_text(json.dumps(model_to_document(model), indent=2) + "\n")
-        loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.isometry, model.isometry)
-        np.testing.assert_array_equal(loaded.instrument_state, model.instrument_state)
-        for sf, ref in ((loaded.observable, model.observable), (loaded.pointer, model.pointer)):
-            np.testing.assert_array_equal(sf.eigenvalues, ref.eigenvalues)
-            for p, q in zip(sf.projectors, ref.projectors):
-                np.testing.assert_array_equal(p, q)
+        _assert_loads_exactly(load_model(path), model)
 
     def test_round_trip_at_joint_256(self, tmp_path):
-        rng = np.random.default_rng(7)
-        model = build_canonical_model(spectral_decompose(rand_hermitian(16, rng)))
+        model = build_canonical_model(spectral_decompose(rand_hermitian(16, np.random.default_rng(7))))
         assert model.dim == 256
-        first = tmp_path / "model.json"
-        second = tmp_path / "again.json"
-        save_model(model, first)
-        loaded = load_model(first)
-        save_model(loaded, second)
-        assert first.read_bytes() == second.read_bytes()
-        # bitwise: assert_array_equal would let 0.0 match -0.0
-        assert loaded.isometry.tobytes() == model.isometry.tobytes()
-        assert loaded.instrument_state.tobytes() == model.instrument_state.tobytes()
+        loaded, first, second = _saved_twice(tmp_path, model)
+        assert first == second
+        _assert_loads_exactly(loaded, model)
 
     def test_round_trip_at_joint_1024(self, tmp_path):
-        rng = np.random.default_rng(7)
-        model = build_canonical_model(spectral_decompose(rand_hermitian(32, rng)))
+        model = build_canonical_model(spectral_decompose(rand_hermitian(32, np.random.default_rng(7))))
         assert model.dim == 1024
-        first = tmp_path / "model.json"
-        second = tmp_path / "again.json"
-        save_model(model, first)
-        assert first.stat().st_size < 4_000_000
-        loaded = load_model(first)
-        save_model(loaded, second)
-        assert first.read_bytes() == second.read_bytes()
-        assert loaded.isometry.tobytes() == model.isometry.tobytes()
+        loaded, first, second = _saved_twice(tmp_path, model)
+        assert len(first) < 4_000_000 and first == second
+        _assert_loads_exactly(loaded, model)
 
     def test_save_refuses_non_finite(self, tmp_path, model):
         w = np.array(model.isometry)
@@ -261,6 +250,40 @@ class TestMalformedArrays:
             model_from_document(doc)
 
 
+# three 2 x 2 projectors where a 3 x 3 stack belongs
+TWO_BY_TWO = [
+    [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+    [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+]
+# a number past CPython's default limit of 4300 digits for int(); a build without that limit
+# reads it, and the loader refuses it as a non-finite value
+LONG_INTEGER = "1" + "0" * 5000
+
+
+def _refused(doc, path, value, message) -> None:
+    """model_from_document refuses doc, its entry at path set to value, with message."""
+    set_entry(doc, path, value)
+    with pytest.raises(ModelFormatError, match=message):
+        model_from_document(doc)
+
+
+def _unparseable(fault, loader, model) -> bytes:
+    """The text of a file that json.loads cannot return: one fault, in the loader's kind of file."""
+    if fault == "nested-100000-deep":
+        return b"[" * 100_000 + b"]" * 100_000
+    if fault == "not-utf-8":
+        return b"[[1.0,\xff0.0]]"
+    # the loader's kind of file, with LONG_INTEGER as the real part of its first entry (of W in a model)
+    if loader is load_model:
+        doc = model_to_document(model)
+        set_entry(doc, ("isometry", 0, 0), "N")
+        text = json.dumps(doc)
+    else:
+        text = '["N"]' if loader is load_vector else '[["N"]]'
+    return text.replace('"N"', f"[{LONG_INTEGER}, 0]").encode()
+
+
 class TestFieldDiagnostics:
     def test_outcome_count_mismatch_named(self, tmp_path, outcome_mismatch_document):
         path = tmp_path / "model.json"
@@ -268,115 +291,79 @@ class TestFieldDiagnostics:
         with pytest.raises(ModelFormatError, match=r"^observable has 2 outcomes, pointer has 3$"):
             load_model(path)
 
-    def test_missing_field_named(self, model):
-        doc = model_to_document(model)
-        del doc["isometry"]
-        with pytest.raises(ModelFormatError, match="isometry"):
-            model_from_document(doc)
-
-    def test_unknown_field_named(self, model):
-        doc = model_to_document(model)
-        doc["extra"] = 1
-        with pytest.raises(ModelFormatError, match="extra"):
-            model_from_document(doc)
-
     def test_bad_dim_named(self, model):
-        doc = model_to_document(model)
-        doc["dim_a"] = 0
-        with pytest.raises(ModelFormatError, match="dim_a"):
-            model_from_document(doc)
+        _refused(model_to_document(model), ("dim_a",), 0, r"^dim_a: expected a positive integer, got 0$")
 
     def test_bool_dim_rejected(self, model):
-        doc = model_to_document(model)
-        doc["dim_b"] = True
-        with pytest.raises(ModelFormatError, match="dim_b"):
-            model_from_document(doc)
+        _refused(model_to_document(model), ("dim_b",), True, r"^dim_b: expected a positive integer, got True$")
 
     def test_bad_complex_pair_path_named(self, model):
-        doc = model_to_document(model)
-        doc["instrument_state"][0] = [1.0]
-        with pytest.raises(ModelFormatError, match=r"instrument_state\[0\]"):
-            model_from_document(doc)
+        message = rf"^instrument_state\[0\]: {PAIR}, got \[1\.0\]$"
+        _refused(model_to_document(model), ("instrument_state", 0), [1.0], message)
 
     def test_non_finite_entry_rejected(self, model):
-        doc = model_to_document(model)
-        doc["instrument_state"][0] = [float("nan"), 0.0]
-        with pytest.raises(ModelFormatError, match="instrument_state"):
-            model_from_document(doc)
+        message = r"^instrument_state\[0\]: non-finite value \[nan, 0\.0\]$"
+        _refused(model_to_document(model), ("instrument_state", 0), [float("nan"), 0.0], message)
 
     def test_spectral_count_mismatch_named(self, model):
         doc = model_to_document(model)
-        doc["observable"]["eigenvalues"].append(99.0)
-        with pytest.raises(ModelFormatError, match="observable"):
-            model_from_document(doc)
+        eigenvalues = [*doc["observable"]["eigenvalues"], 99.0]
+        _refused(doc, ("observable", "eigenvalues"), eigenvalues, r"^observable: 4 eigenvalues but 3 ranks$")
 
     def test_wrong_size_pointer_projector_named(self, model, dense_document):
-        doc = dense_document(model)
-        doc["pointer"]["projectors"][1] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         message = r"^pointer: projector 1 has shape \(2, 2\), expected \(3, 3\)$"
-        with pytest.raises(ModelFormatError, match=message):
-            model_from_document(doc)
+        _refused(dense_document(model), ("pointer", "projectors", 1), TWO_BY_TWO[0], message)
 
     def test_wrong_size_pointer_projector_0_named(self, model, dense_document):
-        doc = dense_document(model)
-        doc["pointer"]["projectors"][0] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         message = r"^pointer: projector 0 has shape \(2, 2\), expected \(3, 3\)$"
-        with pytest.raises(ModelFormatError, match=message):
-            model_from_document(doc)
+        _refused(dense_document(model), ("pointer", "projectors", 0), TWO_BY_TWO[0], message)
 
     def test_uniformly_wrong_size_pointer_named_by_dimension(self, model, dense_document):
-        doc = dense_document(model)
-        doc["pointer"]["projectors"] = [
-            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
-            [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
-            [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
-        ]
         message = r"^pointer: projector 0 has shape \(2, 2\), expected \(3, 3\)$"
-        with pytest.raises(ModelFormatError, match=message):
-            model_from_document(doc)
+        _refused(dense_document(model), ("pointer", "projectors"), TWO_BY_TWO, message)
 
     def test_uniformly_wrong_size_observable_named_by_dimension(self, model, dense_document):
-        doc = dense_document(model)
-        doc["observable"]["projectors"] = [
-            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
-            [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
-            [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
-        ]
         message = r"^observable: projector 0 has shape \(2, 2\), expected \(3, 3\)$"
-        with pytest.raises(ModelFormatError, match=message):
-            model_from_document(doc)
+        _refused(dense_document(model), ("observable", "projectors"), TWO_BY_TWO, message)
 
     def test_spectral_unknown_key_named(self, model):
-        doc = model_to_document(model)
-        doc["pointer"]["labels"] = [1]
-        with pytest.raises(ModelFormatError, match="pointer"):
-            model_from_document(doc)
+        message = r"^pointer: expected an object with keys \['basis', 'eigenvalues', 'ranks'\] or "
+        _refused(model_to_document(model), ("pointer", "labels"), [1], message)
 
     def test_non_isometric_matrix_named(self, model):
-        doc = model_to_document(model)
-        doc["isometry"][0][0] = [5.0, 0.0]
-        with pytest.raises(ModelFormatError, match=r"^isometry: isometry defect"):
-            model_from_document(doc)
+        message = r"^isometry: isometry defect 2\.500e\+01 exceeds 1e-09$"
+        _refused(model_to_document(model), ("isometry", 0, 0), [5.0, 0.0], message)
 
     def test_dense_matrix_in_isometry_field_named(self, model, controlled_shift):
-        doc = model_to_document(model)
-        doc["isometry"] = _legacy_document(model, controlled_shift(model.observable))["unitary"]
-        with pytest.raises(ModelFormatError, match=r"^isometry: shape \(9, 9\), expected \(9, 3\)$"):
-            model_from_document(doc)
+        unitary = _legacy_document(model, controlled_shift(model.observable))["unitary"]
+        message = r"^isometry: shape \(9, 9\), expected \(9, 3\)$"
+        _refused(model_to_document(model), ("isometry",), unitary, message)
 
     def test_non_object_document(self):
-        with pytest.raises(ModelFormatError, match="JSON object"):
+        with pytest.raises(ModelFormatError, match="^model document must be a JSON object$"):
             model_from_document([1, 2, 3])
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "trunc.json"
         path.write_text('{"dim_a": 2,')
-        with pytest.raises(ModelFormatError, match="invalid JSON"):
+        with pytest.raises(ModelFormatError, match=rf"^{re.escape(str(path))}: invalid JSON \("):
             load_model(path)
 
+    @pytest.mark.parametrize("loader", [load_model, load_vector, load_observable], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("fault", ["nested-100000-deep", "not-utf-8", "long-integer"])
+    def test_unparseable_file_named(self, tmp_path, model, fault, loader):
+        """Refused as invalid JSON naming the file, not as a RecursionError, a UnicodeDecodeError
+        or a bare ValueError."""
+        path = tmp_path / "bad.json"
+        path.write_bytes(_unparseable(fault, loader, model))
+        message = rf"^{re.escape(str(path))}: invalid JSON \(" + ("|: non-finite value" if fault == "long-integer" else "")
+        with pytest.raises(ModelFormatError, match=message):
+            loader(path)
+
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ModelFormatError, match="cannot read"):
-            load_model(tmp_path / "absent.json")
+        path = tmp_path / "absent.json"
+        with pytest.raises(ModelFormatError, match=rf"^cannot read {re.escape(str(path))}: "):
+            load_model(path)
 
     def test_error_type_is_value_error(self):
         assert issubclass(ModelFormatError, ValueError)
@@ -480,13 +467,8 @@ class TestObservableFiles:
 
     def test_explicit_spectral_form(self, tmp_path):
         sf = spectral_decompose(np.diag([3.0, 3.0, 7.0]))
-        doc = {
-            "eigenvalues": [float(v) for v in sf.eigenvalues],
-            "projectors": [
-                [[[float(z.real), float(z.imag)] for z in row] for row in p]
-                for p in sf.projectors
-            ],
-        }
+        e = sf.projectors
+        doc = {"eigenvalues": sf.eigenvalues.tolist(), "projectors": np.stack([e.real, e.imag], -1).tolist()}
         path = tmp_path / "obs.json"
         path.write_text(json.dumps(doc))
         loaded = load_observable(path)

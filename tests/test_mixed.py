@@ -14,6 +14,13 @@ from unimeas.probability import forms_triple
 from unimeas.rand import rand_density, rand_ket, rand_observable, rand_projector, rand_unitary
 
 
+def _dense_lift_probability(rho, projector) -> float:
+    """<Psi|(E (x) I)|Psi> of rho's purification Psi, with the dense Kronecker lift of E."""
+    psi = purify(rho)
+    state = psi.reshape(-1)
+    return np.vdot(state, np.kron(projector, np.eye(psi.shape[1])) @ state).real
+
+
 class TestPurify:
     def test_pure_input(self):
         psi = purify(np.diag([1.0, 0.0]))
@@ -114,20 +121,14 @@ class TestPurifiedRoute:
         for dim, rank in [(2, 1), (4, 2), (6, 3)]:
             rho = rand_density(dim, rng)
             proj = rand_projector(dim, rank, rng)
-            psi = purify(rho)
-            lifted = np.kron(proj, np.eye(psi.shape[1]))
-            dense = np.vdot(psi.reshape(-1), lifted @ psi.reshape(-1)).real
-            assert abs(purified_probability(rho, proj) - dense) <= 1e-12
+            assert abs(purified_probability(rho, proj) - _dense_lift_probability(rho, proj)) <= 1e-12
 
     def test_rank_deficient_state(self, rng):
         psi = rand_ket(3, rng)
         rho = np.outer(psi, psi.conj())
         proj = rand_projector(3, 2, rng)
-        lifted = np.kron(proj, np.eye(1))
-        psi = purify(rho)
-        assert psi.shape == (3, 1)
-        dense = np.vdot(psi.reshape(-1), lifted @ psi.reshape(-1)).real
-        assert abs(purified_probability(rho, proj) - dense) <= 1e-12
+        assert purify(rho).shape == (3, 1)
+        assert abs(purified_probability(rho, proj) - _dense_lift_probability(rho, proj)) <= 1e-12
 
     def test_dimension_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="does not match"):

@@ -9,7 +9,6 @@ rounding of the same products taken in a different grouping.
 from __future__ import annotations
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from support import (
     loop_validate_projectors,
     rotated_instrument,
     stack_defect,
+    traced_peak,
     zoo_model,
 )
 
@@ -191,14 +191,8 @@ class TestCalibrationMemory:
         rng = np.random.default_rng(5)
         model = with_redundant_pointer(rand_model(32, rng, [16, 16]), 128, rng)
         assert model.dim_b == 256
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            check_calibration(model)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * (model.isometry.nbytes + model.pointer.projectors.nbytes)
+        bound = 4 * (model.isometry.nbytes + model.pointer.projectors.nbytes)
+        assert traced_peak(lambda: check_calibration(model))[1] < bound
 
 
 class TestDenseBasis:
@@ -224,14 +218,7 @@ class TestDenseBasis:
         sf = rand_observable(dim, np.random.default_rng(dim), ranks)
         stack = sf.projectors
         assert len(stack) == (dim if ranks is None else len(ranks))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            from_projectors(sf.eigenvalues, stack)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * stack.nbytes
+        assert traced_peak(lambda: from_projectors(sf.eigenvalues, stack))[1] <= bound * stack.nbytes
 
 
 class TestFirstFailure:

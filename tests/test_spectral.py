@@ -1,10 +1,10 @@
 from __future__ import annotations
 
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
+from support import dense_validate, traced_peak
 
 from unimeas.linalg import basis_ket
 from unimeas.measurement import build_canonical_model
@@ -44,16 +44,10 @@ class TestSpectralDecompose:
         assert np.array_equal(rand_hermitian(4, np.random.default_rng(64)), (z + z.conj().T) / 2)
 
     def test_invariants_separately(self, rng):
+        """Idempotent, Hermitian, pairwise orthogonal and complete within 1e-9, with distinct
+        eigenvalues, by the dense reference's checks of each invariant."""
         sf = spectral_decompose(rand_hermitian(5, rng))
-        eye = np.eye(sf.dim)
-        for p in sf.projectors:
-            assert np.max(np.abs(p @ p - p)) <= 1e-9
-            assert np.max(np.abs(p - p.conj().T)) <= 1e-9
-        for k in range(sf.outcomes):
-            for kp in range(k + 1, sf.outcomes):
-                assert np.max(np.abs(sf.projectors[k] @ sf.projectors[kp])) <= 1e-9
-        assert np.max(np.abs(sum(sf.projectors) - eye)) <= 1e-9
-        assert len(set(sf.eigenvalues)) == sf.outcomes
+        dense_validate(sf.eigenvalues, sf.projectors, 1e-9)
 
     def test_descending_outcome_order(self):
         sf = spectral_decompose(np.diag([2.0, 2.0, 5.0]))
@@ -205,13 +199,7 @@ class TestRefine:
         basis = np.linalg.qr(np.random.default_rng(7).normal(size=(256, 256)))[0]
         sf = SpectralForm(np.arange(255.0, 0.0, -1.0), [2] + [1] * 254, basis)
         subs = [np.outer(basis[:, j], basis[:, j]) for j in range(2)]
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            fine = refine(sf, 0, subs)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        fine, peak = traced_peak(lambda: refine(sf, 0, subs))
         assert peak < 16 * 2**20
         assert fine.outcomes == 256
         fine.validate()

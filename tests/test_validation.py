@@ -23,7 +23,7 @@ from unimeas.branches import (
     evolve_branch,
     verify,
 )
-from unimeas.collapse import OutcomeDistribution, SampleReport, butcher, final_density, sample
+from unimeas.collapse import OutcomeDistribution, SampleReport, butcher, final_density, sample, weights
 from unimeas.linalg import (
     basis_ket,
     density_eigh,
@@ -112,6 +112,14 @@ PROBES = {
     "verify-nan-eps": (
         lambda: list(verify(MODEL, uniform_ket(2), float("nan"))),
         r"^tolerance must lie in \(0, 1\), got nan$",
+    ),
+    "weights-wrong-shape": (
+        lambda: weights(uniform_ket(3), MODEL.observable),
+        r"^state has shape \(3,\), expected \(2,\)$",
+    ),
+    "weights-unnormalized": (
+        lambda: weights(UNNORMALIZED, MODEL.observable),
+        r"^state norm 5\.0 is not 1 within 1e-09$",
     ),
     "forms_triple-nan": (lambda: forms_triple(NAN_STATE, P0), "non-finite"),
     "forms_triple-unnormalized": (lambda: forms_triple(UNNORMALIZED, P0), "norm"),

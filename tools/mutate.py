@@ -19,10 +19,11 @@ that survives them is run again on every test. A mutant counts as killed when py
 and as timed out, which also counts as killed, when pytest outlives TIMEOUT_FACTOR times the
 unmutated run of the same tests plus 10 s. At most JOBS pytest processes run at once, each
 with one BLAS thread and at most MEMORY_LIMIT bytes of address space. The tool imports only
-the standard library; it is run by hand, not by CI, and pytest does not collect it.
+the standard library; CI runs it on one module, and pytest does not collect it.
 
-Each mutant's result is one JSON line in --out; the end of the run prints one table row per
-module and every survivor.
+Each mutant's result is one JSON line in --out. A killed mutant's line names in `killed_by`
+the node id of the first failing test, read from pytest's JUnit XML report; a timed-out one has
+null there. The end of the run prints one table row per module and every survivor.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import copy
 import json
 import os
 import queue
+import re
 import resource
 import shutil
 import signal
@@ -43,6 +45,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "unimeas"
@@ -82,6 +85,7 @@ class Result:
     status: str  # killed, timeout or survived
     stage: str  # "module" for the selected test files, "tier-1" for every test
     seconds: float
+    killed_by: str | None  # node id of the first failing test; None unless killed
 
 
 def _replacement(node: ast.AST):
@@ -174,15 +178,42 @@ def selected_tests(module: str) -> list[str]:
     return sorted(chosen, key=lambda name: name != first)
 
 
-def pytest(workdir: Path, tests: list[str], timeout: float | None) -> tuple[str, float]:
-    """("passed", "failed" or "timeout", seconds) of one pytest run in workdir."""
+def _first_failure(report: Path) -> str | None:
+    """The node id of the first test case that failed or errored in pytest's JUnit XML report:
+    a test, a test file that failed to import, or, for an internal error of pytest such as a
+    test module exiting as it is imported, the last test file in its traceback. None when there
+    is no report or it names none."""
+    try:
+        cases = list(ElementTree.parse(report).getroot().iter("testcase"))
+    except (OSError, ElementTree.ParseError):
+        return None
+    for case in cases:
+        fault = next((child for child in case if child.tag in ("failure", "error")), None)
+        if fault is None:
+            continue
+        classname, name = case.get("classname", ""), case.get("name", "")
+        if classname == "pytest":
+            files = re.findall(r'/(tests/test_\w+\.py)", line', fault.text or "")
+            return files[-1] if files else None
+        # classname is the module's dotted path and any classes; a module that failed to import
+        # has an empty classname and its dotted path as the name
+        parts = (classname or name).split(".")
+        return "::".join([f"{parts[0]}/{parts[1]}.py", *parts[2:], *([name] if classname else [])])
+    return None
+
+
+def pytest(workdir: Path, tests: list[str], timeout: float | None) -> tuple[str, float, str | None]:
+    """("passed", "failed" or "timeout", seconds, first failing node id) of one pytest run in
+    workdir."""
     env = {
         **os.environ, "PYTHONPATH": str(workdir / "src"), "PYTHONDONTWRITEBYTECODE": "1",
         "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
     }
+    report = workdir / "junit.xml"
+    report.unlink(missing_ok=True)
     command = [
         sys.executable, "-m", "pytest", "-x", "-q", "--no-header", "-p", "no:cacheprovider",
-        f"--hypothesis-seed={HYPOTHESIS_SEED}", *tests,
+        f"--hypothesis-seed={HYPOTHESIS_SEED}", f"--junitxml={report}", *tests,
     ]
     start = time.perf_counter()
     proc = subprocess.Popen(command, cwd=workdir, env=env, stdout=subprocess.DEVNULL,
@@ -192,8 +223,10 @@ def pytest(workdir: Path, tests: list[str], timeout: float | None) -> tuple[str,
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
-        return "timeout", time.perf_counter() - start
-    return ("passed" if code == 0 else "failed"), time.perf_counter() - start
+        return "timeout", time.perf_counter() - start, None
+    if code == 0:
+        return "passed", time.perf_counter() - start, None
+    return "failed", time.perf_counter() - start, _first_failure(report)
 
 
 def run(modules: list[str], out: Path) -> list[Result]:
@@ -211,7 +244,7 @@ def run(modules: list[str], out: Path) -> list[Result]:
         baseline = {}
         workdir = copies.get()
         for key, tests in [("tier-1", []), *((m, t) for m, (t, _) in plan.items())]:
-            verdict, seconds = pytest(workdir, tests, None)
+            verdict, seconds, _ = pytest(workdir, tests, None)
             if verdict != "passed":
                 sys.exit(f"the unmutated tree fails {' '.join(tests) or 'tier-1'}")
             baseline[key] = seconds
@@ -226,18 +259,18 @@ def run(modules: list[str], out: Path) -> list[Result]:
                 path.write_text(mutant.source, encoding="utf-8")
                 tests = plan[mutant.module][0]
                 stage, total = "module", 0.0
-                verdict, seconds = pytest(workdir, tests, TIMEOUT_FACTOR * baseline[mutant.module] + 10)
+                verdict, seconds, killed_by = pytest(workdir, tests, TIMEOUT_FACTOR * baseline[mutant.module] + 10)
                 total += seconds
                 if verdict == "passed":
                     stage = "tier-1"
-                    verdict, seconds = pytest(workdir, [], TIMEOUT_FACTOR * baseline["tier-1"] + 10)
+                    verdict, seconds, killed_by = pytest(workdir, [], TIMEOUT_FACTOR * baseline["tier-1"] + 10)
                     total += seconds
             finally:
                 path.write_text(original, encoding="utf-8")
                 copies.put(workdir)
             status = {"passed": "survived", "failed": "killed", "timeout": "timeout"}[verdict]
             fields = {k: v for k, v in asdict(mutant).items() if k != "source"}
-            return Result(**fields, status=status, stage=stage, seconds=round(total, 2))
+            return Result(**fields, status=status, stage=stage, seconds=round(total, 2), killed_by=killed_by)
 
         todo = sorted((m for _, found in plan.values() for m in found), key=lambda m: (m.module, m.line, m.index))
         print(f"{len(todo)} mutants in {len(modules)} modules", flush=True)
